@@ -25,15 +25,16 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .closed_forms import (CF_FAMILIES, ClosedFormFamily, cf_dist, cf_genuine,
-                           cf_scaling_sweep, cf_weaving)
+from .closed_forms import (CF_FAMILIES, FAMILIES, ClosedFormFamily, cf_dist,
+                           cf_genuine, cf_scaling_sweep, cf_weaving)
 from .correlations import (SubsetEntropyCache, WeightScheme, neural_complexity,
                            profile, weaving)
 from .errors import (ArgumentError, CapacityError, CorrweaveError,
                      StateFileError)
 from .partitions import DEFAULT_ENUM_CAP
 from .properties import run_property_suite
-from .states import (StateFamily, make_bell_product, make_classical,
+# make_* are not called here; they stay importable for callers that patch them.
+from .states import (StateFamily, make_bell_product, make_classical,  # noqa: F401
                      make_classical_pair_product, make_dicke, make_ghz)
 from .tensor import DensityState
 
@@ -108,20 +109,9 @@ def _emit(doc, rows, fields, output):
 
 
 def _scheme(spec: str, n: int) -> WeightScheme:
-    if spec == "k-1":
-        return WeightScheme.order_weighted(n)
-    if spec == "uniform":
-        return WeightScheme.uniform(n)
-    if spec.startswith("delta:"):
-        try:
-            k = int(spec.split(":", 1)[1])
-        except ValueError:
-            raise ArgumentError(f"bad delta weights {spec!r}; use delta:K") from None
-        return WeightScheme.delta(n, k)
     if spec.startswith("file:"):
         return _scheme_from_file(spec, n)
-    raise ArgumentError(
-        f"unknown weights {spec!r}; use k-1, uniform, delta:K, or file:PATH")
+    return WeightScheme.named(spec, n)
 
 
 def _scheme_from_file(spec: str, n: int) -> WeightScheme:
@@ -260,37 +250,13 @@ def main():
     """Correlation orders, weaving index, and closed-form family tables."""
 
 
-_TABLE_FAMILIES = ("classical-pair-product", "classical", "bell-product",
-                   "ghz", "dicke-1", "dicke-half", "qudit-classical",
-                   "qudit-bell-product")
-_EVEN_ONLY = {"classical-pair-product", "bell-product", "dicke-half",
-              "qudit-bell-product"}
-
-
-def _table_state(family: str, n: int, d: int) -> DensityState:
-    if family == "classical-pair-product":
-        return make_classical_pair_product(n)
-    if family == "classical":
-        return make_classical(n, 2)
-    if family == "bell-product":
-        return make_bell_product(n, 2)
-    if family == "ghz":
-        return make_ghz(n, 2)
-    if family == "dicke-1":
-        return make_dicke(n, 1)
-    if family == "dicke-half":
-        return make_dicke(n, n // 2)
-    if family == "qudit-classical":
-        return make_classical(n, d)
-    return make_bell_product(n, d)
-
-
 @main.command("table")
 @click.option("--n", required=True, type=int, help="Number of parties.")
 @click.option("--d", default=2, show_default=True, type=int,
               help="Local dimension of the qudit rows.")
 @click.option("--weights", default="k-1", show_default=True)
-@click.option("--parallel", default=1, show_default=True, type=int)
+@click.option("--parallel", default=1, show_default=True, type=int,
+              help="Accepted and ignored; entropies are computed serially.")
 @click.option("--closed-form-only", is_flag=True,
               help="Skip the matrix-pipeline cross-check (any N).")
 @click.option("--output", default="json", show_default=True,
@@ -310,12 +276,13 @@ def cmd_table(n, d, weights, parallel, closed_form_only, output):
             f"matrix cross-check is capped at N={MATRIX_N_CAP}; "
             "pass --closed-form-only for larger N")
     scheme = _scheme(weights, n)
-    workers = parallel if parallel > 1 else None
     rows = []
-    for family in _TABLE_FAMILIES:
-        if n % 2 and family in _EVEN_ONLY:
+    for entry in sorted((f for f in FAMILIES.values() if f.table is not None),
+                        key=lambda f: f.table):
+        if n % 2 and entry.even_only:
             continue
-        d_eff = d if family.startswith("qudit") else 2
+        family = entry.name
+        d_eff = d if entry.qudit else 2
         fam = ClosedFormFamily(family, n, d=d_eff)
         dist = [cf_dist(fam, k) for k in range(1, n + 1)]
         genuine = [cf_genuine(fam, k) for k in range(2, n + 1)]
@@ -325,8 +292,8 @@ def cmd_table(n, d, weights, parallel, closed_form_only, output):
                "mode": "closed-form", "matrix_max_dev": None, "agree": None,
                "units": "bits", "version": __version__}
         if not closed_form_only:
-            state = _table_state(family, n, d_eff)
-            prof = profile(state, mode="brute", workers=workers)
+            state = StateFamily(family, n, d=d_eff).build()
+            prof = profile(state, mode="brute")
             dev = max(
                 max(abs(a - b) for a, b in zip(dist, prof.dist)),
                 max(abs(a - b) for a, b in zip(genuine, prof.genuine)),
@@ -347,7 +314,8 @@ def cmd_table(n, d, weights, parallel, closed_form_only, output):
 @click.option("--weights", default="k-1", show_default=True)
 @click.option("--mode", default="auto", show_default=True,
               type=click.Choice(["auto", "brute", "fast"]))
-@click.option("--parallel", default=1, show_default=True, type=int)
+@click.option("--parallel", default=1, show_default=True, type=int,
+              help="Accepted and ignored; entropies are computed serially.")
 @click.option("--output", default="json", show_default=True,
               type=click.Choice(["json", "csv"]))
 @_handle_errors
@@ -363,16 +331,15 @@ def cmd_profile(state_spec, weights, mode, parallel, output):
         label = family.label()
         state = family.build()
     n = state.n_parties
-    workers = parallel if parallel > 1 else None
     cache = SubsetEntropyCache(state)
-    prof = profile(state, mode=mode, cache=cache, workers=workers)
+    prof = profile(state, mode=mode, cache=cache)
     if n >= 2:
         scheme = _scheme(weights, n)
         weave = weaving(prof, scheme)
         scheme_name = scheme.name
     else:
         weave, scheme_name = 0.0, weights
-    neural = (neural_complexity(state, cache, workers=workers)
+    neural = (neural_complexity(state, cache)
               if n <= DEFAULT_ENUM_CAP else None)
     dims = list(state.dims)
     row = {label_key: label, "N": n,

@@ -1,31 +1,106 @@
-"""Closed-form correlation profiles for the named state families.
+"""The registry of named state families, and their closed-form profiles.
 
-All families here are permutation invariant (or products of identical
-pairs), so dist(k) reduces to the block-structure of the compact
-partition: ``floor(N/k)`` blocks of ``k`` plus a remainder block.  For
-each family the block entropies have elementary forms, giving profiles
-whose cost is polynomial in N -- usable to N in the thousands, far beyond
-the matrix pipeline.
+Each family is declared once, as a row of :data:`FAMILIES`.  For a
+permutation-invariant state the compact partition (``floor(N/k)`` blocks
+of ``k`` plus a remainder) minimizes dist(k), so a closed form is just the
+family's block entropies h(s); products of identical pairs are correlated
+only within a pair.  Profiles cost polynomial time in N -- usable to N in
+the thousands, far beyond the matrix pipeline.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import stats
 
 from .correlations import WeightScheme
 from .errors import ArgumentError
-
-CF_FAMILIES = ("ghz", "classical", "bell-product", "classical-pair-product",
-               "dicke-1", "dicke-half", "qudit-classical", "qudit-bell-product",
-               "a-family")
+from .states import (make_a_family, make_bell_product, make_classical,
+                     make_classical_pair_product, make_dicke, make_ghz)
 
 #: Genuine-order differences this far below zero are treated as rounding.
 CF_CLAMP = 1e-12
+
+#: Sweep normalizations: (name, divisor for system size n).
+_BY_N = ("n", float)
+_BY_N_LOG_N = ("n*log2(n)", lambda n: n * math.log2(n) if n > 1 else 1.0)
+_BY_N_SQUARED = ("n^2", lambda n: float(n * n))
+
+
+@dataclass(frozen=True)
+class Family:
+    """One named state family.  ``build`` makes the state of a
+    :class:`~corrweave.states.StateFamily`; ``param`` names the spec's
+    extra field (``d``, ``m``, ``a`` or None); ``aliases`` are more spec
+    names, and ``spec`` says whether ``name`` is one; ``table`` is the row
+    position in ``corrweave table``, whose ``qudit`` rows take ``--d``.
+    The closed form is ``h(fam, s)``, the entropy of ``s`` sites: the same
+    for every ``s < N`` if ``uniform``, or of sites within one pair if
+    ``pairs``.  The whole state (or pair) is pure, or, if ``mixed``, has
+    the entropy of its blocks, as a mixture of correlated strings does.
+    """
+
+    name: str
+    build: Callable
+    param: Optional[str] = "d"
+    aliases: tuple[str, ...] = ()
+    spec: bool = True
+    even_only: bool = False
+    table: Optional[int] = None
+    qudit: bool = False
+    normalization: tuple[str, Callable[[int], float]] = _BY_N
+    h: Optional[Callable] = None
+    mixed: bool = False
+    uniform: bool = False
+    pairs: bool = False
+
+
+def _log2_d(fam, size: int) -> float:
+    return math.log2(fam.d)
+
+
+FAMILIES = {f.name: f for f in (
+    Family("ghz", lambda f: make_ghz(f.n, f.d), table=3,
+           normalization=_BY_N_LOG_N, h=lambda f, s: 1.0, uniform=True),
+    Family("classical", lambda f: make_classical(f.n, f.d),
+           aliases=("classical-correlated", "qudit-classical"), table=1,
+           normalization=_BY_N_LOG_N, h=_log2_d, mixed=True, uniform=True),
+    Family("dicke", lambda f: make_dicke(f.n, f.m), param="m"),
+    Family("bell-product", lambda f: make_bell_product(f.n, f.d),
+           aliases=("qudit-bell-product",), even_only=True, table=2,
+           h=_log2_d, pairs=True),
+    Family("classical-pair-product", lambda f: make_classical_pair_product(f.n),
+           param=None, even_only=True, table=0, h=lambda f, s: 1.0,
+           mixed=True, pairs=True),
+    Family("dicke-1", lambda f: make_dicke(f.n, 1), param=None, spec=False,
+           table=4, h=lambda f, s: dicke_marginal_entropy(f.n, 1, s)),
+    Family("dicke-half", lambda f: make_dicke(f.n, f.n // 2), param=None,
+           spec=False, even_only=True, table=5, normalization=_BY_N_SQUARED,
+           h=lambda f, s: dicke_marginal_entropy(f.n, f.n // 2, s)),
+    Family("qudit-classical", lambda f: make_classical(f.n, f.d), spec=False,
+           table=6, qudit=True, normalization=_BY_N_LOG_N, h=_log2_d,
+           mixed=True, uniform=True),
+    Family("qudit-bell-product", lambda f: make_bell_product(f.n, f.d),
+           spec=False, even_only=True, table=7, qudit=True, h=_log2_d,
+           pairs=True),
+    Family("a-family", lambda f: make_a_family(f.n, f.a), param="a",
+           h=lambda f, s: binary_entropy(f.a * f.a), uniform=True),
+)}
+
+CF_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.h is not None)
+
+
+def _closed_form(family: str) -> Family:
+    row = FAMILIES.get(family)
+    if row is None or row.h is None:
+        raise ArgumentError(
+            f"unknown closed-form family {family!r}; "
+            f"choose from {', '.join(CF_FAMILIES)}")
+    return row
 
 
 @dataclass(frozen=True)
@@ -38,20 +113,17 @@ class ClosedFormFamily:
     a: Optional[float] = None
 
     def __post_init__(self):
-        if self.family not in CF_FAMILIES:
-            raise ArgumentError(
-                f"unknown closed-form family {self.family!r}; "
-                f"choose from {', '.join(CF_FAMILIES)}")
+        row = _closed_form(self.family)
         if self.n < 1:
             raise ArgumentError(f"need n >= 1, got {self.n}")
         if self.d < 2:
             raise ArgumentError(f"need d >= 2, got {self.d}")
-        if self.family in ("bell-product", "qudit-bell-product",
-                           "classical-pair-product", "dicke-half") and self.n % 2:
+        if row.even_only and self.n % 2:
             raise ArgumentError(f"family {self.family} needs even n, got {self.n}")
-        if self.family == "a-family":
+        if row.param == "a":
             if self.a is None or not 0.0 <= self.a <= 1.0:
-                raise ArgumentError(f"a-family needs an amplitude in [0, 1], got {self.a}")
+                raise ArgumentError(
+                    f"{self.family} needs an amplitude in [0, 1], got {self.a}")
         elif self.a is not None:
             raise ArgumentError(f"family {self.family} takes no amplitude")
 
@@ -101,41 +173,25 @@ def dicke_marginal_entropy(n: int, m: int, k: int) -> float:
     return float(max(-(p * np.log2(p)).sum(), 0.0))
 
 
-def _compact_dist(n: int, k: int, block_entropy) -> float:
-    """dist(k) for a permutation-invariant pure state with marginal
-    entropies ``block_entropy(size)``: floor(n/k) full blocks plus the
-    remainder, minus the (zero) total entropy."""
-    q, r = divmod(n, k)
-    value = q * block_entropy(k)
-    if r:
-        value += block_entropy(r)
-    return value
-
-
 def cf_dist(fam: ClosedFormFamily, k: int) -> float:
     """Closed-form dist(k) in bits for the family instance."""
-    n, d = fam.n, fam.d
+    n = fam.n
     if not 1 <= k <= n:
         raise ArgumentError(f"order k={k} out of range 1..{n}")
-    name = fam.family
-    if name in ("classical", "qudit-classical"):
-        # every marginal of every size has entropy log2(d)
-        return (math.ceil(n / k) - 1) * math.log2(d)
-    if name in ("bell-product", "qudit-bell-product"):
+    row = FAMILIES[fam.family]
+    if k == n or row.pairs and k > 1:
         # blocks of size >= 2 can cover whole pairs; only k = 1 cuts them
-        return n * math.log2(d) if k == 1 else 0.0
-    if name == "classical-pair-product":
-        # cutting a correlated bit pair costs 1 bit; n/2 pairs
-        return n / 2 if k == 1 else 0.0
-    if name == "ghz":
-        return float(math.ceil(n / k)) if k < n else 0.0
-    if name == "a-family":
-        scale = binary_entropy(fam.a * fam.a)
-        return math.ceil(n / k) * scale if k < n else 0.0
-    m = 1 if name == "dicke-1" else n // 2
-    if k == n:
         return 0.0
-    return _compact_dist(n, k, lambda size: dicke_marginal_entropy(n, m, size))
+    if row.pairs:
+        h = row.h(fam, 1)
+        return n / 2 * (2 * h - (h if row.mixed else 0.0))
+    if row.uniform:
+        # One rounding, so orders with equal block counts get bit-equal
+        # values and a genuine difference of exactly 0.
+        h, blocks = row.h(fam, k), math.ceil(n / k)
+        return (blocks - 1) * h if row.mixed else blocks * h
+    q, r = divmod(n, k)  # the compact partition: q blocks of k sites, one of r
+    return q * row.h(fam, k) + (row.h(fam, r) if r else 0.0)
 
 
 def cf_genuine(fam: ClosedFormFamily, k: int) -> float:
@@ -170,25 +226,6 @@ class SweepPoint:
     coefficient: float
 
 
-def _named_scheme(name: str, n: int) -> WeightScheme:
-    if name == "k-1":
-        return WeightScheme.order_weighted(n)
-    if name == "uniform":
-        return WeightScheme.uniform(n)
-    if name.startswith("delta:"):
-        return WeightScheme.delta(n, int(name.split(":", 1)[1]))
-    raise ArgumentError(f"unknown weight scheme {name!r}; "
-                        "use k-1, uniform, or delta:K")
-
-
-def _sweep_normalization(family: str) -> str:
-    if family in ("ghz", "classical", "qudit-classical"):
-        return "n*log2(n)"
-    if family == "dicke-half":
-        return "n^2"
-    return "n"
-
-
 def cf_scaling_sweep(family: str, n_values: Sequence[int], *, d: int = 2,
                      a: Optional[float] = None,
                      weights: str = "k-1") -> list[SweepPoint]:
@@ -196,20 +233,15 @@ def cf_scaling_sweep(family: str, n_values: Sequence[int], *, d: int = 2,
     family's natural normalization (n, n*log2(n), or n^2) divided out.
 
     ``weights`` names a scheme constructed per N: ``k-1`` (default),
-    ``uniform``, or ``delta:K``.
+    ``uniform``, or ``delta:K``; ``a`` is used by families that take an
+    amplitude and ignored by the others.
     """
+    row = _closed_form(family)
+    norm_name, norm = row.normalization
     points = []
     for n in n_values:
         n = int(n)
-        fam = ClosedFormFamily(family, n, d=d,
-                               a=a if family == "a-family" else None)
-        w = cf_weaving(fam, _named_scheme(weights, n)) if n > 1 else 0.0
-        norm_name = _sweep_normalization(family)
-        if norm_name == "n*log2(n)":
-            norm = n * math.log2(n) if n > 1 else 1.0
-        elif norm_name == "n^2":
-            norm = float(n * n)
-        else:
-            norm = float(n)
-        points.append(SweepPoint(n, w, norm_name, w / norm))
+        fam = ClosedFormFamily(family, n, d=d, a=a if row.param == "a" else None)
+        w = cf_weaving(fam, WeightScheme.named(weights, n)) if n > 1 else 0.0
+        points.append(SweepPoint(n, w, norm_name, w / norm(n)))
     return points

@@ -15,7 +15,6 @@ their weighted sum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -45,16 +44,13 @@ _MODE_ALIASES = {"fast": MODE_FAST, MODE_FAST: MODE_FAST,
 class SubsetEntropyCache:
     """Memoized marginal entropies of one state, keyed by subset bitmask.
 
-    Fill policy is lazy by default: entropies are computed on first use.
-    :meth:`fill_all` switches to the eager policy, computing every
-    nonempty subset up front, optionally across a thread pool (results are
-    independent per subset, so the outcome does not depend on scheduling).
+    Entropies are computed on first use; :meth:`fill_all` computes every
+    nonempty subset up front.
     """
 
     def __init__(self, state: DensityState):
         self.state = state
         self.table: dict[int, float] = {}
-        self.policy = "lazy"
 
     def entropy(self, subset: Iterable[int]) -> float:
         mask = 0
@@ -74,21 +70,13 @@ class SubsetEntropyCache:
         return value
 
     def fill_all(self, workers: Optional[int] = None) -> None:
-        """Compute every nonempty-subset entropy now (eager policy)."""
-        n = self.state.n_parties
-        masks = [m for m in range(1, 1 << n) if m not in self.table]
-        if workers and workers > 1 and len(masks) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for mask, value in zip(masks, pool.map(self._compute_mask, masks)):
-                    self.table[mask] = value
-        else:
-            for mask in masks:
-                self._entropy_mask(mask)
-        self.policy = "eager-all-subsets"
+        """Compute every nonempty-subset entropy now, serially.
 
-    def _compute_mask(self, mask: int) -> float:
-        keep = [i for i in range(self.state.n_parties) if mask >> i & 1]
-        return marginal_entropy(self.state, keep)
+        ``workers`` is accepted for compatibility and ignored: a thread
+        pool measured slower than the serial loop.
+        """
+        for mask in range(1, 1 << self.state.n_parties):
+            self._entropy_mask(mask)
 
 
 class PartitionMinimum(NamedTuple):
@@ -183,6 +171,21 @@ class WeightScheme:
         om = tuple(1.0 if j == k else 0.0 for j in range(2, n + 1))
         return cls.from_omega(om, name=f"delta:{k}")
 
+    @classmethod
+    def named(cls, spec: str, n: int) -> "WeightScheme":
+        """The scheme called ``spec``: ``k-1``, ``uniform``, or ``delta:K``."""
+        if spec == "k-1":
+            return cls.order_weighted(n)
+        if spec == "uniform":
+            return cls.uniform(n)
+        if spec.startswith("delta:"):
+            try:
+                k = int(spec.split(":", 1)[1])
+            except ValueError:
+                raise ArgumentError(f"bad delta weights {spec!r}; use delta:K") from None
+            return cls.delta(n, k)
+        raise ArgumentError(f"unknown weights {spec!r}; use k-1, uniform, or delta:K")
+
 
 def _check_scheme_n(n: int) -> None:
     if n < 2:
@@ -251,14 +254,14 @@ def profile(state: DensityState, mode: str = MODE_AUTO, *,
     Checks that dist is non-increasing and ends at 0, clamps dips below 0
     or above the previous order within 1e-9 (larger violations raise a
     consistency error), and verifies that the genuine orders sum back to
-    the total within 1e-8.
+    the total within 1e-8.  ``workers`` is accepted and ignored.
     """
     n = state.n_parties
     if cache is None:
         cache = SubsetEntropyCache(state)
     resolved = _resolve_mode(state, mode)
     if resolved == MODE_BRUTE and n <= 10:
-        cache.fill_all(workers)
+        cache.fill_all()
     dist: list[float] = []
     argmin: list[SetPartition] = []
     for k in range(1, n + 1):
@@ -340,6 +343,7 @@ def neural_complexity(state: DensityState,
     ``C = sum_{k=1}^{N-1} [ (k/N) * total - <multi-information of size-k
     clusters> ]`` with the average over all size-k clusters.  Needs every
     subset entropy, so ``N`` is capped like partition enumeration.
+    ``workers`` is accepted and ignored.
     """
     n = state.n_parties
     if n > enum_cap:
@@ -347,7 +351,7 @@ def neural_complexity(state: DensityState,
     if cache is None:
         cache = SubsetEntropyCache(state)
     if n <= 10:
-        cache.fill_all(workers)
+        cache.fill_all()
     singles = [cache.entropy([i]) for i in range(n)]
     total = sum(singles) - cache.entropy_full()
     by_size: dict[int, list[float]] = {k: [] for k in range(1, n)}

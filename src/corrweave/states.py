@@ -115,24 +115,31 @@ def _repdigit_index(digit: int, n: int, d: int) -> int:
 
 # -- CLI vocabulary ------------------------------------------------------
 
-_FAMILY_ALIASES = {
-    "classical-correlated": "classical",
-    "qudit-classical": "classical",
-    "qudit-bell-product": "bell-product",
-}
+#: Spec extra field per parameter kind: (parser, what it is, default).
+_PARAMS = {"d": (int, "local dimension", 2),
+           "m": (int, "excitation count", None),
+           "a": (float, "amplitude", None)}
 
-_FAMILIES = ("ghz", "classical", "dicke", "bell-product",
-             "classical-pair-product", "a-family")
+
+def _families():
+    # imported on use: the registry module imports this module's constructors
+    from .closed_forms import FAMILIES
+    return FAMILIES
+
+
+def _number(kind, text: str, what: str):
+    try:
+        return kind(text)
+    except ValueError:
+        raise ArgumentError(f"{what} {text!r} is not "
+                            f"{'an integer' if kind is int else 'a number'}") from None
 
 
 @dataclass(frozen=True)
 class StateFamily:
-    """Parsed family spec: a named constructor plus its parameters.
-
-    String form ``family:N[:extra]``, where ``extra`` is the local
-    dimension ``d`` (ghz, classical, bell-product), the excitation number
-    ``m`` (dicke, required), or the amplitude ``a`` (a-family, required;
-    here ``N`` is the party count ``k``).
+    """Parsed family spec ``family:N[:extra]``: a named constructor plus
+    its parameters.  :data:`corrweave.closed_forms.FAMILIES` declares each
+    family's spec names and extra field (``d``, ``m`` or ``a``).
     """
 
     family: str
@@ -143,53 +150,39 @@ class StateFamily:
 
     @classmethod
     def parse(cls, text: str) -> "StateFamily":
+        families = _families().values()
+        names = {alias: f for f in families
+                 for alias in ((f.name,) if f.spec else ()) + f.aliases}
         parts = text.strip().split(":")
-        name = _FAMILY_ALIASES.get(parts[0], parts[0])
-        if name not in _FAMILIES:
-            raise ArgumentError(
-                f"unknown family {parts[0]!r}; choose from {', '.join(_FAMILIES)}")
+        fam = names.get(parts[0])
+        if fam is None:
+            choices = ", ".join(f.name for f in families if f.spec)
+            raise ArgumentError(f"unknown family {parts[0]!r}; choose from {choices}")
         if len(parts) < 2:
             raise ArgumentError(f"family spec {text!r} is missing the party count")
-        try:
-            n = int(parts[1])
-        except ValueError:
-            raise ArgumentError(f"party count {parts[1]!r} is not an integer") from None
-        extra = parts[2] if len(parts) > 2 else None
+        n = _number(int, parts[1], "party count")
         if len(parts) > 3:
             raise ArgumentError(f"too many fields in family spec {text!r}")
-        d, m, a = 2, None, None
-        if name == "dicke":
-            if extra is None:
-                raise ArgumentError("dicke spec needs an excitation count, e.g. dicke:4:2")
-            m = int(extra)
-        elif name == "a-family":
-            if extra is None:
-                raise ArgumentError("a-family spec needs an amplitude, e.g. a-family:3:0.6")
-            a = float(extra)
-        elif extra is not None:
-            if name == "classical-pair-product":
-                raise ArgumentError("classical-pair-product takes no extra parameter")
-            d = int(extra)
-        return cls(name, n, d=d, m=m, a=a)
+        extra = parts[2] if len(parts) > 2 else None
+        if fam.param is None:
+            if extra is not None:
+                raise ArgumentError(f"{fam.name} takes no extra parameter")
+            return cls(fam.name, n)
+        kind, what, default = _PARAMS[fam.param]
+        if extra is None:
+            if default is None:
+                raise ArgumentError(
+                    f"{fam.name} spec needs the {what}: {fam.name}:{n}:{fam.param}")
+            return cls(fam.name, n)
+        return cls(fam.name, n, **{fam.param: _number(kind, extra, what)})
 
     def build(self) -> DensityState:
-        if self.family == "ghz":
-            return make_ghz(self.n, self.d)
-        if self.family == "classical":
-            return make_classical(self.n, self.d)
-        if self.family == "dicke":
-            return make_dicke(self.n, self.m)
-        if self.family == "bell-product":
-            return make_bell_product(self.n, self.d)
-        if self.family == "classical-pair-product":
-            return make_classical_pair_product(self.n)
-        return make_a_family(self.n, self.a)
+        return _families()[self.family].build(self)
 
     def label(self) -> str:
-        if self.family == "dicke":
-            return f"dicke:{self.n}:{self.m}"
-        if self.family == "a-family":
-            return f"a-family:{self.n}:{self.a:g}"
-        if self.d != 2:
-            return f"{self.family}:{self.n}:{self.d}"
-        return f"{self.family}:{self.n}"
+        param = _families()[self.family].param
+        value = getattr(self, param) if param else None
+        if value is None or value == _PARAMS[param][2]:
+            return f"{self.family}:{self.n}"
+        extra = f"{value:g}" if isinstance(value, float) else value
+        return f"{self.family}:{self.n}:{extra}"

@@ -12,12 +12,11 @@ import time
 import numpy as np
 
 from corrweave import (ClosedFormFamily, DensityState, KrausChannel,
-                       SubsetEntropyCache, WeightScheme, apply_channel,
-                       binary_entropy, cf_dist, cf_genuine, cf_scaling_sweep,
-                       cf_weaving, count_partitions, dist_to_pk,
-                       enumerate_partitions, make_a_family,
-                       make_bell_product, make_classical,
-                       make_classical_pair_product, make_dicke, make_ghz,
+                       StateFamily, SubsetEntropyCache, WeightScheme,
+                       apply_channel, binary_entropy, cf_dist, cf_genuine,
+                       cf_scaling_sweep, cf_weaving, count_partitions,
+                       dist_to_pk, enumerate_partitions, make_a_family,
+                       make_classical, make_dicke, make_ghz,
                        neural_complexity, partial_trace, profile,
                        random_density, random_product_state,
                        run_property_suite, tensor_product, weaving)
@@ -36,26 +35,6 @@ def _report(num, ok, detail=""):
     assert ok, line
 
 
-def _family_state(family, n, d):
-    if family == "classical-pair-product":
-        return make_classical_pair_product(n)
-    if family == "classical":
-        return make_classical(n, 2)
-    if family == "bell-product":
-        return make_bell_product(n, 2)
-    if family == "ghz":
-        return make_ghz(n, 2)
-    if family == "dicke-1":
-        return make_dicke(n, 1)
-    if family == "dicke-half":
-        return make_dicke(n, n // 2)
-    if family == "qudit-classical":
-        return make_classical(n, d)
-    if family == "qudit-bell-product":
-        return make_bell_product(n, d)
-    raise AssertionError(family)
-
-
 def test_family_table_closed_forms_match_matrix_pipeline():
     """CRITERION 1: every family-table entry (per-order genuine values,
     total, and weaving with omega_k = k-1) from the closed forms matches a
@@ -72,7 +51,7 @@ def test_family_table_closed_forms_match_matrix_pipeline():
     for family, n, d in cases:
         fam = ClosedFormFamily(family, n, d=d)
         scheme = WeightScheme.order_weighted(n)
-        prof = profile(_family_state(family, n, d), mode="brute")
+        prof = profile(StateFamily(family, n, d=d).build(), mode="brute")
         devs = [abs(cf_dist(fam, k) - prof.dist[k - 1]) for k in range(1, n + 1)]
         devs += [abs(cf_genuine(fam, k) - prof.genuine[k - 2])
                  for k in range(2, n + 1)]

@@ -318,6 +318,13 @@ def test_scaling_rejects_bad_ranges_and_file_weights():
     assert run("scaling", "--family", "nosuch").exit_code == 2
 
 
+def test_scaling_rejects_malformed_delta_weights():
+    result = run("scaling", "--family", "ghz", "--n-max", "16",
+                 "--weights", "delta:x")
+    assert result.exit_code == 2
+    assert "delta:x" in errtext(result)
+
+
 def test_scaling_csv_fields():
     result = run("scaling", "--family", "ghz", "--n-min", "4",
                  "--n-max", "8", "--output", "csv")

@@ -103,7 +103,8 @@ def test_state_family_parsing():
     assert StateFamily.parse("ghz:4:3").label() == "ghz:4:3"
 
     for bad in ("nosuch:3", "ghz", "dicke:4", "a-family:3", "ghz:x",
-                "ghz:4:2:9", "classical-pair-product:4:2"):
+                "ghz:4:2:9", "classical-pair-product:4:2", "dicke:4:x",
+                "ghz:4:x", "a-family:3:abc"):
         with pytest.raises(ArgumentError):
             StateFamily.parse(bad)
 
