@@ -23,6 +23,7 @@ from csv import writer as csv_writer
 from pathlib import Path
 
 import click
+from numpy.linalg import LinAlgError
 
 from . import __version__
 from .closed_forms import (CF_FAMILIES, FAMILIES, ClosedFormFamily, cf_dist,
@@ -30,7 +31,7 @@ from .closed_forms import (CF_FAMILIES, FAMILIES, ClosedFormFamily, cf_dist,
 from .correlations import (SubsetEntropyCache, WeightScheme, neural_complexity,
                            profile, weaving)
 from .errors import (ArgumentError, CapacityError, CorrweaveError,
-                     StateFileError)
+                     NumericError, StateFileError)
 from .partitions import DEFAULT_ENUM_CAP
 from .properties import run_property_suite
 # make_* are not called here; they stay importable for callers that patch them.
@@ -47,16 +48,20 @@ _EXIT_BY_ERROR = ((CapacityError, 3), (ArgumentError, 2), (CorrweaveError, 4))
 
 
 def _handle_errors(func):
+    """Exit with the code of the error's class; numpy's ``LinAlgError``
+    counts as a :class:`NumericError`."""
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
         try:
             return func(*args, **kwargs)
+        except LinAlgError as exc:
+            error: CorrweaveError = NumericError(f"linear algebra failed: {exc}")
         except CorrweaveError as exc:
-            for cls, code in _EXIT_BY_ERROR:
-                if isinstance(exc, cls):
-                    click.echo(f"error: {exc}", err=True)
-                    sys.exit(code)
-            raise
+            error = exc
+        for cls, code in _EXIT_BY_ERROR:
+            if isinstance(error, cls):
+                click.echo(f"error: {error}", err=True)
+                sys.exit(code)
     return wrapper
 
 
@@ -92,10 +97,28 @@ def _cell(value, seps=(";", "|", ",")):
     return str(value)
 
 
+def _strict_json(doc, **kwargs) -> str:
+    """``doc`` as JSON; a NaN or an infinity raises a NumericError."""
+    try:
+        return json.dumps(doc, allow_nan=False, **kwargs)
+    except ValueError as exc:
+        raise NumericError(f"cannot write JSON: {exc}") from None
+
+
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a finite number (booleans are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _emit(doc, rows, fields, output):
     """Print the report: ``doc`` as JSON, or ``rows``/``fields`` as CSV."""
     if output == "json":
-        click.echo(json.dumps(_round_floats(doc), indent=2))
+        click.echo(_strict_json(_round_floats(doc), indent=2))
         return
     buf = io.StringIO()
     w = csv_writer(buf, lineterminator="\n")
@@ -128,9 +151,8 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
             f"weights file {path} must hold exactly one of 'omega' or 'big-omega'")
     key = "omega" if "omega" in doc else "big-omega"
     values = doc[key]
-    if (not isinstance(values, list)
-            or not all(isinstance(v, (int, float)) for v in values)):
-        raise ArgumentError(f"weights file {path}: {key} must be a list of numbers")
+    if not isinstance(values, list) or not all(map(_is_number, values)):
+        raise ArgumentError(f"weights file {path}: {key} must be a list of finite numbers")
     if len(values) != n - 1:
         raise ArgumentError(
             f"weights file {path}: {key} has {len(values)} entries, need {n - 1}")
@@ -192,10 +214,9 @@ def _parse_complex_vector(entries, length, path, field="payload"):
         raise StateFileError(f"{path}: field {field!r} must list {length} [re, im] pairs")
     out = []
     for i, pair in enumerate(entries):
-        if (not isinstance(pair, list) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
-            raise StateFileError(
-                f"{path}: field {field!r} entry {i} must be an [re, im] pair")
+        if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
+            raise StateFileError(f"{path}: field {field!r} entry {i} must be an "
+                                 "[re, im] pair of finite numbers")
         out.append(complex(pair[0], pair[1]))
     return out
 
@@ -214,9 +235,9 @@ def _parse_prob_table(payload, dims, path):
             raise StateFileError(
                 f"{path}: field 'payload' key {key!r} is not a valid digit "
                 f"string for dims {dims}")
-        if not isinstance(p, (int, float)):
+        if not _is_number(p):
             raise StateFileError(
-                f"{path}: field 'payload' value for {key!r} must be a number")
+                f"{path}: field 'payload' value for {key!r} must be a finite number")
         table[tuple(int(c) for c in key)] = float(p)
     return table
 
@@ -238,7 +259,7 @@ def save_state_file(state: DensityState, path: str) -> None:
         m = state.to_matrix()
         doc = {"dims": dims, "kind": "mixed",
                "payload": [[[z.real, z.imag] for z in row] for row in m]}
-    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    Path(path).write_text(_strict_json(doc), encoding="utf-8")
 
 
 # -- commands ------------------------------------------------------------

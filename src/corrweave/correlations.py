@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ArgumentError, CapacityError, ConsistencyError
-from .partitions import (DEFAULT_ENUM_CAP, SetPartition, compact_partition,
+from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
+# enumerate_partitions is not called here; it stays importable for callers that patch it.
+from .partitions import (DEFAULT_ENUM_CAP, SetPartition, compact_partition,  # noqa: F401
                          enumerate_partitions)
 from .tensor import (DensityState, is_permutation_invariant, marginal_entropy,
                      partial_trace, permute_subsystems, tensor_product)
@@ -33,6 +35,9 @@ CLAMP_TOL = 1e-9
 DUAL_FORM_TOL = 1e-9
 #: Agreement required between sum of genuine orders and total correlations.
 PROFILE_SUM_TOL = 1e-8
+#: A partition replaces the best one found so far (in canonical order) only
+#: when its value is lower by more than this.
+TIE_TOL = 1e-15
 
 MODE_BRUTE = "brute"
 MODE_FAST = "symmetric-fast"
@@ -77,6 +82,15 @@ class SubsetEntropyCache:
         """
         for mask in range(1, 1 << self.state.n_parties):
             self._entropy_mask(mask)
+
+    def all_entropies(self, max_size: Optional[int] = None) -> list[float]:
+        """The entropy of every subset, indexed by bitmask; entry 0, the
+        empty set, is 0.0.  Subsets of more than ``max_size`` parties,
+        other than the full set, are not computed and read NaN."""
+        full = (1 << self.state.n_parties) - 1
+        size = self.state.n_parties if max_size is None else max_size
+        return [0.0] + [self._entropy_mask(m) if m.bit_count() <= size or m == full
+                        else math.nan for m in range(1, full + 1)]
 
 
 class PartitionMinimum(NamedTuple):
@@ -216,11 +230,14 @@ def dist_to_pk(state: DensityState, k: int, cache: Optional[SubsetEntropyCache] 
     """Distance (bits) from ``state`` to products over partitions with
     blocks of at most ``k`` parties, with an achieving partition.
 
-    ``brute`` minimizes over the full enumeration; ``symmetric-fast``
-    evaluates only the compact partition (blocks of k plus a remainder),
-    which achieves the minimum for permutation-invariant states; ``auto``
-    picks fast exactly when the state is permutation invariant.  Ties in
-    brute mode resolve to the earliest partition in canonical order.
+    ``brute`` minimizes over every partition with an O(3^N) dynamic
+    program over subset bitmasks (N is capped at ``enum_cap``);
+    ``symmetric-fast`` evaluates only the compact partition (blocks of k
+    plus a remainder), which achieves the minimum for permutation-invariant
+    states; ``auto`` picks fast exactly when the state is permutation
+    invariant.  Brute mode returns the partition a scan of
+    :func:`enumerate_partitions` would end on, keeping the earliest one in
+    canonical order unless a later one is lower by more than ``TIE_TOL``.
     """
     n = state.n_parties
     if not 1 <= k <= n:
@@ -232,16 +249,84 @@ def dist_to_pk(state: DensityState, k: int, cache: Optional[SubsetEntropyCache] 
     if mode == MODE_FAST:
         best_part = compact_partition(n, k)
         best = sum(cache.entropy(b) for b in best_part.blocks) - s_full
+    elif n > enum_cap:
+        raise CapacityError(f"brute-force minimization for n={n} exceeds the cap {enum_cap}")
     else:
-        best, best_part = math.inf, None
-        for part in enumerate_partitions(n, k, max_n=enum_cap):
-            value = sum(cache.entropy(b) for b in part.blocks) - s_full
-            if value < best - 1e-15:
-                best, best_part = value, part
+        best, best_part = _partition_minimum(cache.all_entropies(k), n, k)
     if best < -CLAMP_TOL:
         raise ConsistencyError(
             f"dist({k}) evaluated to {best}, below the -1e-9 clamp window")
     return PartitionMinimum(max(best, 0.0), best_part)
+
+
+def _blocks(s: int, k: int):
+    """Submasks of ``s`` that hold its lowest bit and at most ``k`` bits."""
+    low = s & -s
+    rest = sub = s ^ low
+    while True:
+        b = sub | low
+        if b.bit_count() <= k:
+            yield b
+        if not sub:
+            return
+        sub = (sub - 1) & rest
+
+
+def _partition_minimum(h: list[float], n: int, k: int) -> PartitionMinimum:
+    """The minimum of ``sum_blocks h[block] - h[full]`` over partitions of
+    ``{0..n-1}`` into blocks of at most ``k`` parties (``h`` indexed by
+    mask), with the partition that a scan of :func:`enumerate_partitions`
+    keeps under the ``TIE_TOL`` rule.
+
+    ``f[S]``, the minimum of ``h[B] + f[S - B]`` over the blocks ``B`` of
+    :func:`_blocks`, is the minimum over partitions of ``S``; it is needed
+    for the full set and the sets without party 0.  Every partition whose
+    sum can come within ``window`` of ``f[full]`` is then listed, with
+    ``f`` bounding each partial sum, and valued as the scan values it
+    (blocks summed in canonical order).  Cut at the first gap wider than
+    1e-12, the values below the cut beat all others by more than
+    ``TIE_TOL``, so replaying the rule over them in canonical order ends
+    where the scan of all partitions ends.
+    """
+    full = (1 << n) - 1
+    f = [0.0] * (full + 1)
+    for s in chain(range(2, full, 2), (full,)):
+        f[s] = min(h[b] + f[s ^ b] for b in _blocks(s, k))
+    if not math.isfinite(f[full]):
+        raise NumericError(f"partition minimum for k={k} is {f[full]}")
+    # A partition's key is its restricted-growth string (party i -> index
+    # of its block) read as a base-n number: keys sort in canonical order.
+    place = [n ** (n - 1 - i) for i in range(n)]
+    digits = [0] * (full + 1)
+    for b in range(1, full + 1):
+        digits[b] = digits[b & (b - 1)] + place[(b & -b).bit_length() - 1]
+
+    def walk(s, partial, key, index, limit, out):
+        for b in _blocks(s, k):
+            p, r = partial + h[b], s ^ b
+            if p + f[r] <= limit:
+                if r:
+                    walk(r, p, key + index * digits[b], index + 1, limit, out)
+                else:
+                    out.append((key + index * digits[b], p - h[full]))
+
+    window = 1e-9
+    while True:
+        candidates: list[tuple[int, float]] = []
+        walk(full, 0.0, 0, 0, f[full] + window, candidates)
+        values = sorted(v for _, v in candidates)
+        cut = next((a for a, b in zip(values, values[1:]) if b - a > 1e-12), values[-1])
+        if cut - values[0] < window / 2:  # unlisted partitions lie about window above
+            break
+        window *= 1e3
+    best, best_key = math.inf, 0
+    for key, value in sorted(c for c in candidates if c[1] <= cut):
+        if value < best - TIE_TOL:
+            best, best_key = value, key
+    blocks: list[list[int]] = [[] for _ in range(n)]
+    for i in range(n):
+        blocks[best_key // place[i] % n].append(i)
+    return PartitionMinimum(best, SetPartition(b for b in blocks if b))
 
 
 def profile(state: DensityState, mode: str = MODE_AUTO, *,
@@ -260,8 +345,6 @@ def profile(state: DensityState, mode: str = MODE_AUTO, *,
     if cache is None:
         cache = SubsetEntropyCache(state)
     resolved = _resolve_mode(state, mode)
-    if resolved == MODE_BRUTE and n <= 10:
-        cache.fill_all()
     dist: list[float] = []
     argmin: list[SetPartition] = []
     for k in range(1, n + 1):
@@ -350,15 +433,14 @@ def neural_complexity(state: DensityState,
         raise CapacityError(f"neural complexity needs all 2^{n} subsets; cap is {enum_cap}")
     if cache is None:
         cache = SubsetEntropyCache(state)
-    if n <= 10:
-        cache.fill_all()
-    singles = [cache.entropy([i]) for i in range(n)]
-    total = sum(singles) - cache.entropy_full()
+    h = cache.all_entropies()
+    singles = [h[1 << i] for i in range(n)]
+    total = sum(singles) - h[-1]
     by_size: dict[int, list[float]] = {k: [] for k in range(1, n)}
     for mask in range(1, (1 << n) - 1):
         sites = [i for i in range(n) if mask >> i & 1]
         k = len(sites)
-        mi = sum(singles[i] for i in sites) - cache._entropy_mask(mask)
+        mi = sum(singles[i] for i in sites) - h[mask]
         by_size[k].append(mi)
     value = 0.0
     for k in range(1, n):

@@ -10,8 +10,8 @@ from click.testing import CliRunner
 
 from corrweave import (DensityState, NumericError, make_bell_product,
                        make_classical, make_ghz, tensor_product)
-from corrweave.cli import (_handle_errors, _round12, load_state_file, main,
-                           save_state_file)
+from corrweave.cli import (_emit, _handle_errors, _round12, load_state_file,
+                           main, save_state_file)
 
 
 runner = CliRunner()
@@ -170,6 +170,15 @@ def test_profile_weights_file(tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("values", [[math.nan, 1, 1], [math.inf, 1, 1], [True, 1, 1]])
+def test_profile_weights_file_rejects_non_finite_and_boolean_weights(tmp_path, values):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"omega": values}), encoding="utf-8")
+    result = run("profile", "--state", "ghz:4", "--weights", f"file:{path}")
+    assert result.exit_code == 2, errtext(result)
+    assert "finite numbers" in errtext(result)
+
+
 def test_profile_state_file_product_is_uncorrelated(tmp_path):
     rng = np.random.default_rng(7)
     amps = []
@@ -222,6 +231,22 @@ def test_profile_malformed_state_file(tmp_path):
     result = run("profile", "--state", str(path))
     assert result.exit_code == 2
     assert "thermal" in errtext(result)
+
+
+def test_profile_non_finite_or_boolean_state_file_is_an_argument_error(tmp_path):
+    path = tmp_path / "bad.json"
+    payloads = [("pure", [[math.nan, 0.0], [0.0, 0.0]]),
+                ("pure", [[math.inf, 0.0], [0.0, 0.0]]),
+                ("pure", [[True, 0.0], [0.0, 0.0]]),
+                ("pure", [[10 ** 400, 0], [0, 0]]),
+                ("classical", {"0": math.nan, "1": 1.0}),
+                ("classical", {"0": True, "1": False}),
+                ("mixed", [[[math.nan, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]])]
+    for kind, payload in payloads:
+        path.write_text(json.dumps({"dims": [2], "kind": kind, "payload": payload}))
+        result = run("profile", "--state", str(path))
+        assert result.exit_code == 2, (kind, payload, errtext(result))
+        assert "payload" in errtext(result) and "finite number" in errtext(result)
 
 
 def test_profile_unnormalized_state_file_is_an_argument_error(tmp_path):
@@ -390,6 +415,31 @@ def test_handle_errors_maps_numeric_to_exit_four():
     result = runner.invoke(boom, [])
     assert result.exit_code == 4
     assert "inconsistent value" in errtext(result)
+
+
+def test_handle_errors_maps_linalg_error_to_exit_four():
+    @click.command()
+    @_handle_errors
+    def boom():
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    result = runner.invoke(boom, [])
+    assert result.exit_code == 4
+    assert "SVD did not converge" in errtext(result)
+
+
+def test_json_output_rejects_non_finite_numbers(tmp_path):
+    @click.command()
+    @_handle_errors
+    def report():
+        _emit({"weaving": math.nan}, [], [], "json")
+
+    result = runner.invoke(report, [])
+    assert result.exit_code == 4
+    assert "NaN" not in result.output
+    state = DensityState.from_amplitudes([math.nan, 0.0], (2,), validate=False)
+    with pytest.raises(NumericError):
+        save_state_file(state, str(tmp_path / "nan.json"))
 
 
 def test_version_flag():
