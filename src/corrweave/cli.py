@@ -276,14 +276,12 @@ def main():
 @click.option("--d", default=2, show_default=True, type=int,
               help="Local dimension of the qudit rows.")
 @click.option("--weights", default="k-1", show_default=True)
-@click.option("--parallel", default=1, show_default=True, type=int,
-              help="Accepted and ignored; entropies are computed serially.")
 @click.option("--closed-form-only", is_flag=True,
               help="Skip the matrix-pipeline cross-check (any N).")
 @click.option("--output", default="json", show_default=True,
               type=click.Choice(["json", "csv"]))
 @_handle_errors
-def cmd_table(n, d, weights, parallel, closed_form_only, output):
+def cmd_table(n, d, weights, closed_form_only, output):
     """One row per named family: dist/genuine per order, total, weaving.
 
     Every row is a closed form; for N up to 8 each value is recomputed by
@@ -335,12 +333,10 @@ def cmd_table(n, d, weights, parallel, closed_form_only, output):
 @click.option("--weights", default="k-1", show_default=True)
 @click.option("--mode", default="auto", show_default=True,
               type=click.Choice(["auto", "brute", "fast"]))
-@click.option("--parallel", default=1, show_default=True, type=int,
-              help="Accepted and ignored; entropies are computed serially.")
 @click.option("--output", default="json", show_default=True,
               type=click.Choice(["json", "csv"]))
 @_handle_errors
-def cmd_profile(state_spec, weights, mode, parallel, output):
+def cmd_profile(state_spec, weights, mode, output):
     """Correlation profile of one state: distances and genuine correlations
     per order, total, weaving, neural complexity, minimizing partitions."""
     if os.path.exists(state_spec):

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .correlations import WeightScheme
 from .errors import ArgumentError
@@ -141,36 +140,37 @@ def hypergeometric_spectrum(n: int, m: int, k: int) -> np.ndarray:
     """Eigenvalues of the k-site marginal of the N-qubit Dicke state with
     ``m`` excitations: ``C(k, i) C(n-k, m-i) / C(n, m)``.
 
-    Anchored at the distribution mode (computed in C by scipy to a few
-    ulps) and unrolled by the term-ratio recurrence, so the spectrum sums
-    to 1 within ~1e-13 even for n in the thousands, where a log-gamma
-    evaluation would drift at the 1e-11 level.
+    The term-ratio recurrence is unrolled both ways from 1.0 at the
+    distribution mode, and the terms are divided by their sum.  The mode
+    is the largest term, so the sum is at least 1 and nothing overflows;
+    the spectrum sums to 1 within ~1e-15 even for n in the thousands,
+    where a log-gamma evaluation would drift at the 1e-11 level.
     """
     if not 0 <= m <= n or not 1 <= k <= n:
         raise ArgumentError(f"need 0 <= m <= n and 1 <= k <= n, got n={n}, m={m}, k={k}")
     lo = max(0, m - (n - k))
     hi = min(k, m)
     i0 = min(hi, max(lo, (k + 1) * (m + 1) // (n + 2)))
-    anchor = float(stats.hypergeom.pmf(i0, n, m, k))
     out = np.empty(hi - lo + 1)
     j0 = i0 - lo
-    out[j0] = anchor
+    out[j0] = 1.0
     if i0 < hi:
         i = np.arange(i0, hi, dtype=float)
         up = (k - i) * (m - i) / ((i + 1) * (n - k - m + i + 1))
-        out[j0 + 1:] = anchor * np.cumprod(up)
+        out[j0 + 1:] = np.cumprod(up)
     if i0 > lo:
         i = np.arange(i0, lo, -1, dtype=float)
         down = i * (n - k - m + i) / ((k - i + 1) * (m - i + 1))
-        out[j0 - 1::-1] = anchor * np.cumprod(down)
-    return out
+        out[j0 - 1::-1] = np.cumprod(down)
+    return out / out.sum()
 
 
 def dicke_marginal_entropy(n: int, m: int, k: int) -> float:
     """Entropy in bits of the k-site Dicke marginal (0 when k = n)."""
     p = hypergeometric_spectrum(n, m, k)
     p = p[p > 0]
-    return float(max(-(p * np.log2(p)).sum(), 0.0))
+    h = float(-(p * np.log2(p)).sum())
+    return h if h > 0 else 0.0  # the spectrum [1.0] gives -0.0
 
 
 def cf_dist(fam: ClosedFormFamily, k: int) -> float:

@@ -49,8 +49,8 @@ _MODE_ALIASES = {"fast": MODE_FAST, MODE_FAST: MODE_FAST,
 class SubsetEntropyCache:
     """Memoized marginal entropies of one state, keyed by subset bitmask.
 
-    Entropies are computed on first use; :meth:`fill_all` computes every
-    nonempty subset up front.
+    Entropies are computed on first use; :meth:`all_entropies` computes
+    every subset up front.
     """
 
     def __init__(self, state: DensityState):
@@ -73,15 +73,6 @@ class SubsetEntropyCache:
             value = marginal_entropy(self.state, keep)
             self.table[mask] = value
         return value
-
-    def fill_all(self, workers: Optional[int] = None) -> None:
-        """Compute every nonempty-subset entropy now, serially.
-
-        ``workers`` is accepted for compatibility and ignored: a thread
-        pool measured slower than the serial loop.
-        """
-        for mask in range(1, 1 << self.state.n_parties):
-            self._entropy_mask(mask)
 
     def all_entropies(self, max_size: Optional[int] = None) -> list[float]:
         """The entropy of every subset, indexed by bitmask; entry 0, the
@@ -151,16 +142,16 @@ class WeightScheme:
                        name: str = "custom") -> "WeightScheme":
         big = tuple(float(x) for x in big_omega)
         n = len(big) + 1
-        if any(x < 0 for x in big):
-            raise ArgumentError("big-omega weights must be nonnegative")
+        if not all(0 <= x < math.inf for x in big):
+            raise ArgumentError("big-omega weights must be finite and nonnegative")
         return cls(n, _running_sum(big), big, name)
 
     @classmethod
     def from_omega(cls, omega: Sequence[float], name: str = "custom") -> "WeightScheme":
         om = tuple(float(x) for x in omega)
         n = len(om) + 1
-        if any(x < 0 for x in om):
-            raise ArgumentError("omega weights must be nonnegative")
+        if not all(0 <= x < math.inf for x in om):
+            raise ArgumentError("omega weights must be finite and nonnegative")
         big = (om[0],) + tuple(om[k + 1] - om[k] for k in range(len(om) - 1))
         return cls(n, _running_sum(big), big, name)
 
@@ -331,7 +322,6 @@ def _partition_minimum(h: list[float], n: int, k: int) -> PartitionMinimum:
 
 def profile(state: DensityState, mode: str = MODE_AUTO, *,
             cache: Optional[SubsetEntropyCache] = None,
-            workers: Optional[int] = None,
             enum_cap: int = DEFAULT_ENUM_CAP) -> CorrelationProfile:
     """Full correlation profile: dist(k) for every order, genuine
     correlations as consecutive differences, and the total.
@@ -339,7 +329,7 @@ def profile(state: DensityState, mode: str = MODE_AUTO, *,
     Checks that dist is non-increasing and ends at 0, clamps dips below 0
     or above the previous order within 1e-9 (larger violations raise a
     consistency error), and verifies that the genuine orders sum back to
-    the total within 1e-8.  ``workers`` is accepted and ignored.
+    the total within 1e-8.
     """
     n = state.n_parties
     if cache is None:
@@ -419,14 +409,12 @@ def multi_information(state: DensityState, cluster: Optional[Iterable[int]] = No
 
 def neural_complexity(state: DensityState,
                       cache: Optional[SubsetEntropyCache] = None, *,
-                      workers: Optional[int] = None,
                       enum_cap: int = DEFAULT_ENUM_CAP) -> float:
     """Cluster-size-resolved integration measure (bits).
 
     ``C = sum_{k=1}^{N-1} [ (k/N) * total - <multi-information of size-k
     clusters> ]`` with the average over all size-k clusters.  Needs every
     subset entropy, so ``N`` is capped like partition enumeration.
-    ``workers`` is accepted and ignored.
     """
     n = state.n_parties
     if n > enum_cap:

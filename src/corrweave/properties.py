@@ -47,8 +47,10 @@ def _dist(state, k, perturb, cache=None):
     return value, part
 
 
-def _dist_value(state, k, perturb, cache=None):
-    return _dist(state, k, perturb, cache)[0]
+def _dists(state, orders, perturb):
+    """dist(k) of one state for each k in ``orders``, from one entropy cache."""
+    cache = SubsetEntropyCache(state)
+    return [_dist(state, k, perturb, cache)[0] for k in orders]
 
 
 def run_property_suite(seed: int = 1234, trials: int = 200, *,
@@ -96,9 +98,9 @@ def _extension_monotonicity(rng, trials, tol, perturb):
     for _ in range(trials):
         s = random_density((2,) * 3, rng)
         joint = tensor_product(s, random_density((2,), rng))
-        for k in range(1, 4):
-            worst = max(worst, _dist_value(joint, k, perturb)
-                        - _dist_value(s, k, perturb))
+        for after, before in zip(_dists(joint, range(1, 4), perturb),
+                                 _dists(s, range(1, 4), perturb)):
+            worst = max(worst, after - before)
     return _result("monotonicity-1S", trials, worst, tol)
 
 
@@ -110,9 +112,9 @@ def _channel_monotonicity(rng, trials, tol, perturb):
         ch = random_channel(2, int(rng.integers(2, 5)), rng,
                             targets=(int(rng.integers(3)),))
         out = apply_channel(s, ch)
-        for k in range(1, 4):
-            worst = max(worst, _dist_value(out, k, perturb)
-                        - _dist_value(s, k, perturb))
+        for after, before in zip(_dists(out, range(1, 4), perturb),
+                                 _dists(s, range(1, 4), perturb)):
+            worst = max(worst, after - before)
     return _result("monotonicity-2S", trials, worst, tol)
 
 
@@ -123,9 +125,9 @@ def _discard_monotonicity(rng, trials, tol, perturb):
         s = random_density((2,) * 4, rng, rank=int(rng.integers(2, 6)))
         keep = sorted(rng.choice(4, size=3, replace=False).tolist())
         marg = partial_trace(s, keep)
-        for k in range(1, 4):
-            worst = max(worst, _dist_value(marg, k, perturb)
-                        - _dist_value(s, k, perturb))
+        for after, before in zip(_dists(marg, range(1, 4), perturb),
+                                 _dists(s, range(1, 4), perturb)):
+            worst = max(worst, after - before)
     return _result("monotonicity-3D", trials, worst, tol)
 
 
@@ -166,11 +168,10 @@ def _product_additivity(rng, trials, tol, perturb):
         a = haar_state((2, 2), rng) if pure else random_density((2, 2), rng)
         b = haar_state((2, 2), rng) if pure else random_density((2, 2), rng)
         joint = tensor_product(a, b)
-        for k in range(1, 5):
-            lhs = _dist_value(joint, k, perturb)
-            rhs = (_dist_value(a, min(k, 2), perturb)
-                   + _dist_value(b, min(k, 2), perturb))
-            worst = max(worst, abs(lhs - rhs))
+        dist_a, dist_b = _dists(a, (1, 2), perturb), _dists(b, (1, 2), perturb)
+        for k, lhs in enumerate(_dists(joint, range(1, 5), perturb), start=1):
+            j = min(k, 2) - 1
+            worst = max(worst, abs(lhs - (dist_a[j] + dist_b[j])))
     return _result("product-additivity", trials, worst, tol)
 
 
@@ -181,8 +182,7 @@ def _dual_form(rng, trials, tol, perturb):
         n = int(rng.integers(3, 5))
         s = random_density((2,) * n, rng)
         scheme = WeightScheme.from_big_omega(rng.uniform(0.0, 2.0, size=n - 1))
-        cache = SubsetEntropyCache(s)
-        dist = [_dist_value(s, k, perturb, cache) for k in range(1, n + 1)]
+        dist = _dists(s, range(1, n + 1), perturb)
         genuine = [max(dist[k - 2] - dist[k - 1], 0.0) for k in range(2, n + 1)]
         omega_form = sum(w * g for w, g in zip(scheme.omega, genuine))
         big_form = sum(w * v for w, v in zip(scheme.big_omega, dist[:-1]))
@@ -201,9 +201,9 @@ def _contractivity(rng, trials, tol, perturb):
                             targets=(int(rng.integers(n)),))
         out = apply_channel(s, ch)
         scheme = WeightScheme.from_big_omega(rng.uniform(0.0, 2.0, size=n - 1))
-        w_in = sum(w * _dist_value(s, k, perturb)
-                   for k, w in enumerate(scheme.big_omega, start=1))
-        w_out = sum(w * _dist_value(out, k, perturb)
-                    for k, w in enumerate(scheme.big_omega, start=1))
+        w_in = sum(w * v for w, v in zip(scheme.big_omega,
+                                         _dists(s, range(1, n), perturb)))
+        w_out = sum(w * v for w, v in zip(scheme.big_omega,
+                                          _dists(out, range(1, n), perturb)))
         worst = max(worst, w_out - w_in)
     return _result("weaving-contractivity", trials, worst, tol)

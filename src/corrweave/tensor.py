@@ -105,6 +105,8 @@ class DensityState:
         if m.shape != (dim, dim):
             raise ArgumentError(f"matrix shape {m.shape} does not match dims {dims}")
         if validate:
+            if not np.isfinite(m).all():
+                raise ArgumentError("matrix has a NaN or infinite entry")
             if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
                 raise ArgumentError("matrix is not Hermitian within 1e-10")
             if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
@@ -127,6 +129,8 @@ class DensityState:
         a = np.asarray(amps, dtype=complex).reshape(-1)
         if a.shape != (dim,):
             raise ArgumentError(f"amplitude length {a.shape[0]} does not match dims {dims}")
+        if validate and not np.isfinite(a).all():
+            raise ArgumentError("amplitude vector has a NaN or infinite entry")
         if validate and abs(np.linalg.norm(a) - 1.0) > PURE_NORM_TOL:
             raise ArgumentError("amplitude vector norm differs from 1 beyond 1e-12")
         a = a.copy()
@@ -152,6 +156,8 @@ class DensityState:
             if validate:
                 if len(key) != n or any(not 0 <= x < d for x, d in zip(key, dims)):
                     raise ArgumentError(f"digit string {key} incompatible with dims {dims}")
+                if not math.isfinite(p):
+                    raise ArgumentError(f"non-finite probability {p} at {key}")
                 if p < -CLASSICAL_SUM_TOL:
                     raise ArgumentError(f"negative probability {p} at {key}")
                 if key in clean:

@@ -2,12 +2,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import corrweave
 from corrweave import (DensityState, NumericError, make_bell_product,
                        make_classical, make_ghz, tensor_product)
 from corrweave.cli import (_emit, _handle_errors, _round12, load_state_file,
@@ -258,14 +263,10 @@ def test_profile_unnormalized_state_file_is_an_argument_error(tmp_path):
     assert "payload" in errtext(result)
 
 
-def test_profile_parallel_output_is_deterministic():
-    serial = run("profile", "--state", "dicke:4:2", "--mode", "brute")
-    threaded = run("profile", "--state", "dicke:4:2", "--mode", "brute",
-                   "--parallel", "4")
-    assert serial.exit_code == 0 and threaded.exit_code == 0
-    assert serial.output == threaded.output
-    doc = json.loads(serial.output)
-    assert doc["dist"][1] == 2.50325833478
+def test_profile_brute_dicke_value():
+    result = run("profile", "--state", "dicke:4:2", "--mode", "brute")
+    assert result.exit_code == 0
+    assert json.loads(result.output)["dist"][1] == 2.50325833478
 
 
 def test_profile_csv_matches_json():
@@ -446,6 +447,21 @@ def test_version_flag():
     result = run("--version")
     assert result.exit_code == 0
     assert "corrweave" in result.output
+
+
+def test_cli_import_loads_no_scipy():
+    code = ("import sys, corrweave.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(corrweave.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+
+
+def test_parallel_option_is_gone():
+    for command in ("table", "profile"):
+        result = run(command, "--parallel", "2")
+        assert result.exit_code == 2 and "--parallel" in errtext(result)
 
 
 def test_round12_is_idempotent_through_text():

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -64,6 +66,35 @@ def test_dicke_marginal_entropy_matches_matrix():
         marg = partial_trace(make_dicke(n, m), tuple(range(k)))
         assert abs(dicke_marginal_entropy(n, m, k) - vn_entropy(marg)) < 1e-12
     assert dicke_marginal_entropy(6, 3, 6) == 0.0
+
+
+def test_dicke_marginal_entropy_of_the_whole_state_is_plus_zero():
+    for n in range(1, 65):
+        for m in range(n + 1):
+            h = dicke_marginal_entropy(n, m, n)
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0, (n, m)
+
+
+def _exact_dicke_entropy(n, m, k):
+    """The k-site Dicke marginal entropy in bits, from exact probabilities
+    and 40-digit logarithms."""
+    with localcontext() as ctx:
+        ctx.prec = 40
+        h = Decimal(0)
+        for i in range(max(0, m - (n - k)), min(k, m) + 1):
+            p = Fraction(math.comb(k, i) * math.comb(n - k, m - i), math.comb(n, m))
+            num, den = Decimal(p.numerator), Decimal(p.denominator)
+            h += num / den * (den / num).ln()
+        return h / Decimal(2).ln()
+
+
+def test_dicke_marginal_entropy_matches_exact_oracle():
+    for n in range(2, 65):
+        for m in sorted({1, 2, n // 2} - {n}):
+            for k in range(1, n):
+                exact = _exact_dicke_entropy(n, m, k)
+                got = Decimal(dicke_marginal_entropy(n, m, k))
+                assert abs(got - exact) <= Decimal("1e-13") * exact, (n, m, k)
 
 
 def test_cf_dist_ghz_and_classical():

@@ -34,14 +34,10 @@ def test_cache_fill_policies_agree():
     lazy = SubsetEntropyCache(s)
     for mask_sites in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
         lazy.entropy(mask_sites)
-    eager = SubsetEntropyCache(s)
-    eager.fill_all()
-    assert lazy.table.keys() == eager.table.keys()
-    for k in lazy.table:
-        assert abs(lazy.table[k] - eager.table[k]) < 1e-12
-    threaded = SubsetEntropyCache(s)
-    threaded.fill_all(workers=4)
-    assert threaded.table == eager.table
+    eager = SubsetEntropyCache(s).all_entropies()
+    assert sorted(lazy.table) == list(range(1, 8))
+    for mask, value in lazy.table.items():
+        assert abs(value - eager[mask]) < 1e-12
 
 
 # -- dist_to_pk ------------------------------------------------------------
@@ -134,13 +130,6 @@ def test_profile_single_party():
     assert p.dist == (0.0,) and p.genuine == () and p.total == 0.0
 
 
-def test_profile_workers_deterministic():
-    s = random_density((2, 2, 2, 2), RNG)
-    serial = profile(s, mode="brute")
-    threaded = profile(s, mode="brute", workers=4)
-    assert serial.dist == threaded.dist
-
-
 # -- weights and weaving -------------------------------------------------------
 
 def test_weight_scheme_named_forms():
@@ -177,6 +166,18 @@ def test_weight_scheme_validation():
         WeightScheme.order_weighted(1)
     with pytest.raises(ArgumentError):
         WeightScheme.delta(4, 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weight_scheme_from_omega_rejects_non_finite(bad):
+    with pytest.raises(ArgumentError, match="finite"):
+        WeightScheme.from_omega([bad, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_weight_scheme_from_big_omega_rejects_non_finite(bad):
+    with pytest.raises(ArgumentError, match="finite"):
+        WeightScheme.from_big_omega([bad, 1.0])
 
 
 def test_weaving_values():

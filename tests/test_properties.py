@@ -1,3 +1,4 @@
+import corrweave.correlations as correlations
 from corrweave import run_property_suite
 
 EXPECTED_NAMES = [
@@ -31,3 +32,19 @@ def test_injected_fault_is_detected():
     assert "product-additivity" in failed
     # an honest rerun still passes
     assert all(r.passed for r in run_property_suite(1234, trials=6))
+
+
+def test_each_entropy_is_computed_once_per_state(monkeypatch):
+    seen, states = set(), []
+    real = correlations.marginal_entropy
+
+    def counting(state, keep):
+        states.append(state)  # keeps every id in use for the whole run
+        key = (id(state), tuple(keep))
+        assert key not in seen, f"entropy of {keep} computed twice"
+        seen.add(key)
+        return real(state, keep)
+
+    monkeypatch.setattr(correlations, "marginal_entropy", counting)
+    assert all(r.passed for r in run_property_suite(1234, trials=3))
+    assert seen

@@ -61,6 +61,26 @@ def test_from_probabilities_validation():
         DensityState.from_probabilities({(0,): 1.0}, (1,))  # dim < 2
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_from_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ArgumentError, match="NaN or infinite"):
+        DensityState.from_matrix([[bad, 0], [0, 1]], (2,))
+    DensityState.from_matrix([[bad, 0], [0, 1]], (2,), validate=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_from_amplitudes_rejects_non_finite_entries(bad):
+    with pytest.raises(ArgumentError, match="NaN or infinite"):
+        DensityState.from_amplitudes([bad, 0], (2,))
+    DensityState.from_amplitudes([bad, 0], (2,), validate=False)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_from_probabilities_rejects_non_finite_entries(bad):
+    with pytest.raises(ArgumentError, match="non-finite"):
+        DensityState.from_probabilities({(0,): bad, (1,): 1.0}, (2,))
+
+
 def test_capacity_limits():
     with pytest.raises(CapacityError):
         DensityState.from_amplitudes(np.zeros(2 ** 13), (2,) * 13)
