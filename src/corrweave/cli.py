@@ -115,11 +115,13 @@ def _is_number(value) -> bool:
         return False
 
 
-def _emit(doc, rows, fields, output):
-    """Print the report: ``doc`` as JSON, or ``rows``/``fields`` as CSV."""
+def _emit(doc, rows, output):
+    """Print the report: ``doc`` as JSON, or ``rows`` as CSV with the
+    first row's keys as the header."""
     if output == "json":
         click.echo(_strict_json(_round_floats(doc), indent=2))
         return
+    fields = list(rows[0])
     buf = io.StringIO()
     w = csv_writer(buf, lineterminator="\n")
     w.writerow(fields)
@@ -322,9 +324,7 @@ def cmd_table(n, d, weights, closed_form_only, output):
             row["matrix_max_dev"] = dev
             row["agree"] = dev <= AGREE_TOL
         rows.append(row)
-    fields = ["family", "N", "d", "dist", "genuine", "total", "weaving",
-              "weights", "mode", "matrix_max_dev", "agree", "units", "version"]
-    _emit(rows, rows, fields, output)
+    _emit(rows, rows, output)
 
 
 @main.command("profile")
@@ -366,10 +366,7 @@ def cmd_profile(state_spec, weights, mode, output):
            "argmin": [[list(b) for b in p.blocks] for p in prof.argmin],
            "weights": scheme_name, "mode": prof.mode,
            "units": "bits", "version": __version__}
-    fields = [label_key, "N", "d", "dims", "dist", "genuine", "total",
-              "weaving", "neural_complexity", "argmin", "weights", "mode",
-              "units", "version"]
-    _emit(row, [row], fields, output)
+    _emit(row, [row], output)
 
 
 @main.command("scaling")
@@ -401,9 +398,7 @@ def cmd_scaling(family, n_min, n_max, d, a, weights, output):
              "normalization": p.normalization, "coefficient": p.coefficient,
              "weights": weights, "units": "bits", "version": __version__}
             for p in points]
-    fields = ["family", "N", "weaving", "normalization", "coefficient",
-              "weights", "units", "version"]
-    _emit(rows, rows, fields, output)
+    _emit(rows, rows, output)
 
 
 @main.command("check")
@@ -426,9 +421,7 @@ def cmd_check(seed, trials, output):
     doc = {"seed": seed, "trials": trials,
            "passed": all(r.passed for r in results), "properties": rows,
            "units": "bits", "version": __version__}
-    fields = ["property", "trials", "worst_margin", "tolerance", "passed",
-              "seed", "units", "version"]
-    _emit(doc, rows, fields, output)
+    _emit(doc, rows, output)
     if not doc["passed"]:
         sys.exit(5)
 

@@ -19,14 +19,13 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-import numpy as np
-
 from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
 # enumerate_partitions is not called here; it stays importable for callers that patch it.
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition, compact_partition,  # noqa: F401
                          enumerate_partitions)
-from .tensor import (DensityState, is_permutation_invariant, marginal_entropy,
-                     partial_trace, permute_subsystems, tensor_product)
+from .tensor import (DensityState, _normalize_keep, is_permutation_invariant,
+                     marginal_entropy, partial_trace, permute_subsystems,
+                     tensor_product)
 
 #: dist/genuine values may dip this far below zero (or above the previous
 #: order) before a consistency error is raised instead of clamping.
@@ -152,7 +151,7 @@ class WeightScheme:
         n = len(om) + 1
         if not all(0 <= x < math.inf for x in om):
             raise ArgumentError("omega weights must be finite and nonnegative")
-        big = (om[0],) + tuple(om[k + 1] - om[k] for k in range(len(om) - 1))
+        big = tuple(b - a for a, b in zip((0.0,) + om, om))
         return cls(n, _running_sum(big), big, name)
 
     @classmethod
@@ -397,10 +396,8 @@ def multi_information(state: DensityState, cluster: Optional[Iterable[int]] = No
     sum of single-site entropies minus the joint entropy."""
     if cache is None:
         cache = SubsetEntropyCache(state)
-    sites = sorted(cluster) if cluster is not None else range(state.n_parties)
-    sites = list(sites)
-    if not sites:
-        raise ArgumentError("cluster must be nonempty")
+    n = state.n_parties
+    sites = range(n) if cluster is None else _normalize_keep(cluster, n)
     value = sum(cache.entropy([i]) for i in sites) - cache.entropy(sites)
     if value < -CLAMP_TOL:
         raise ConsistencyError(f"multi-information evaluated to {value}")
@@ -413,8 +410,10 @@ def neural_complexity(state: DensityState,
     """Cluster-size-resolved integration measure (bits).
 
     ``C = sum_{k=1}^{N-1} [ (k/N) * total - <multi-information of size-k
-    clusters> ]`` with the average over all size-k clusters.  Needs every
-    subset entropy, so ``N`` is capped like partition enumeration.
+    clusters> ]`` with the average over all size-k clusters; the
+    single-site entropies cancel, leaving ``sum_{k=1}^{N-1} [ <S of size-k
+    clusters> - (k/N) * S(full) ]``.  Needs every subset entropy, so ``N``
+    is capped like partition enumeration.
     """
     n = state.n_parties
     if n > enum_cap:
@@ -422,15 +421,7 @@ def neural_complexity(state: DensityState,
     if cache is None:
         cache = SubsetEntropyCache(state)
     h = cache.all_entropies()
-    singles = [h[1 << i] for i in range(n)]
-    total = sum(singles) - h[-1]
-    by_size: dict[int, list[float]] = {k: [] for k in range(1, n)}
-    for mask in range(1, (1 << n) - 1):
-        sites = [i for i in range(n) if mask >> i & 1]
-        k = len(sites)
-        mi = sum(singles[i] for i in sites) - h[mask]
-        by_size[k].append(mi)
-    value = 0.0
-    for k in range(1, n):
-        value += k / n * total - float(np.mean(by_size[k]))
-    return value
+    by_size = [0.0] * (n + 1)
+    for mask, value in enumerate(h):
+        by_size[mask.bit_count()] += value
+    return sum(by_size[k] / math.comb(n, k) - k / n * h[-1] for k in range(1, n))

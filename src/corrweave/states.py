@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError
-from .tensor import DensityState, tensor_product
+from .tensor import DensityState, _check_capacity, tensor_product
 
 
 def make_ghz(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> DensityState:
@@ -22,11 +22,11 @@ def make_ghz(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> DensitySta
     if n < 1 or d < 2:
         raise ArgumentError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     dim = d ** n
+    _check_capacity(dim, max_dim)
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1 / math.sqrt(2)
     amps[_repdigit_index(1, n, d)] = 1 / math.sqrt(2)
-    return DensityState.from_amplitudes(amps, (d,) * n, validate=False,
-                                        permutation_invariant=True, max_dim=max_dim)
+    return DensityState.from_amplitudes(amps, (d,) * n, validate=False, max_dim=max_dim)
 
 
 def make_classical(n: int, d: int = 2) -> DensityState:
@@ -38,21 +38,20 @@ def make_classical(n: int, d: int = 2) -> DensityState:
     if n < 1 or d < 2:
         raise ArgumentError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     table = {(i,) * n: 1.0 / d for i in range(d)}
-    return DensityState.from_probabilities(table, (d,) * n, validate=False,
-                                           permutation_invariant=True)
+    return DensityState.from_probabilities(table, (d,) * n, validate=False)
 
 
 def make_dicke(n: int, m: int, *, max_dim: Optional[int] = None) -> DensityState:
     """N-qubit Dicke state: equal superposition of all strings with ``m`` ones."""
     if n < 1 or not 0 <= m <= n:
         raise ArgumentError(f"need 0 <= m <= n with n >= 1, got n={n}, m={m}")
+    _check_capacity(2 ** n, max_dim)
     amps = np.zeros(2 ** n, dtype=complex)
     coef = 1 / math.sqrt(math.comb(n, m))
     for ones in combinations(range(n), m):
         idx = sum(1 << (n - 1 - i) for i in ones)
         amps[idx] = coef
-    return DensityState.from_amplitudes(amps, (2,) * n, validate=False,
-                                        permutation_invariant=True, max_dim=max_dim)
+    return DensityState.from_amplitudes(amps, (2,) * n, validate=False, max_dim=max_dim)
 
 
 def make_bell_product(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> DensityState:
@@ -62,14 +61,14 @@ def make_bell_product(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> D
     """
     if n < 2 or n % 2 or d < 2:
         raise ArgumentError(f"need even n >= 2 and d >= 2, got n={n}, d={d}")
+    _check_capacity(d ** n, max_dim)
     pair = np.zeros(d * d, dtype=complex)
     for i in range(d):
         pair[i * d + i] = 1 / math.sqrt(d)
     amps = pair
     for _ in range(n // 2 - 1):
         amps = np.kron(amps, pair)
-    return DensityState.from_amplitudes(amps, (d,) * n, validate=False,
-                                        permutation_invariant=(n == 2), max_dim=max_dim)
+    return DensityState.from_amplitudes(amps, (d,) * n, validate=False, max_dim=max_dim)
 
 
 def make_classical_pair_product(n: int) -> DensityState:
@@ -84,8 +83,7 @@ def make_classical_pair_product(n: int) -> DensityState:
             b = (bits >> (pairs - 1 - j)) & 1
             key += [b, b]
         table[tuple(key)] = 0.5 ** pairs
-    return DensityState.from_probabilities(table, (2,) * n, validate=False,
-                                           permutation_invariant=(n == 2))
+    return DensityState.from_probabilities(table, (2,) * n, validate=False)
 
 
 def make_a_family(k: int, a: float, *, max_dim: Optional[int] = None) -> DensityState:
@@ -99,11 +97,11 @@ def make_a_family(k: int, a: float, *, max_dim: Optional[int] = None) -> Density
         raise ArgumentError(f"need k >= 1, got {k}")
     if not 0.0 <= a <= 1.0:
         raise ArgumentError(f"need 0 <= a <= 1, got {a}")
+    _check_capacity(2 ** k, max_dim)
     amps = np.zeros(2 ** k, dtype=complex)
     amps[0] = a
     amps[-1] = math.sqrt(max(1.0 - a * a, 0.0))
-    return DensityState.from_amplitudes(amps, (2,) * k, validate=False,
-                                        permutation_invariant=True, max_dim=max_dim)
+    return DensityState.from_amplitudes(amps, (2,) * k, validate=False, max_dim=max_dim)
 
 
 def _repdigit_index(digit: int, n: int, d: int) -> int:

@@ -76,8 +76,8 @@ class DensityState:
     rep : str
         One of ``dense``, ``pure``, ``classical``.
     permutation_invariant : bool or None
-        ``True``/``False`` when known (constructors of symmetric families
-        set it), ``None`` when it has not been determined yet.
+        The verdict of :func:`is_permutation_invariant` once it has been
+        measured, ``None`` before; it cannot be set by a caller.
     """
 
     dims: tuple[int, ...]
@@ -85,13 +85,12 @@ class DensityState:
     _matrix: Optional[np.ndarray] = None
     _amps: Optional[np.ndarray] = None
     _table: Optional[dict] = None
-    permutation_invariant: Optional[bool] = None
+    permutation_invariant: Optional[bool] = field(default=None, init=False)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def from_matrix(cls, matrix, dims, *, validate: bool = True,
-                    permutation_invariant: Optional[bool] = None,
                     max_dim: Optional[int] = None) -> "DensityState":
         """Wrap a dense density matrix.
 
@@ -115,12 +114,10 @@ class DensityState:
                 raise ArgumentError("matrix has an eigenvalue below -1e-10")
         m = m.copy()
         m.setflags(write=False)
-        return cls(dims, REP_DENSE, _matrix=m,
-                   permutation_invariant=permutation_invariant)
+        return cls(dims, REP_DENSE, _matrix=m)
 
     @classmethod
     def from_amplitudes(cls, amps, dims, *, validate: bool = True,
-                        permutation_invariant: Optional[bool] = None,
                         max_dim: Optional[int] = None) -> "DensityState":
         """Wrap a pure state's amplitude vector (unit norm within 1e-12)."""
         dims = _check_dims(dims)
@@ -135,12 +132,11 @@ class DensityState:
             raise ArgumentError("amplitude vector norm differs from 1 beyond 1e-12")
         a = a.copy()
         a.setflags(write=False)
-        return cls(dims, REP_PURE, _amps=a,
-                   permutation_invariant=permutation_invariant)
+        return cls(dims, REP_PURE, _amps=a)
 
     @classmethod
-    def from_probabilities(cls, table: Mapping, dims, *, validate: bool = True,
-                           permutation_invariant: Optional[bool] = None) -> "DensityState":
+    def from_probabilities(cls, table: Mapping, dims, *,
+                           validate: bool = True) -> "DensityState":
         """Wrap a sparse probability table ``{digit tuple: probability}``.
 
         Digits are checked against ``dims`` per position; probabilities must
@@ -167,8 +163,7 @@ class DensityState:
                 clean[key] = p
         if validate and abs(total - 1.0) > CLASSICAL_SUM_TOL:
             raise ArgumentError(f"probabilities sum to {total}, not 1 within 1e-12")
-        return cls(dims, REP_CLASSICAL, _table=clean,
-                   permutation_invariant=permutation_invariant)
+        return cls(dims, REP_CLASSICAL, _table=clean)
 
     # -- basic properties ---------------------------------------------
 
@@ -285,21 +280,17 @@ def partial_trace(state: DensityState, keep: Iterable[int]) -> DensityState:
     if len(keep) == n:
         return state
     out_dims = tuple(state.dims[i] for i in keep)
-    perm_flag = True if (state.permutation_invariant or len(keep) == 1) else None
     if state.rep == REP_CLASSICAL:
         table: dict = {}
         for key, p in state._table.items():
             sub = tuple(key[i] for i in keep)
             table[sub] = table.get(sub, 0.0) + p
-        return DensityState.from_probabilities(table, out_dims, validate=False,
-                                               permutation_invariant=perm_flag)
+        return DensityState.from_probabilities(table, out_dims, validate=False)
     if state.rep == REP_PURE:
         block = _pure_marginal_matrix(state, keep)
-        return DensityState.from_matrix(block, out_dims, validate=False,
-                                        permutation_invariant=perm_flag)
+        return DensityState.from_matrix(block, out_dims, validate=False)
     m = _dense_partial_trace(state._matrix, state.dims, keep)
-    return DensityState.from_matrix(m, out_dims, validate=False,
-                                    permutation_invariant=perm_flag)
+    return DensityState.from_matrix(m, out_dims, validate=False)
 
 
 def _pure_amp_matrix(state: DensityState, keep: Sequence[int]) -> np.ndarray:
@@ -342,17 +333,14 @@ def permute_subsystems(state: DensityState, perm: Sequence[int]) -> DensityState
     if state.rep == REP_PURE:
         t = state._amps.reshape(state.dims)
         amps = np.transpose(t, perm).reshape(-1)
-        return DensityState.from_amplitudes(amps, out_dims, validate=False,
-                                            permutation_invariant=state.permutation_invariant)
+        return DensityState.from_amplitudes(amps, out_dims, validate=False)
     if state.rep == REP_CLASSICAL:
         table = {tuple(key[p] for p in perm): v for key, v in state._table.items()}
-        return DensityState.from_probabilities(table, out_dims, validate=False,
-                                               permutation_invariant=state.permutation_invariant)
+        return DensityState.from_probabilities(table, out_dims, validate=False)
     t = state._matrix.reshape(state.dims * 2)
     axes = perm + tuple(n + p for p in perm)
     m = np.transpose(t, axes).reshape(state.dim, state.dim)
-    return DensityState.from_matrix(m, out_dims, validate=False,
-                                    permutation_invariant=state.permutation_invariant)
+    return DensityState.from_matrix(m, out_dims, validate=False)
 
 
 def refine_subsystem(state: DensityState, index: int,
@@ -581,13 +569,12 @@ def max_entry_distance(a: DensityState, b: DensityState) -> float:
     return float(np.abs(a.to_matrix() - b.to_matrix()).max())
 
 
-def is_permutation_invariant(state: DensityState,
-                             tol: float = PERM_INVARIANCE_TOL) -> bool:
+def is_permutation_invariant(state: DensityState) -> bool:
     """Whether the state is invariant under every subsystem permutation.
 
-    Uses the constructor-provided flag when present; otherwise tests the
-    generating transposition (0 1) and the full cycle, which together
-    generate the symmetric group, and caches the verdict on the state.
+    Tests the generating transposition (0 1) and the full cycle, which
+    together generate the symmetric group, against ``PERM_INVARIANCE_TOL``,
+    and caches the verdict on the state.
     """
     if state.permutation_invariant is not None:
         return state.permutation_invariant
@@ -600,7 +587,7 @@ def is_permutation_invariant(state: DensityState,
             swap = (1, 0) + tuple(range(2, n))
             cycle = tuple(range(1, n)) + (0,)
             for perm in (swap, cycle):
-                if _permutation_distance(state, perm) > tol:
+                if _permutation_distance(state, perm) > PERM_INVARIANCE_TOL:
                     verdict = False
                     break
     object.__setattr__(state, "permutation_invariant", verdict)

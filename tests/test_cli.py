@@ -287,6 +287,14 @@ def test_profile_unknown_family_is_an_argument_error():
     assert "nosuch" in errtext(result)
 
 
+@pytest.mark.parametrize("spec", ["ghz:44", "a-family:44:0.5", "dicke:44:22",
+                                  "bell-product:44"])
+def test_profile_oversized_family_is_a_capacity_error(spec):
+    result = run("profile", "--state", spec)
+    assert result.exit_code == 3
+    assert "capacity limit" in errtext(result)
+
+
 def test_profile_single_party_state(tmp_path):
     path = tmp_path / "one.json"
     save_state_file(DensityState.from_amplitudes([1.0, 0.0], (2,)), str(path))
@@ -433,7 +441,7 @@ def test_json_output_rejects_non_finite_numbers(tmp_path):
     @click.command()
     @_handle_errors
     def report():
-        _emit({"weaving": math.nan}, [], [], "json")
+        _emit({"weaving": math.nan}, [], "json")
 
     result = runner.invoke(report, [])
     assert result.exit_code == 4

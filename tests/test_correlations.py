@@ -66,6 +66,13 @@ def test_dist_auto_mode_resolution():
     assert profile(make_ghz(4)).mode == "symmetric-fast"
     assert profile(tensor_product(haar_state((2,), RNG),
                                   haar_state((2,), RNG))).mode == "brute"
+    # pairs {0, 2} and {1, 3}: the compact partition {0, 1}, {2, 3} is not optimal
+    crossed = permute_subsystems(make_bell_product(4), (0, 2, 1, 3))
+    prof = profile(crossed)
+    assert prof.mode == "brute"
+    assert prof.dist_at(2) < 1e-12
+    assert prof.argmin[1].blocks == ((0, 2), (1, 3))
+    assert abs(profile(crossed, mode="fast").dist_at(2) - 4.0) < 1e-12
 
 
 def test_dist_argmin_canonical_tie_break():
@@ -155,6 +162,7 @@ def test_weight_scheme_interconversion_exact():
         for i, om in enumerate(w2.omega):
             acc += w2.big_omega[i]
             assert om == acc
+    assert WeightScheme.from_omega([]) == WeightScheme.from_big_omega([])
 
 
 def test_weight_scheme_validation():
@@ -200,6 +208,10 @@ def test_multi_information_values():
     assert multi_information(prod) < 1e-10
     with pytest.raises(ArgumentError):
         multi_information(c, ())
+    with pytest.raises(ArgumentError, match="duplicates"):
+        multi_information(make_ghz(3), [0, 0])
+    with pytest.raises(ArgumentError, match="out of range"):
+        multi_information(make_ghz(3), [5])
 
 
 def test_neural_complexity_values():

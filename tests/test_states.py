@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from corrweave import (ArgumentError, StateFamily, make_a_family,
-                       make_bell_product, make_classical,
+from corrweave import (ArgumentError, StateFamily, is_permutation_invariant,
+                       make_a_family, make_bell_product, make_classical,
                        make_classical_pair_product, make_dicke, make_ghz,
                        permute_subsystems, tensor_product, vn_entropy)
 
@@ -16,7 +16,7 @@ def test_ghz_amplitudes():
     assert abs(amps[0] - 1 / math.sqrt(2)) < 1e-15
     assert abs(amps[7] - 1 / math.sqrt(2)) < 1e-15
     assert np.count_nonzero(amps) == 2
-    assert g.permutation_invariant is True
+    assert is_permutation_invariant(g) is True
 
     g3 = make_ghz(3, 3)
     assert abs(g3.amplitudes()[13] - 1 / math.sqrt(2)) < 1e-15  # |111> base 3
@@ -28,7 +28,7 @@ def test_classical_table():
     c = make_classical(5)
     assert c.probabilities() == {(0,) * 5: 0.5, (1,) * 5: 0.5}
     assert abs(vn_entropy(make_classical(3, 4)) - 2.0) < 1e-15
-    assert c.permutation_invariant is True
+    assert is_permutation_invariant(c) is True
 
 
 def test_dicke_lexicographic_amplitudes():
@@ -60,8 +60,8 @@ def test_bell_product_matches_fold():
     pair = make_bell_product(2)
     fold = tensor_product(tensor_product(pair, pair), pair)
     assert np.array_equal(b6.amplitudes(), fold.amplitudes())
-    assert make_bell_product(2).permutation_invariant is True
-    assert make_bell_product(4).permutation_invariant is False
+    assert is_permutation_invariant(make_bell_product(2)) is True
+    assert is_permutation_invariant(make_bell_product(4)) is False
     with pytest.raises(ArgumentError):
         make_bell_product(3)
     qd = make_bell_product(2, 3)

@@ -137,7 +137,7 @@ def test_tensor_product_classical_uncapped():
 def test_partial_trace_ghz():
     marg = partial_trace(make_ghz(3), (0, 1))
     assert max_entry_distance(marg, make_classical(2)) < 1e-15
-    assert marg.permutation_invariant is True
+    assert is_permutation_invariant(marg) is True
 
 
 def test_partial_trace_args_and_reps():
@@ -345,17 +345,32 @@ def test_permute_subsystems():
 # -- permutation invariance ---------------------------------------------------
 
 def test_permutation_invariance_detection():
-    assert make_ghz(4).permutation_invariant is True
-    assert make_dicke(5, 2).permutation_invariant is True
+    assert is_permutation_invariant(make_ghz(4)) is True
+    assert is_permutation_invariant(make_dicke(5, 2)) is True
     prod = tensor_product(haar_state((2,), RNG), haar_state((2,), RNG))
     assert prod.permutation_invariant is None
     assert is_permutation_invariant(prod) is False
     assert prod.permutation_invariant is False  # verdict cached
 
-    # symmetric state built without the flag is detected
+    # a symmetric state built from raw amplitudes is detected
     w = DensityState.from_amplitudes(
         np.array([0, 1, 1, 0, 1, 0, 0, 0]) / math.sqrt(3), (2, 2, 2))
     assert is_permutation_invariant(w) is True
 
     hetero = tensor_product(make_classical(1, 2), make_classical(1, 3))
     assert is_permutation_invariant(hetero) is False
+
+
+def test_permutation_invariance_cannot_be_declared_or_loosened():
+    amps = make_bell_product(4).amplitudes()
+    with pytest.raises(TypeError):
+        DensityState.from_amplitudes(amps, (2,) * 4, permutation_invariant=True)
+    with pytest.raises(TypeError):
+        DensityState.from_matrix(np.outer(amps, amps.conj()), (2,) * 4,
+                                 permutation_invariant=True)
+    with pytest.raises(TypeError):
+        DensityState.from_probabilities({(0, 0): 1.0}, (2, 2), permutation_invariant=True)
+    with pytest.raises(TypeError):
+        DensityState((2,) * 4, "pure", _amps=amps, permutation_invariant=True)
+    with pytest.raises(TypeError):
+        is_permutation_invariant(make_bell_product(4), tol=1.0)
