@@ -20,7 +20,7 @@ from .correlations import (CorrelationProfile, PartitionMinimum,
 from .errors import (ArgumentError, CapacityError, ConsistencyError,
                      CorrweaveError, NumericError, StateFileError)
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition, compact_partition,
-                         count_partitions, enumerate_partitions)
+                         enumerate_partitions)
 from .properties import PropertyResult, run_property_suite
 from .random_states import (haar_state, haar_unitary, random_channel,
                             random_classical, random_density,
@@ -30,9 +30,9 @@ from .states import (StateFamily, make_a_family, make_bell_product,
                      make_ghz)
 from .tensor import (DEFAULT_MAX_DENSE_DIM, DensityState, KrausChannel,
                      apply_channel, is_permutation_invariant,
-                     marginal_entropy, max_entry_distance, merge_subsystems,
-                     partial_trace, permute_subsystems, refine_subsystem,
-                     relative_entropy, tensor_product, vn_entropy)
+                     marginal_entropy, max_entry_distance, partial_trace,
+                     permute_subsystems, relative_entropy, tensor_product,
+                     vn_entropy)
 
 __version__ = "0.1.0"
 
@@ -44,15 +44,13 @@ __all__ = [
     "SetPartition", "StateFamily", "StateFileError", "SubsetEntropyCache",
     "SweepPoint", "WeightScheme", "apply_channel", "binary_entropy",
     "cf_dist", "cf_genuine", "cf_scaling_sweep", "cf_weaving",
-    "closest_product", "compact_partition", "count_partitions",
-    "dicke_marginal_entropy", "dist_to_pk", "enumerate_partitions",
-    "haar_state", "haar_unitary", "hypergeometric_spectrum",
-    "is_permutation_invariant", "make_a_family", "make_bell_product",
-    "make_classical", "make_classical_pair_product", "make_dicke", "make_ghz",
-    "marginal_entropy", "max_entry_distance", "merge_subsystems",
+    "closest_product", "compact_partition", "dicke_marginal_entropy",
+    "dist_to_pk", "enumerate_partitions", "haar_state", "haar_unitary",
+    "hypergeometric_spectrum", "is_permutation_invariant", "make_a_family",
+    "make_bell_product", "make_classical", "make_classical_pair_product",
+    "make_dicke", "make_ghz", "marginal_entropy", "max_entry_distance",
     "multi_information", "neural_complexity", "partial_trace",
     "permute_subsystems", "profile", "random_channel", "random_classical",
-    "random_density", "random_product_state", "refine_subsystem",
-    "relative_entropy", "run_property_suite", "tensor_product", "vn_entropy",
-    "weaving",
+    "random_density", "random_product_state", "relative_entropy",
+    "run_property_suite", "tensor_product", "vn_entropy", "weaving",
 ]

@@ -49,7 +49,8 @@ class SubsetEntropyCache:
     """Memoized marginal entropies of one state, keyed by subset bitmask.
 
     Entropies are computed on first use; :meth:`all_entropies` computes
-    every subset up front.
+    every subset up front.  Sites are checked like a keep-set of
+    :func:`partial_trace`: repeated or out-of-range sites raise.
     """
 
     def __init__(self, state: DensityState):
@@ -57,10 +58,8 @@ class SubsetEntropyCache:
         self.table: dict[int, float] = {}
 
     def entropy(self, subset: Iterable[int]) -> float:
-        mask = 0
-        for i in subset:
-            mask |= 1 << i
-        return self._entropy_mask(mask)
+        keep = _normalize_keep(subset, self.state.n_parties)
+        return self._entropy_mask(sum(1 << i for i in keep))
 
     def entropy_full(self) -> float:
         return self._entropy_mask((1 << self.state.n_parties) - 1)
@@ -81,6 +80,17 @@ class SubsetEntropyCache:
         size = self.state.n_parties if max_size is None else max_size
         return [0.0] + [self._entropy_mask(m) if m.bit_count() <= size or m == full
                         else math.nan for m in range(1, full + 1)]
+
+
+def _cache_for(state: DensityState,
+               cache: Optional[SubsetEntropyCache]) -> SubsetEntropyCache:
+    """``cache``, or a new one when it is None; a cache of another state
+    would serve that state's entropies, so it is rejected."""
+    if cache is None:
+        return SubsetEntropyCache(state)
+    if cache.state is not state:
+        raise ArgumentError("the entropy cache was built for a different state")
+    return cache
 
 
 class PartitionMinimum(NamedTuple):
@@ -216,12 +226,12 @@ def _resolve_mode(state: DensityState, mode: str) -> str:
 
 
 def dist_to_pk(state: DensityState, k: int, cache: Optional[SubsetEntropyCache] = None,
-               mode: str = MODE_AUTO, *, enum_cap: int = DEFAULT_ENUM_CAP) -> PartitionMinimum:
+               mode: str = MODE_AUTO) -> PartitionMinimum:
     """Distance (bits) from ``state`` to products over partitions with
     blocks of at most ``k`` parties, with an achieving partition.
 
     ``brute`` minimizes over every partition with an O(3^N) dynamic
-    program over subset bitmasks (N is capped at ``enum_cap``);
+    program over subset bitmasks (N is capped at ``DEFAULT_ENUM_CAP``, 14);
     ``symmetric-fast`` evaluates only the compact partition (blocks of k
     plus a remainder), which achieves the minimum for permutation-invariant
     states; ``auto`` picks fast exactly when the state is permutation
@@ -232,15 +242,15 @@ def dist_to_pk(state: DensityState, k: int, cache: Optional[SubsetEntropyCache] 
     n = state.n_parties
     if not 1 <= k <= n:
         raise ArgumentError(f"order k={k} out of range 1..{n}")
-    if cache is None:
-        cache = SubsetEntropyCache(state)
+    cache = _cache_for(state, cache)
     mode = _resolve_mode(state, mode)
     s_full = cache.entropy_full()
     if mode == MODE_FAST:
         best_part = compact_partition(n, k)
         best = sum(cache.entropy(b) for b in best_part.blocks) - s_full
-    elif n > enum_cap:
-        raise CapacityError(f"brute-force minimization for n={n} exceeds the cap {enum_cap}")
+    elif n > DEFAULT_ENUM_CAP:
+        raise CapacityError(
+            f"brute-force minimization for n={n} exceeds the cap {DEFAULT_ENUM_CAP}")
     else:
         best, best_part = _partition_minimum(cache.all_entropies(k), n, k)
     if best < -CLAMP_TOL:
@@ -320,8 +330,7 @@ def _partition_minimum(h: list[float], n: int, k: int) -> PartitionMinimum:
 
 
 def profile(state: DensityState, mode: str = MODE_AUTO, *,
-            cache: Optional[SubsetEntropyCache] = None,
-            enum_cap: int = DEFAULT_ENUM_CAP) -> CorrelationProfile:
+            cache: Optional[SubsetEntropyCache] = None) -> CorrelationProfile:
     """Full correlation profile: dist(k) for every order, genuine
     correlations as consecutive differences, and the total.
 
@@ -331,13 +340,12 @@ def profile(state: DensityState, mode: str = MODE_AUTO, *,
     the total within 1e-8.
     """
     n = state.n_parties
-    if cache is None:
-        cache = SubsetEntropyCache(state)
+    cache = _cache_for(state, cache)
     resolved = _resolve_mode(state, mode)
     dist: list[float] = []
     argmin: list[SetPartition] = []
     for k in range(1, n + 1):
-        value, part = dist_to_pk(state, k, cache, resolved, enum_cap=enum_cap)
+        value, part = dist_to_pk(state, k, cache, resolved)
         if dist and value > dist[-1] + CLAMP_TOL:
             raise ConsistencyError(
                 f"dist({k}) = {value} exceeds dist({k - 1}) = {dist[-1]} beyond 1e-9")
@@ -394,8 +402,7 @@ def multi_information(state: DensityState, cluster: Optional[Iterable[int]] = No
                       cache: Optional[SubsetEntropyCache] = None) -> float:
     """Total correlations (bits) inside ``cluster`` (default: all parties):
     sum of single-site entropies minus the joint entropy."""
-    if cache is None:
-        cache = SubsetEntropyCache(state)
+    cache = _cache_for(state, cache)
     n = state.n_parties
     sites = range(n) if cluster is None else _normalize_keep(cluster, n)
     value = sum(cache.entropy([i]) for i in sites) - cache.entropy(sites)
@@ -405,8 +412,7 @@ def multi_information(state: DensityState, cluster: Optional[Iterable[int]] = No
 
 
 def neural_complexity(state: DensityState,
-                      cache: Optional[SubsetEntropyCache] = None, *,
-                      enum_cap: int = DEFAULT_ENUM_CAP) -> float:
+                      cache: Optional[SubsetEntropyCache] = None) -> float:
     """Cluster-size-resolved integration measure (bits).
 
     ``C = sum_{k=1}^{N-1} [ (k/N) * total - <multi-information of size-k
@@ -416,10 +422,10 @@ def neural_complexity(state: DensityState,
     is capped like partition enumeration.
     """
     n = state.n_parties
-    if n > enum_cap:
-        raise CapacityError(f"neural complexity needs all 2^{n} subsets; cap is {enum_cap}")
-    if cache is None:
-        cache = SubsetEntropyCache(state)
+    if n > DEFAULT_ENUM_CAP:
+        raise CapacityError(
+            f"neural complexity needs all 2^{n} subsets; cap is {DEFAULT_ENUM_CAP}")
+    cache = _cache_for(state, cache)
     h = cache.all_entropies()
     by_size = [0.0] * (n + 1)
     for mask, value in enumerate(h):

@@ -10,10 +10,8 @@ reference, and its canonical order defines which minimizer is returned.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import ArgumentError, CapacityError
 
@@ -43,35 +41,27 @@ class SetPartition:
         if sorted(flat) != list(range(n)):
             raise ArgumentError(f"blocks {norm} are not a disjoint cover of 0..{n - 1}")
         object.__setattr__(self, "blocks", norm)
-        object.__setattr__(self, "_max_block", max(len(b) for b in norm))
 
     @property
     def n(self) -> int:
         return sum(len(b) for b in self.blocks)
-
-    @property
-    def max_block(self) -> int:
-        return self._max_block
-
-    def __len__(self) -> int:
-        return len(self.blocks)
 
     def __repr__(self) -> str:
         inner = "|".join(",".join(map(str, b)) for b in self.blocks)
         return f"SetPartition({inner})"
 
 
-def enumerate_partitions(n: int, kmax: int, *,
-                         max_n: int = DEFAULT_ENUM_CAP) -> Iterator[SetPartition]:
+def enumerate_partitions(n: int, kmax: int) -> Iterator[SetPartition]:
     """Yield every partition of ``{0..n-1}`` with all blocks of size <= kmax.
 
     Canonical order; lazily generated.  Raises a capacity error for
-    ``n > max_n`` (default 14).
+    ``n > DEFAULT_ENUM_CAP`` (14).
     """
     if not 1 <= kmax <= n:
         raise ArgumentError(f"kmax must satisfy 1 <= kmax <= n, got {kmax} for n={n}")
-    if n > max_n:
-        raise CapacityError(f"partition enumeration for n={n} exceeds the cap {max_n}")
+    if n > DEFAULT_ENUM_CAP:
+        raise CapacityError(
+            f"partition enumeration for n={n} exceeds the cap {DEFAULT_ENUM_CAP}")
     return _walk(n, kmax)
 
 
@@ -102,18 +92,3 @@ def compact_partition(n: int, k: int) -> SetPartition:
     blocks = [tuple(range(s, min(s + k, n))) for s in range(0, n, k)]
     return SetPartition(blocks)
 
-
-@lru_cache(maxsize=None)
-def count_partitions(n: int, kmax: int) -> int:
-    """Number of partitions of an ``n``-set with all blocks of size <= kmax.
-
-    Recurrence on the block containing the largest element:
-    ``f(n) = sum_{s=1}^{min(n, kmax)} C(n-1, s-1) * f(n-s)``, ``f(0) = 1``.
-    """
-    if n < 0 or kmax < 1:
-        raise ArgumentError(f"need n >= 0 and kmax >= 1, got n={n}, kmax={kmax}")
-    f = [1] + [0] * n
-    for m in range(1, n + 1):
-        f[m] = sum(math.comb(m - 1, s - 1) * f[m - s]
-                   for s in range(1, min(m, kmax) + 1))
-    return f[n]

@@ -224,14 +224,6 @@ def _ravel_digits(key: Sequence[int], dims: Sequence[int]) -> int:
     return i
 
 
-def _unravel_index(i: int, dims: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for d in reversed(dims):
-        out.append(i % d)
-        i //= d
-    return tuple(reversed(out))
-
-
 def _normalize_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
     keep = tuple(sorted(int(i) for i in keep))
     if not keep:
@@ -341,49 +333,6 @@ def permute_subsystems(state: DensityState, perm: Sequence[int]) -> DensityState
     axes = perm + tuple(n + p for p in perm)
     m = np.transpose(t, axes).reshape(state.dim, state.dim)
     return DensityState.from_matrix(m, out_dims, validate=False)
-
-
-def refine_subsystem(state: DensityState, index: int,
-                     split: Sequence[int]) -> DensityState:
-    """Reinterpret subsystem ``index`` as a composite with local dims ``split``.
-
-    The payload is unchanged; only the dimension bookkeeping is refined.
-    ``prod(split)`` must equal ``dims[index]`` and every factor must be >= 2.
-    """
-    n = state.n_parties
-    if not 0 <= index < n:
-        raise ArgumentError(f"index {index} out of range for {n} subsystems")
-    split = _check_dims(split)
-    if math.prod(split) != state.dims[index]:
-        raise ArgumentError(
-            f"split {split} has product {math.prod(split)}, "
-            f"expected {state.dims[index]}")
-    out_dims = state.dims[:index] + split + state.dims[index + 1:]
-    if state.rep == REP_CLASSICAL:
-        table = {key[:index] + _unravel_index(key[index], split) + key[index + 1:]: v
-                 for key, v in state._table.items()}
-        return DensityState.from_probabilities(table, out_dims, validate=False)
-    if state.rep == REP_PURE:
-        return DensityState.from_amplitudes(state._amps, out_dims, validate=False)
-    return DensityState.from_matrix(state._matrix, out_dims, validate=False)
-
-
-def merge_subsystems(state: DensityState, start: int, count: int) -> DensityState:
-    """Inverse of :func:`refine_subsystem`: fuse ``count`` adjacent subsystems."""
-    n = state.n_parties
-    if count < 2 or not 0 <= start <= n - count:
-        raise ArgumentError(f"cannot merge {count} subsystems at {start} of {n}")
-    merged = math.prod(state.dims[start:start + count])
-    out_dims = state.dims[:start] + (merged,) + state.dims[start + count:]
-    if state.rep == REP_CLASSICAL:
-        table = {key[:start] + (_ravel_digits(key[start:start + count],
-                                              state.dims[start:start + count]),)
-                 + key[start + count:]: v
-                 for key, v in state._table.items()}
-        return DensityState.from_probabilities(table, out_dims, validate=False)
-    if state.rep == REP_PURE:
-        return DensityState.from_amplitudes(state._amps, out_dims, validate=False)
-    return DensityState.from_matrix(state._matrix, out_dims, validate=False)
 
 
 # -- channels ----------------------------------------------------------

@@ -14,12 +14,12 @@ import numpy as np
 from corrweave import (ClosedFormFamily, DensityState, KrausChannel,
                        StateFamily, SubsetEntropyCache, WeightScheme,
                        apply_channel, binary_entropy, cf_dist, cf_genuine,
-                       cf_scaling_sweep, cf_weaving, count_partitions,
-                       dist_to_pk, enumerate_partitions, make_a_family,
-                       make_classical, make_dicke, make_ghz,
-                       neural_complexity, partial_trace, profile,
-                       random_density, random_product_state,
+                       cf_scaling_sweep, cf_weaving, dist_to_pk,
+                       enumerate_partitions, make_a_family, make_classical,
+                       make_dicke, make_ghz, neural_complexity, partial_trace,
+                       profile, random_density, random_product_state,
                        run_property_suite, tensor_product, weaving)
+from oracles import count_partitions
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],

@@ -40,6 +40,30 @@ def test_cache_fill_policies_agree():
         assert abs(value - eager[mask]) < 1e-12
 
 
+@pytest.mark.parametrize("sites, message", [([0, 5], "out of range"),
+                                             ([0, 0], "duplicates"),
+                                             ([7], "out of range")],
+                         ids=["out-of-range-pair", "duplicate", "out-of-range"])
+def test_cache_rejects_bad_sites(sites, message):
+    cache = SubsetEntropyCache(make_ghz(3))
+    with pytest.raises(ArgumentError, match=message):
+        cache.entropy(sites)
+    assert cache.table == {}
+
+
+@pytest.mark.parametrize("measure", [
+    lambda s, c: dist_to_pk(s, 1, c),
+    lambda s, c: profile(s, cache=c),
+    lambda s, c: neural_complexity(s, c),
+    lambda s, c: multi_information(s, cache=c),
+], ids=["dist_to_pk", "profile", "neural_complexity", "multi_information"])
+def test_cache_of_another_state_is_rejected(measure):
+    # GHZ(3) has dist(1) = 3 bits; the classical cache would give 2.
+    other = SubsetEntropyCache(make_classical(3))
+    with pytest.raises(ArgumentError, match="different state"):
+        measure(make_ghz(3), other)
+
+
 # -- dist_to_pk ------------------------------------------------------------
 
 def test_dist_arguments():
@@ -52,6 +76,16 @@ def test_dist_arguments():
         dist_to_pk(s, 2, mode="bogus")
     with pytest.raises(CapacityError):
         dist_to_pk(make_classical(15), 2, mode="brute")
+
+
+def test_brute_cap_cannot_be_overridden():
+    s = make_ghz(3)
+    with pytest.raises(TypeError):
+        dist_to_pk(s, 1, enum_cap=20)
+    with pytest.raises(TypeError):
+        profile(s, enum_cap=20)
+    with pytest.raises(TypeError):
+        neural_complexity(s, enum_cap=20)
 
 
 def test_dist_fast_equals_brute_on_symmetric():

@@ -6,9 +6,8 @@ import pytest
 from corrweave import (ArgumentError, CapacityError, DensityState, KrausChannel,
                        apply_channel, is_permutation_invariant, make_bell_product,
                        make_classical, make_dicke, make_ghz, marginal_entropy,
-                       max_entry_distance, merge_subsystems, partial_trace,
-                       permute_subsystems, refine_subsystem, relative_entropy,
-                       tensor_product, vn_entropy)
+                       max_entry_distance, partial_trace, permute_subsystems,
+                       relative_entropy, tensor_product, vn_entropy)
 from corrweave.random_states import (haar_state, haar_unitary, random_channel,
                                      random_classical, random_density)
 
@@ -301,34 +300,6 @@ def test_channel_on_classical_input():
     out = apply_channel(make_classical(3), ch)
     assert out.rep == "dense"
     assert abs(np.trace(out.to_matrix()).real - 1.0) < 1e-10
-
-
-# -- reshaping ---------------------------------------------------------------
-
-def test_refine_and_merge_round_trip():
-    s = haar_state((4, 2), RNG)
-    fine = refine_subsystem(s, 0, (2, 2))
-    assert fine.dims == (2, 2, 2)
-    assert np.array_equal(fine.amplitudes(), s.amplitudes())
-    back = merge_subsystems(fine, 0, 2)
-    assert back.dims == (4, 2)
-    assert abs(vn_entropy(partial_trace(fine, (0, 1)))
-               - vn_entropy(partial_trace(s, (0,)))) < 1e-12
-    with pytest.raises(ArgumentError):
-        refine_subsystem(s, 0, (2, 3))
-    with pytest.raises(ArgumentError):
-        refine_subsystem(s, 0, (4, 1))
-    with pytest.raises(ArgumentError):
-        refine_subsystem(s, 2, (2, 2))
-
-
-def test_refine_classical_digits():
-    s = make_classical(2, 4)
-    fine = refine_subsystem(s, 0, (2, 2))
-    assert fine.dims == (2, 2, 4)
-    assert fine.probabilities()[(1, 1, 3)] == 0.25
-    back = merge_subsystems(fine, 0, 2)
-    assert back.probabilities() == s.probabilities()
 
 
 def test_permute_subsystems():
