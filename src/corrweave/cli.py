@@ -32,7 +32,6 @@ from .correlations import (SubsetEntropyCache, WeightScheme, neural_complexity,
                            profile, weaving)
 from .errors import (ArgumentError, CapacityError, CorrweaveError,
                      NumericError, StateFileError)
-from .partitions import DEFAULT_ENUM_CAP
 from .properties import run_property_suite
 # make_* are not called here; they stay importable for callers that patch them.
 from .states import (StateFamily, make_bell_product, make_classical,  # noqa: F401
@@ -60,7 +59,7 @@ def _handle_errors(func):
             error = exc
         for cls, code in _EXIT_BY_ERROR:
             if isinstance(error, cls):
-                click.echo(f"error: {error}", err=True)
+                click.echo(f"error: {error}", file=sys.stderr)
                 sys.exit(code)
     return wrapper
 
@@ -119,7 +118,7 @@ def _emit(doc, rows, output):
     """Print the report: ``doc`` as JSON, or ``rows`` as CSV with the
     first row's keys as the header."""
     if output == "json":
-        click.echo(_strict_json(_round_floats(doc), indent=2))
+        click.echo(_strict_json(_round_floats(doc), indent=2), file=sys.stdout)
         return
     fields = list(rows[0])
     buf = io.StringIO()
@@ -127,7 +126,7 @@ def _emit(doc, rows, output):
     w.writerow(fields)
     for row in rows:
         w.writerow([_cell(_round_floats(row.get(f))) for f in fields])
-    click.echo(buf.getvalue(), nl=False)
+    click.echo(buf.getvalue(), nl=False, file=sys.stdout)
 
 
 # -- weight schemes ------------------------------------------------------
@@ -332,7 +331,7 @@ def cmd_table(n, d, weights, closed_form_only, output):
               help="Family spec (e.g. ghz:4, dicke:4:2) or a JSON state file.")
 @click.option("--weights", default="k-1", show_default=True)
 @click.option("--mode", default="auto", show_default=True,
-              type=click.Choice(["auto", "brute", "fast"]))
+              type=click.Choice(["auto", "brute"]))
 @click.option("--output", default="json", show_default=True,
               type=click.Choice(["json", "csv"]))
 @_handle_errors
@@ -356,8 +355,7 @@ def cmd_profile(state_spec, weights, mode, output):
         scheme_name = scheme.name
     else:
         weave, scheme_name = 0.0, weights
-    neural = (neural_complexity(state, cache)
-              if n <= DEFAULT_ENUM_CAP else None)
+    neural = neural_complexity(state, cache)
     dims = list(state.dims)
     row = {label_key: label, "N": n,
            "d": dims[0] if len(set(dims)) == 1 else None, "dims": dims,

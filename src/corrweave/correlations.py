@@ -22,7 +22,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
 # enumerate_partitions is not called here; it stays importable for callers that patch it.
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition, compact_partition,  # noqa: F401
-                         enumerate_partitions)
+                         compact_sum, enumerate_partitions)
 from .tensor import (DensityState, _normalize_keep, is_permutation_invariant,
                      marginal_entropy, partial_trace, permute_subsystems,
                      tensor_product)
@@ -41,8 +41,6 @@ TIE_TOL = 1e-15
 MODE_BRUTE = "brute"
 MODE_FAST = "symmetric-fast"
 MODE_AUTO = "auto"
-_MODE_ALIASES = {"fast": MODE_FAST, MODE_FAST: MODE_FAST,
-                 MODE_BRUTE: MODE_BRUTE, MODE_AUTO: MODE_AUTO}
 
 
 class SubsetEntropyCache:
@@ -61,8 +59,12 @@ class SubsetEntropyCache:
         keep = _normalize_keep(subset, self.state.n_parties)
         return self._entropy_mask(sum(1 << i for i in keep))
 
-    def entropy_full(self) -> float:
-        return self._entropy_mask((1 << self.state.n_parties) - 1)
+    def prefix_entropy(self, s: int) -> float:
+        """Entropy of parties ``0..s-1`` (0.0 for ``s = 0``): of any ``s``
+        parties when the state is permutation invariant."""
+        if not 0 <= s <= self.state.n_parties:
+            raise ArgumentError(f"prefix size {s} out of range 0..{self.state.n_parties}")
+        return self._entropy_mask((1 << s) - 1) if s else 0.0
 
     def _entropy_mask(self, mask: int) -> float:
         value = self.table.get(mask)
@@ -216,13 +218,11 @@ def _running_sum(big: Sequence[float]) -> tuple[float, ...]:
 
 
 def _resolve_mode(state: DensityState, mode: str) -> str:
-    try:
-        mode = _MODE_ALIASES[mode]
-    except KeyError:
-        raise ArgumentError(f"mode must be auto, brute, or fast, got {mode!r}") from None
-    if mode == MODE_AUTO:
-        return MODE_FAST if is_permutation_invariant(state) else MODE_BRUTE
-    return mode
+    if mode not in (MODE_AUTO, MODE_BRUTE):
+        raise ArgumentError(f"mode must be auto or brute, got {mode!r}")
+    if mode == MODE_AUTO and is_permutation_invariant(state):
+        return MODE_FAST
+    return MODE_BRUTE
 
 
 def dist_to_pk(state: DensityState, k: int, cache: Optional[SubsetEntropyCache] = None,
@@ -231,23 +231,22 @@ def dist_to_pk(state: DensityState, k: int, cache: Optional[SubsetEntropyCache] 
     blocks of at most ``k`` parties, with an achieving partition.
 
     ``brute`` minimizes over every partition with an O(3^N) dynamic
-    program over subset bitmasks (N is capped at ``DEFAULT_ENUM_CAP``, 14);
-    ``symmetric-fast`` evaluates only the compact partition (blocks of k
-    plus a remainder), which achieves the minimum for permutation-invariant
-    states; ``auto`` picks fast exactly when the state is permutation
-    invariant.  Brute mode returns the partition a scan of
-    :func:`enumerate_partitions` would end on, keeping the earliest one in
-    canonical order unless a later one is lower by more than ``TIE_TOL``.
+    program over subset bitmasks (N is capped at ``DEFAULT_ENUM_CAP``, 14).
+    ``auto`` goes brute unless :func:`is_permutation_invariant` measures
+    the state invariant; then (route ``symmetric-fast``) the compact
+    partition, q blocks of k and one of r, is ``q h(k) + h(r) - h(N)``
+    with h(s) the entropy of the first s parties.  Brute returns the
+    partition a scan of :func:`enumerate_partitions` would end on, keeping
+    the earliest one in canonical order unless a later one is lower by
+    more than ``TIE_TOL``.
     """
     n = state.n_parties
     if not 1 <= k <= n:
         raise ArgumentError(f"order k={k} out of range 1..{n}")
     cache = _cache_for(state, cache)
-    mode = _resolve_mode(state, mode)
-    s_full = cache.entropy_full()
-    if mode == MODE_FAST:
+    if _resolve_mode(state, mode) == MODE_FAST:
         best_part = compact_partition(n, k)
-        best = sum(cache.entropy(b) for b in best_part.blocks) - s_full
+        best = compact_sum(n, k, cache.prefix_entropy) - cache.prefix_entropy(n)
     elif n > DEFAULT_ENUM_CAP:
         raise CapacityError(
             f"brute-force minimization for n={n} exceeds the cap {DEFAULT_ENUM_CAP}")
@@ -345,7 +344,7 @@ def profile(state: DensityState, mode: str = MODE_AUTO, *,
     dist: list[float] = []
     argmin: list[SetPartition] = []
     for k in range(1, n + 1):
-        value, part = dist_to_pk(state, k, cache, resolved)
+        value, part = dist_to_pk(state, k, cache, mode)
         if dist and value > dist[-1] + CLAMP_TOL:
             raise ConsistencyError(
                 f"dist({k}) = {value} exceeds dist({k - 1}) = {dist[-1]} beyond 1e-9")
@@ -417,17 +416,22 @@ def neural_complexity(state: DensityState,
 
     ``C = sum_{k=1}^{N-1} [ (k/N) * total - <multi-information of size-k
     clusters> ]`` with the average over all size-k clusters; the
-    single-site entropies cancel, leaving ``sum_{k=1}^{N-1} [ <S of size-k
-    clusters> - (k/N) * S(full) ]``.  Needs every subset entropy, so ``N``
-    is capped like partition enumeration.
+    single-site entropies cancel, leaving ``sum_{k=1}^{N-1} [ h(k) -
+    (k/N) * h(N) ]`` with h(k) the mean entropy of size-k clusters.  If
+    the state is measured invariant (whatever mode its profile used),
+    that is the entropy of the first k parties, at any N; else all 2^N
+    subsets are averaged, and ``N`` is capped like the brute minimum.
     """
     n = state.n_parties
-    if n > DEFAULT_ENUM_CAP:
+    cache = _cache_for(state, cache)
+    if is_permutation_invariant(state):
+        h = [cache.prefix_entropy(s) for s in range(n + 1)]
+    elif n > DEFAULT_ENUM_CAP:
         raise CapacityError(
             f"neural complexity needs all 2^{n} subsets; cap is {DEFAULT_ENUM_CAP}")
-    cache = _cache_for(state, cache)
-    h = cache.all_entropies()
-    by_size = [0.0] * (n + 1)
-    for mask, value in enumerate(h):
-        by_size[mask.bit_count()] += value
-    return sum(by_size[k] / math.comb(n, k) - k / n * h[-1] for k in range(1, n))
+    else:
+        by_size = [0.0] * (n + 1)
+        for mask, value in enumerate(cache.all_entropies()):
+            by_size[mask.bit_count()] += value
+        h = [v / math.comb(n, s) for s, v in enumerate(by_size)]
+    return sum(h[k] - k / n * h[n] for k in range(1, n))

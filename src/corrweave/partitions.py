@@ -11,7 +11,7 @@ reference, and its canonical order defines which minimizer is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import ArgumentError, CapacityError
 
@@ -92,3 +92,9 @@ def compact_partition(n: int, k: int) -> SetPartition:
     blocks = [tuple(range(s, min(s + k, n))) for s in range(0, n, k)]
     return SetPartition(blocks)
 
+
+def compact_sum(n: int, k: int, h: Callable[[int], float]) -> float:
+    """``sum`` of ``h(len(block))`` over :func:`compact_partition`'s blocks,
+    as ``q h(k) + h(r)`` with ``n = q k + r``; ``h(0)`` is never called."""
+    q, r = divmod(n, k)
+    return q * h(k) + (h(r) if r else 0.0)

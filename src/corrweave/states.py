@@ -76,6 +76,7 @@ def make_classical_pair_product(n: int) -> DensityState:
     if n < 2 or n % 2:
         raise ArgumentError(f"need even n >= 2, got n={n}")
     pairs = n // 2
+    _check_capacity(2 ** pairs, None)  # one table entry per pair-bit string
     table = {}
     for bits in range(2 ** pairs):
         key = []

@@ -433,9 +433,8 @@ def _apply_kraus_dense(rho: np.ndarray, dims: Sequence[int],
 
 def _shannon_bits(p: np.ndarray) -> float:
     p = p[p > EIG_CLIP]
-    if p.size == 0:
-        return 0.0
-    return float(max(-(p * np.log2(p)).sum(), 0.0))
+    h = float(-(p * np.log2(p)).sum())
+    return h if h > 0 else 0.0  # the spectrum [1.0] gives -0.0
 
 
 def vn_entropy(state: DensityState) -> float:

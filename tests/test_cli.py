@@ -1,10 +1,13 @@
+import contextlib
 import csv
+import gc
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import click
@@ -288,11 +291,35 @@ def test_profile_unknown_family_is_an_argument_error():
 
 
 @pytest.mark.parametrize("spec", ["ghz:44", "a-family:44:0.5", "dicke:44:22",
-                                  "bell-product:44"])
+                                  "bell-product:44", "classical-pair-product:60"])
 def test_profile_oversized_family_is_a_capacity_error(spec):
     result = run("profile", "--state", spec)
     assert result.exit_code == 3
     assert "capacity limit" in errtext(result)
+
+
+def test_profile_neural_complexity_of_invariant_state_beyond_brute_cap():
+    result = run("profile", "--state", "classical:20")
+    assert result.exit_code == 0, errtext(result)
+    doc = json.loads(result.output)
+    assert doc["mode"] == "symmetric-fast"
+    assert doc["neural_complexity"] == 9.5
+
+
+def test_profile_fast_mode_is_gone():
+    result = run("profile", "--state", "ghz:4", "--mode", "fast")
+    assert result.exit_code == 2 and "--mode" in errtext(result)
+
+
+def test_captured_report_is_not_kept_alive():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main.main(["profile", "--state", "ghz:3"], standalone_mode=False)
+    assert json.loads(out.getvalue())["N"] == 3
+    ref = weakref.ref(out)
+    del out
+    gc.collect()
+    assert ref() is None
 
 
 def test_profile_single_party_state(tmp_path):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from corrweave import (ArgumentError, CapacityError, CorrelationProfile,
-                       SubsetEntropyCache, WeightScheme, closest_product,
-                       dist_to_pk, make_bell_product, make_classical,
-                       make_dicke, make_ghz, max_entry_distance,
-                       multi_information, neural_complexity, partial_trace,
-                       permute_subsystems, profile, tensor_product, vn_entropy,
-                       weaving)
+                       DensityState, SubsetEntropyCache, WeightScheme,
+                       closest_product, dist_to_pk, is_permutation_invariant,
+                       make_a_family, make_bell_product, make_classical,
+                       make_classical_pair_product, make_dicke, make_ghz,
+                       max_entry_distance, multi_information,
+                       neural_complexity, partial_trace, permute_subsystems,
+                       profile, tensor_product, vn_entropy, weaving)
 from corrweave.random_states import haar_state, random_density
 
 RNG = np.random.default_rng(417)
@@ -20,7 +21,7 @@ RNG = np.random.default_rng(417)
 def test_cache_full_set_matches_vn():
     for s in (make_ghz(4), make_classical(4), random_density((2, 2, 2), RNG)):
         cache = SubsetEntropyCache(s)
-        assert abs(cache.entropy_full() - vn_entropy(s)) < 1e-10
+        assert abs(cache.prefix_entropy(s.n_parties) - vn_entropy(s)) < 1e-10
 
 
 def test_cache_symmetric_values_depend_on_size_only():
@@ -38,6 +39,16 @@ def test_cache_fill_policies_agree():
     assert sorted(lazy.table) == list(range(1, 8))
     for mask, value in lazy.table.items():
         assert abs(value - eager[mask]) < 1e-12
+
+
+def test_cache_prefix_entropy():
+    cache = SubsetEntropyCache(make_dicke(4, 2))
+    assert cache.prefix_entropy(0) == 0.0
+    assert cache.prefix_entropy(2) == cache.entropy((0, 1))
+    for s in (-1, 5):
+        with pytest.raises(ArgumentError, match="out of range"):
+            cache.prefix_entropy(s)
+    assert sorted(cache.table) == [0b0011]
 
 
 @pytest.mark.parametrize("sites, message", [([0, 5], "out of range"),
@@ -90,9 +101,10 @@ def test_brute_cap_cannot_be_overridden():
 
 def test_dist_fast_equals_brute_on_symmetric():
     for s in (make_ghz(5), make_dicke(6, 3), make_classical(6)):
+        assert profile(s).mode == "symmetric-fast"
         for k in range(1, s.n_parties + 1):
             brute = dist_to_pk(s, k, mode="brute").value
-            fast = dist_to_pk(s, k, mode="fast").value
+            fast = dist_to_pk(s, k, mode="auto").value
             assert abs(brute - fast) < 1e-10
 
 
@@ -106,7 +118,12 @@ def test_dist_auto_mode_resolution():
     assert prof.mode == "brute"
     assert prof.dist_at(2) < 1e-12
     assert prof.argmin[1].blocks == ((0, 2), (1, 3))
-    assert abs(profile(crossed, mode="fast").dist_at(2) - 4.0) < 1e-12
+    # prefix entropies stand for every block only on an invariant state
+    for forced in ("fast", "symmetric-fast"):
+        with pytest.raises(ArgumentError, match="auto or brute"):
+            profile(crossed, mode=forced)
+        with pytest.raises(ArgumentError, match="auto or brute"):
+            dist_to_pk(crossed, 2, mode=forced)
 
 
 def test_dist_argmin_canonical_tie_break():
@@ -254,8 +271,45 @@ def test_neural_complexity_values():
     r1 = random_density((2,), RNG)
     lhs = neural_complexity(tensor_product(r2, r1))
     assert abs(lhs - 4.0 / 3.0 * neural_complexity(r2)) < 1e-9
+    assert neural_complexity(make_classical(15)) == 7.0
     with pytest.raises(CapacityError):
-        neural_complexity(make_classical(15))
+        neural_complexity(make_classical_pair_product(16))
+
+
+def _depolarized_ghz(n, p):
+    m = np.eye(2 ** n) * (p / 2 ** n)
+    for i in (0, 2 ** n - 1):
+        for j in (0, 2 ** n - 1):
+            m[i, j] += (1 - p) / 2
+    return DensityState.from_matrix(m, (2,) * n)
+
+
+@pytest.mark.parametrize("state", [
+    make_ghz(10), make_dicke(10, 4), make_classical(10), make_classical(6, 3),
+    make_a_family(9, 0.6), _depolarized_ghz(6, 0.3),
+], ids=["ghz", "dicke", "classical", "classical-d3", "a-family", "depolarized-ghz"])
+def test_neural_complexity_invariant_formula_matches_subset_average(state):
+    # the per-size average over all 2^N subsets, which every state may use
+    n = state.n_parties
+    assert is_permutation_invariant(state)
+    h = SubsetEntropyCache(state).all_entropies()
+    average = [sum(v for m, v in enumerate(h) if m.bit_count() == k) / math.comb(n, k)
+               for k in range(n + 1)]
+    expected = sum(average[k] - k / n * h[-1] for k in range(1, n))
+    assert abs(neural_complexity(state) - expected) < 1e-12
+
+
+def test_invariant_states_need_n_entropies():
+    state = make_dicke(12, 6)
+    cache = SubsetEntropyCache(state)
+    profile(state, cache=cache)
+    neural_complexity(state, cache)
+    assert len(cache.table) <= 12
+    # beyond the brute cap, and for any profile route
+    assert neural_complexity(make_classical(20)) == 9.5
+    brute_cache = SubsetEntropyCache(make_ghz(4))
+    profile(brute_cache.state, mode="brute", cache=brute_cache)
+    assert neural_complexity(brute_cache.state, brute_cache) == 3.0
 
 
 def test_closest_product_reconstruction():

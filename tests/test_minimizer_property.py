@@ -40,7 +40,7 @@ def _state(kind, n, seed):
 
 
 def _enumeration_minimum(cache, n, k):
-    s_full = cache.entropy_full()
+    s_full = cache.prefix_entropy(n)
     best, best_part = math.inf, None
     for part in enumerate_partitions(n, k):
         value = sum(cache.entropy(b) for b in part.blocks) - s_full

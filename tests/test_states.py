@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from corrweave import (ArgumentError, StateFamily, is_permutation_invariant,
-                       make_a_family, make_bell_product, make_classical,
+from corrweave import (ArgumentError, CapacityError, StateFamily,
+                       is_permutation_invariant, make_a_family,
+                       make_bell_product, make_classical,
                        make_classical_pair_product, make_dicke, make_ghz,
                        permute_subsystems, tensor_product, vn_entropy)
 
@@ -76,6 +77,10 @@ def test_classical_pair_product():
     assert (0, 1, 0, 1) not in table
     with pytest.raises(ArgumentError):
         make_classical_pair_product(5)
+    # one entry per pair-bit string, capped like a dense dimension
+    assert len(make_classical_pair_product(24).probabilities()) == 4096
+    with pytest.raises(CapacityError, match="capacity limit"):
+        make_classical_pair_product(26)
 
 
 def test_a_family_endpoints():

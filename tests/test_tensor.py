@@ -184,6 +184,14 @@ def test_vn_entropy_values():
     assert abs(vn_entropy(make_classical(3, 4)) - 2.0) < 1e-15
 
 
+def test_zero_entropies_are_positive_zero():
+    # -(1.0 * log2(1.0)) is -0.0, and a sum of -0.0 terms prints as -0.0
+    for value in (marginal_entropy(make_dicke(3, 3), [0]),
+                  vn_entropy(partial_trace(make_dicke(3, 3), [0, 1])),
+                  vn_entropy(DensityState.from_matrix(np.diag([1.0, 0.0]), (2,)))):
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_vn_entropy_unitary_invariance():
     for _ in range(20):
         s = random_density((2, 2), RNG)
