@@ -23,6 +23,7 @@ from csv import writer as csv_writer
 from pathlib import Path
 
 import click
+import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
@@ -147,6 +148,8 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
     except json.JSONDecodeError as exc:
         raise ArgumentError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise ArgumentError(f"{path}: invalid JSON (nested too deeply)") from None
     if not isinstance(doc, dict) or len(doc.keys() & {"omega", "big-omega"}) != 1:
         raise ArgumentError(
             f"weights file {path} must hold exactly one of 'omega' or 'big-omega'")
@@ -176,6 +179,8 @@ def load_state_file(path: str) -> DensityState:
     except json.JSONDecodeError as exc:
         raise StateFileError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise StateFileError(f"{path}: invalid JSON (nested too deeply)") from None
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be a JSON object")
     for key in ("dims", "kind", "payload"):
@@ -189,19 +194,14 @@ def load_state_file(path: str) -> DensityState:
     if kind not in ("pure", "mixed", "classical"):
         raise StateFileError(
             f"{path}: field 'kind' must be pure, mixed, or classical, got {kind!r}")
+    dim = math.prod(dims)
     try:
         if kind == "pure":
-            amps = _parse_complex_vector(doc["payload"], math.prod(dims), path)
-            return DensityState.from_amplitudes(amps, dims)
+            return DensityState.from_amplitudes(
+                _complex_payload(doc["payload"], (dim,), path), dims)
         if kind == "mixed":
-            rows = doc["payload"]
-            dim = math.prod(dims)
-            if not isinstance(rows, list) or len(rows) != dim:
-                raise StateFileError(
-                    f"{path}: field 'payload' must be a {dim}x{dim} matrix")
-            matrix = [_parse_complex_vector(row, dim, path, field=f"payload[{i}]")
-                      for i, row in enumerate(rows)]
-            return DensityState.from_matrix(matrix, dims)
+            return DensityState.from_matrix(
+                _complex_payload(doc["payload"], (dim, dim), path), dims)
         return DensityState.from_probabilities(
             _parse_prob_table(doc["payload"], dims, path), dims)
     except StateFileError:
@@ -210,16 +210,45 @@ def load_state_file(path: str) -> DensityState:
         raise StateFileError(f"{path}: field 'payload': {exc}") from None
 
 
-def _parse_complex_vector(entries, length, path, field="payload"):
+def _complex_payload(payload, shape, path):
+    """A pure (``shape`` = (dim,)) or mixed (dim, dim) payload of [re, im]
+    pairs as a complex array.
+
+    The payload is checked as one array: its shape, that every number is
+    an int or a float (so booleans, strings and nulls are not), and that
+    every number is finite.  Only when that fails are the entries walked,
+    to name the first bad one.
+    """
+    values = np.array(payload, dtype=object)
+    if (values.shape == shape + (2,)
+            and set(map(type, values.flat)) <= {int, float}):
+        try:
+            floats = values.astype(float)
+        except OverflowError:  # an integer beyond the float range
+            floats = None
+        if floats is not None and np.isfinite(floats).all():
+            return floats.view(complex).reshape(shape)
+    dim = shape[0]
+    if len(shape) == 1:
+        _check_pairs(payload, dim, path)
+    elif not isinstance(payload, list) or len(payload) != dim:
+        raise StateFileError(f"{path}: field 'payload' must be a {dim}x{dim} matrix")
+    else:
+        for i, row in enumerate(payload):
+            _check_pairs(row, dim, path, field=f"payload[{i}]")
+    raise StateFileError(f"{path}: field 'payload' must hold [re, im] pairs "
+                         "of finite numbers")
+
+
+def _check_pairs(entries, length, path, field="payload"):
+    """Raise on the first entry of ``entries`` that is not an [re, im] pair
+    of finite numbers."""
     if not isinstance(entries, list) or len(entries) != length:
         raise StateFileError(f"{path}: field {field!r} must list {length} [re, im] pairs")
-    out = []
     for i, pair in enumerate(entries):
         if not isinstance(pair, list) or len(pair) != 2 or not all(map(_is_number, pair)):
             raise StateFileError(f"{path}: field {field!r} entry {i} must be an "
                                  "[re, im] pair of finite numbers")
-        out.append(complex(pair[0], pair[1]))
-    return out
 
 
 def _parse_prob_table(payload, dims, path):

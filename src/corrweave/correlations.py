@@ -23,9 +23,9 @@ from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
 # enumerate_partitions is not called here; it stays importable for callers that patch it.
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition, compact_partition,  # noqa: F401
                          compact_sum, enumerate_partitions)
-from .tensor import (DensityState, _normalize_keep, is_permutation_invariant,
-                     marginal_entropy, partial_trace, permute_subsystems,
-                     tensor_product)
+from .tensor import (REP_DENSE, DensityState, _normalize_keep,
+                     is_permutation_invariant, marginal_entropy, partial_trace,
+                     permute_subsystems, tensor_product)
 
 #: dist/genuine values may dip this far below zero (or above the previous
 #: order) before a consistency error is raised instead of clamping.
@@ -48,12 +48,20 @@ class SubsetEntropyCache:
 
     Entropies are computed on first use; :meth:`all_entropies` computes
     every subset up front.  Sites are checked like a keep-set of
-    :func:`partial_trace`: repeated or out-of-range sites raise.
+    :func:`partial_trace`: repeated or out-of-range sites raise.  Every
+    entropy is computed by :func:`marginal_entropy` and has the bits of
+    ``marginal_entropy(state, subset)``.  A pure state's entropy of A is
+    reused for its complement when the two dimensions differ: then both
+    are the singular values of the same matrix.  (When they are equal the
+    matrices are transposes, whose singular values can differ in the last
+    bit, so both are computed.)
     """
 
     def __init__(self, state: DensityState):
         self.state = state
         self.table: dict[int, float] = {}
+        # every subset of at most this many parties is in the table
+        self._filled = 0
 
     def entropy(self, subset: Iterable[int]) -> float:
         keep = _normalize_keep(subset, self.state.n_parties)
@@ -69,19 +77,66 @@ class SubsetEntropyCache:
     def _entropy_mask(self, mask: int) -> float:
         value = self.table.get(mask)
         if value is None:
-            keep = [i for i in range(self.state.n_parties) if mask >> i & 1]
-            value = marginal_entropy(self.state, keep)
+            dims = self.state.dims
+            rest = mask ^ ((1 << len(dims)) - 1)
+            if (self.state.is_pure and rest in self.table
+                    and _mask_dim(mask, dims) != _mask_dim(rest, dims)):
+                value = self.table[rest]
+            else:
+                keep = [i for i in range(len(dims)) if mask >> i & 1]
+                value = marginal_entropy(self.state, keep)
             self.table[mask] = value
         return value
 
     def all_entropies(self, max_size: Optional[int] = None) -> list[float]:
         """The entropy of every subset, indexed by bitmask; entry 0, the
         empty set, is 0.0.  Subsets of more than ``max_size`` parties,
-        other than the full set, are not computed and read NaN."""
+        other than the full set, are not computed and read NaN.
+
+        Dense marginals are traced from their parent, the subset plus its
+        lowest missing party, by one ``np.trace`` (see :meth:`_descend`);
+        pure and classical ones come from the whole state, one subset at
+        a time.
+        """
         full = (1 << self.state.n_parties) - 1
         size = self.state.n_parties if max_size is None else max_size
-        return [0.0] + [self._entropy_mask(m) if m.bit_count() <= size or m == full
-                        else math.nan for m in range(1, full + 1)]
+        if self.state.rep == REP_DENSE:
+            self._descend(self.state, full, size)
+        values = [0.0] + [self._entropy_mask(m) if m.bit_count() <= size or m == full
+                          else math.nan for m in range(1, full + 1)]
+        self._filled = max(self._filled, size)
+        return values
+
+    def _descend(self, parent: DensityState, mask: int, size: int) -> None:
+        """Fill in the subsets of at most ``size`` parties below ``mask``,
+        whose marginal state is ``parent``.
+
+        The children of ``mask`` lack one party ``b`` below its lowest
+        missing party; ``b`` sits at position ``b`` of ``parent``, and a
+        child's own children lack a party below ``b``.  Tracing ``b`` out
+        of ``parent`` is the last step of tracing the child from the whole
+        state (highest index first), so it gives the same bits.  Only the
+        chain of parents from the whole state down is alive at a time;
+        parents above ``size`` parties are traced, never diagonalized.
+        """
+        k = mask.bit_count()
+        low = (~mask & (mask + 1)).bit_length() - 1
+        for b in range(low if k > 1 else 0):
+            child = mask ^ (1 << b)
+            keep = [i for i in range(k) if i != b]
+            wanted = k - 1 <= size and child not in self.table
+            # the child's descendants hold k-1-b .. k-2 parties
+            if b and max(k - 1 - b, self._filled + 1) <= min(k - 2, size):
+                marginal = partial_trace(parent, keep)
+                if wanted:
+                    self.table[child] = marginal_entropy(marginal, range(k - 1))
+                self._descend(marginal, child, size)
+            elif wanted:
+                self.table[child] = marginal_entropy(parent, keep)
+
+
+def _mask_dim(mask: int, dims: Sequence[int]) -> int:
+    return math.prod(d for i, d in enumerate(dims) if mask >> i & 1)
 
 
 def _cache_for(state: DensityState,
@@ -434,4 +489,4 @@ def neural_complexity(state: DensityState,
         for mask, value in enumerate(cache.all_entropies()):
             by_size[mask.bit_count()] += value
         h = [v / math.comb(n, s) for s, v in enumerate(by_size)]
-    return sum(h[k] - k / n * h[n] for k in range(1, n))
+    return sum((h[k] - k / n * h[n] for k in range(1, n)), 0.0)

@@ -9,8 +9,23 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ArgumentError
+from .errors import ArgumentError, CapacityError
 from .tensor import DensityState, _check_capacity, tensor_product
+
+#: Largest classical table a family builder makes, counted in digits
+#: (entries times parties).  ``classical:N`` has 2N digits and
+#: ``classical-pair-product:N`` has 2^(N/2) N; the cap admits
+#: ``classical:65536`` and ``classical-pair-product:24``.
+MAX_CLASSICAL_DIGITS = 1 << 17
+
+
+def _check_table(entries: int, n: int) -> None:
+    """Raise a CapacityError, before anything is built, when a table of
+    ``entries`` digit strings of ``n`` digits exceeds the cap."""
+    if entries * n > MAX_CLASSICAL_DIGITS:
+        raise CapacityError(
+            f"classical table of {entries} entries x {n} digits exceeds the "
+            f"capacity limit of {MAX_CLASSICAL_DIGITS} digits")
 
 
 def make_ghz(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> DensityState:
@@ -33,10 +48,12 @@ def make_classical(n: int, d: int = 2) -> DensityState:
     """Uniform mixture of the ``d`` repeated digit strings ``|ii...i>``.
 
     Fully correlated classical state; stored as a sparse probability table,
-    so ``n`` far beyond the dense capacity is fine.
+    so ``n`` far beyond the dense capacity is fine, up to
+    ``MAX_CLASSICAL_DIGITS`` digits in the table.
     """
     if n < 1 or d < 2:
         raise ArgumentError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
+    _check_table(d, n)
     table = {(i,) * n: 1.0 / d for i in range(d)}
     return DensityState.from_probabilities(table, (d,) * n, validate=False)
 
@@ -76,7 +93,7 @@ def make_classical_pair_product(n: int) -> DensityState:
     if n < 2 or n % 2:
         raise ArgumentError(f"need even n >= 2, got n={n}")
     pairs = n // 2
-    _check_capacity(2 ** pairs, None)  # one table entry per pair-bit string
+    _check_table(2 ** pairs, n)  # one table entry per pair-bit string
     table = {}
     for bits in range(2 ** pairs):
         key = []

@@ -86,6 +86,7 @@ class DensityState:
     _amps: Optional[np.ndarray] = None
     _table: Optional[dict] = None
     permutation_invariant: Optional[bool] = field(default=None, init=False)
+    _rows: Optional[tuple] = field(default=None, init=False, repr=False)
 
     # -- constructors -------------------------------------------------
 
@@ -193,6 +194,22 @@ class DensityState:
             raise ArgumentError(f"state has representation {self.rep!r}, not classical")
         return dict(self._table)
 
+    def _digit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The classical table as a digit array, one row per entry, and a
+        probability array, both in table order; built on first use.  Local
+        dimensions beyond 2**64 are relabelled column by column, which
+        keeps which rows share digits."""
+        if self._rows is None:
+            keys = list(self._table)
+            digits = np.array(keys, dtype=np.min_scalar_type(max(self.dims) - 1))
+            digits = digits.reshape(len(keys), self.n_parties)
+            if digits.dtype == object:
+                digits = np.stack([np.unique(c, return_inverse=True)[1].reshape(-1)
+                                   for c in digits.T], axis=1)
+            probs = np.fromiter(self._table.values(), dtype=float, count=len(keys))
+            object.__setattr__(self, "_rows", (digits, probs))
+        return self._rows
+
     def to_matrix(self, *, max_dim: Optional[int] = None) -> np.ndarray:
         """Materialize the dense density matrix (capacity-checked)."""
         if self.rep == REP_DENSE:
@@ -264,8 +281,14 @@ def tensor_product(a: DensityState, b: DensityState, *,
 def partial_trace(state: DensityState, keep: Iterable[int]) -> DensityState:
     """Marginal state on the sorted index-set ``keep``.
 
-    Classical states stay classical; pure states stay pure only when every
-    subsystem is kept, otherwise the marginal is dense.
+    Classical states stay classical: the marginal table lists its digit
+    strings in order of first appearance in the state's table, each with
+    its rows' probabilities summed in table order (see
+    :func:`_classical_marginal`).  Pure states stay pure only when every
+    subsystem is kept, otherwise the marginal is dense.  Dense marginals
+    trace out the discarded subsystems highest index first, so tracing
+    ``keep`` from the marginal on ``keep`` plus its lowest missing
+    subsystem gives the same bits as tracing it from the whole state.
     """
     n = state.n_parties
     keep = _normalize_keep(keep, n)
@@ -273,16 +296,36 @@ def partial_trace(state: DensityState, keep: Iterable[int]) -> DensityState:
         return state
     out_dims = tuple(state.dims[i] for i in keep)
     if state.rep == REP_CLASSICAL:
-        table: dict = {}
-        for key, p in state._table.items():
-            sub = tuple(key[i] for i in keep)
-            table[sub] = table.get(sub, 0.0) + p
+        first, probs = _classical_marginal(state, keep)
+        keys = list(state._table)
+        table = {tuple(keys[r][i] for i in keep): p
+                 for r, p in zip(first.tolist(), probs.tolist())}
         return DensityState.from_probabilities(table, out_dims, validate=False)
     if state.rep == REP_PURE:
         block = _pure_marginal_matrix(state, keep)
         return DensityState.from_matrix(block, out_dims, validate=False)
     m = _dense_partial_trace(state._matrix, state.dims, keep)
     return DensityState.from_matrix(m, out_dims, validate=False)
+
+
+def _classical_marginal(state: DensityState,
+                        keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The first table row of each digit string of the marginal on
+    ``keep`` and its summed probability, in order of first appearance.
+
+    Rows are grouped by the bytes of their kept digits, so no index is
+    formed and nothing overflows at any N.  ``np.bincount`` adds each
+    group's probabilities in table order, starting from 0.0: the sums, and
+    their order, are those of a walk over the table that accumulates a
+    dict of digit strings.
+    """
+    digits, probs = state._digit_rows()
+    sub = np.ascontiguousarray(digits[:, list(keep)])
+    rows = sub.view(np.dtype((np.void, sub.itemsize * sub.shape[1]))).reshape(-1)
+    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
+    sums = np.bincount(group.reshape(-1), weights=probs)
+    order = np.argsort(first)
+    return first[order], sums[order]
 
 
 def _pure_amp_matrix(state: DensityState, keep: Sequence[int]) -> np.ndarray:
@@ -454,6 +497,13 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
 
     Pure states use the singular values of the reshaped amplitude tensor,
     so the cost scales with the smaller of the kept/discarded dimensions.
+    Classical states sum the marginal's probabilities with numpy
+    (:func:`_classical_marginal`) and never build its table.  Dense states
+    diagonalize the marginal from :func:`partial_trace`.  The marginal on
+    a subset A has the same bits whether it is traced from the whole
+    state or from the marginal on A plus A's lowest missing subsystem
+    (``keep`` then being A's positions in it), which
+    :meth:`corrweave.SubsetEntropyCache.all_entropies` relies on.
     """
     n = state.n_parties
     keep = _normalize_keep(keep, n)
@@ -467,6 +517,8 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
         return _shannon_bits(s * s)
     if len(keep) == n:
         return vn_entropy(state)
+    if state.rep == REP_CLASSICAL:
+        return _shannon_bits(_classical_marginal(state, keep)[1])
     return vn_entropy(partial_trace(state, keep))
 
 

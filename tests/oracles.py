@@ -2,6 +2,10 @@
 
 import math
 
+import numpy as np
+
+from corrweave.tensor import EIG_CLIP, _dense_partial_trace
+
 
 def count_partitions(n: int, kmax: int) -> int:
     """Number of partitions of an ``n``-set with all blocks of size <= kmax.
@@ -14,3 +18,38 @@ def count_partitions(n: int, kmax: int) -> int:
         f[m] = sum(math.comb(m - 1, s - 1) * f[m - s]
                    for s in range(1, min(m, kmax) + 1))
     return f[n]
+
+
+def subset_entropy(state, mask: int) -> float:
+    """Entropy (bits) of the parties in bitmask ``mask``, each marginal
+    taken from the whole state on its own: a dense marginal traced from
+    the full matrix and diagonalized, a classical one summed by a walk
+    over the table into a dict of digit strings, a pure one from the
+    singular values of the amplitudes reshaped to (kept, traced), wide
+    side second."""
+    n = state.n_parties
+    keep = [i for i in range(n) if mask >> i & 1]
+    if state.is_pure:
+        if len(keep) == n:
+            return 0.0
+        rest = [i for i in range(n) if i not in keep]
+        t = np.transpose(state.amplitudes().reshape(state.dims), keep + rest)
+        a = t.reshape(math.prod(state.dims[i] for i in keep), -1)
+        s = np.linalg.svd(a if a.shape[0] <= a.shape[1] else a.T, compute_uv=False)
+        return _shannon(s * s)
+    if state.is_classical:
+        table: dict = {}
+        for key, p in state.probabilities().items():
+            sub = tuple(key[i] for i in keep)
+            table[sub] = table.get(sub, 0.0) + p
+        return _shannon(np.array(list(table.values())))
+    m = state.to_matrix()
+    if len(keep) < n:
+        m = _dense_partial_trace(m, state.dims, keep)
+    return _shannon(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
+
+
+def _shannon(p: np.ndarray) -> float:
+    p = p[p > EIG_CLIP]
+    h = float(-(p * np.log2(p)).sum())
+    return h if h > 0 else 0.0

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 from pathlib import Path
 
@@ -14,12 +15,15 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import corrweave
 from corrweave import (DensityState, NumericError, make_bell_product,
                        make_classical, make_ghz, tensor_product)
 from corrweave.cli import (_emit, _handle_errors, _round12, load_state_file,
                            main, save_state_file)
+from corrweave.random_states import haar_state, random_classical, random_density
 
 
 runner = CliRunner()
@@ -207,19 +211,126 @@ def test_profile_state_file_product_is_uncorrelated(tmp_path):
 
 
 def test_profile_state_file_round_trip_all_kinds(tmp_path):
+    rng = np.random.default_rng(11)
     states = {
         "pure.json": make_ghz(3),
         "classical.json": make_classical(3),
         "mixed.json": tensor_product(
             DensityState.from_matrix(np.eye(2) / 2, (2,)), make_ghz(2)),
+        "haar.json": haar_state((2, 3, 2), rng),
+        "random-mixed.json": random_density((2, 3, 2), rng),
+        "random-classical.json": random_classical((2, 3, 2), rng),
     }
     for name, state in states.items():
         path = tmp_path / name
         save_state_file(state, str(path))
         loaded = load_state_file(str(path))
-        assert loaded.dims == state.dims
-        dev = np.abs(loaded.to_matrix() - state.to_matrix()).max()
-        assert dev == 0.0, name
+        assert loaded.dims == state.dims and loaded.rep == state.rep, name
+        if state.is_classical:
+            assert ({k: p.hex() for k, p in loaded.probabilities().items()}
+                    == {k: p.hex() for k, p in state.probabilities().items()}), name
+        else:
+            payload = (lambda s: s.amplitudes()) if state.is_pure else (lambda s: s.to_matrix())
+            assert payload(loaded).tobytes() == payload(state).tobytes(), name
+
+
+_M = [[0.5, 0], [0, 0]]  # a valid [re, im] row of a 2x2 mixed payload
+BAD_PAYLOAD_TEXTS = {
+    "ragged-mixed-row": (json.dumps({"dims": [2], "kind": "mixed",
+                                     "payload": [_M, [[0.5, 0]]]}),
+                         "field 'payload[1]' must list 2 [re, im] pairs"),
+    "mixed-row-not-a-list": (json.dumps({"dims": [2], "kind": "mixed", "payload": [_M, 0.5]}),
+                             "field 'payload[1]' must list 2 [re, im] pairs"),
+    "mixed-too-few-rows": (json.dumps({"dims": [2], "kind": "mixed", "payload": [_M]}),
+                           "field 'payload' must be a 2x2 matrix"),
+    "triple": (json.dumps({"dims": [2], "kind": "pure", "payload": [[1, 0], [0, 0, 0]]}),
+               "field 'payload' entry 1 must be an [re, im] pair of finite numbers"),
+    "string": (json.dumps({"dims": [2], "kind": "pure", "payload": [[1, 0], ["0", 0]]}),
+               "field 'payload' entry 1 must be an [re, im] pair of finite numbers"),
+    "null": (json.dumps({"dims": [2], "kind": "pure", "payload": [[1, None], [0, 0]]}),
+             "field 'payload' entry 0 must be an [re, im] pair of finite numbers"),
+    "true-in-mixed": (json.dumps({"dims": [2], "kind": "mixed",
+                                  "payload": [_M, [[0, 0], [True, 0]]]}),
+                      "field 'payload[1]' entry 1 must be an [re, im] pair of finite numbers"),
+    "huge-integer": (json.dumps({"dims": [2], "kind": "mixed",
+                                 "payload": [[[0.5, 0], [10 ** 400, 0]], _M]}),
+                     "field 'payload[0]' entry 1 must be an [re, im] pair of finite numbers"),
+    "nan-token": ('{"dims": [2], "kind": "pure", "payload": [[1, 0], [NaN, 0]]}',
+                  "field 'payload' entry 1 must be an [re, im] pair of finite numbers"),
+    "infinity-token": ('{"dims": [2], "kind": "mixed", '
+                       '"payload": [[[0.5, 0], [0, 0]], [[0, -Infinity], [0.5, 0]]]}',
+                       "field 'payload[1]' entry 0 must be an [re, im] pair of finite numbers"),
+    "pure-nested-too-deep": (json.dumps({"dims": [2], "kind": "pure",
+                                         "payload": [[[1, 0]], [[0, 0]]]}),
+                             "field 'payload' entry 0 must be an [re, im] pair of finite numbers"),
+    "mixed-nested-too-deep": (json.dumps({"dims": [2], "kind": "mixed",
+                                          "payload": [_M, [[[0, 0]], [[0.5, 0]]]]}),
+                              "field 'payload[1]' entry 0 must be an [re, im] pair of "
+                              "finite numbers"),
+    "json-nested-too-deep": ("[" * 100000 + "]" * 100000, "invalid JSON (nested too deeply)"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_PAYLOAD_TEXTS)
+def test_malformed_payload_names_its_first_bad_entry(tmp_path, name):
+    text, message = BAD_PAYLOAD_TEXTS[name]
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = run("profile", "--state", str(path))
+    assert result.exit_code == 2, errtext(result)
+    assert f"error: {path}: {message}" in errtext(result)
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
+                     st.integers(10 ** 300, 10 ** 400), st.floats(), st.text(max_size=2))
+_PAYLOADS = st.one_of(
+    _SCALARS,
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=5),
+    st.lists(st.lists(st.lists(_SCALARS, max_size=3), max_size=5), max_size=5),
+    st.dictionaries(st.text("0123", max_size=3), _SCALARS, max_size=4),
+    st.recursive(_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=8))
+_MAKERS = {"pure": haar_state, "mixed": random_density, "classical": random_classical}
+
+
+@st.composite
+def _state_docs(draw):
+    """A state file: valid, valid with one payload entry replaced, or
+    built from arbitrary JSON."""
+    kind = draw(st.sampled_from(["pure", "mixed", "classical", "thermal"]))
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    if kind == "thermal" or draw(st.booleans()):
+        return {"dims": draw(st.one_of(st.just(dims), _SCALARS,
+                                       st.lists(_SCALARS, max_size=3))),
+                "kind": kind, "payload": draw(_PAYLOADS)}
+    state = _MAKERS[kind](dims, np.random.default_rng(draw(st.integers(0, 99))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "state.json"
+        save_state_file(state, str(path))
+        doc = json.loads(path.read_text())
+    if draw(st.booleans()):
+        entries = doc["payload"]
+        if kind == "classical":
+            key = draw(st.sampled_from(sorted(entries)))
+            entries[key] = draw(_SCALARS)
+        else:
+            if kind == "mixed":
+                entries = entries[draw(st.integers(0, len(entries) - 1))]
+            entries[draw(st.integers(0, len(entries) - 1))] = draw(_PAYLOADS)
+    return doc
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=_state_docs())
+def test_fuzzed_state_files_exit_with_a_documented_code(fuzz_dir, doc):
+    path = fuzz_dir / "state.json"
+    path.write_text(json.dumps(doc))
+    result = run("profile", "--state", str(path))
+    assert result.exit_code in (0, 2, 3, 4), (doc, errtext(result), result.exception)
 
 
 def test_profile_malformed_state_file(tmp_path):
@@ -304,6 +415,22 @@ def test_profile_neural_complexity_of_invariant_state_beyond_brute_cap():
     doc = json.loads(result.output)
     assert doc["mode"] == "symmetric-fast"
     assert doc["neural_complexity"] == 9.5
+
+
+@pytest.mark.parametrize("spec, entries", [("classical:100000000", 2),
+                                           ("classical:4:1000000", 1000000),
+                                           ("classical-pair-product:26", 8192)])
+def test_profile_oversized_classical_table_is_a_capacity_error(spec, entries):
+    result = run("profile", "--state", spec)
+    assert result.exit_code == 3, errtext(result)
+    assert f"classical table of {entries} entries" in errtext(result)
+    assert "capacity limit of 131072 digits" in errtext(result)
+
+
+def test_profile_single_party_neural_complexity_is_a_float():
+    result = run("profile", "--state", "ghz:1")
+    assert result.exit_code == 0, errtext(result)
+    assert '"neural_complexity": 0.0,' in result.output
 
 
 def test_profile_fast_mode_is_gone():

@@ -1,8 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from oracles import subset_entropy
 
+from corrweave import correlations
 from corrweave import (ArgumentError, CapacityError, CorrelationProfile,
                        DensityState, SubsetEntropyCache, WeightScheme,
                        closest_product, dist_to_pk, is_permutation_invariant,
@@ -11,7 +14,7 @@ from corrweave import (ArgumentError, CapacityError, CorrelationProfile,
                        max_entry_distance, multi_information,
                        neural_complexity, partial_trace, permute_subsystems,
                        profile, tensor_product, vn_entropy, weaving)
-from corrweave.random_states import haar_state, random_density
+from corrweave.random_states import haar_state, random_classical, random_density
 
 RNG = np.random.default_rng(417)
 
@@ -49,6 +52,90 @@ def test_cache_prefix_entropy():
         with pytest.raises(ArgumentError, match="out of range"):
             cache.prefix_entropy(s)
     assert sorted(cache.table) == [0b0011]
+
+
+def _shuffled_classical(dims, seed):
+    """A classical table listed in random key order, with zero entries."""
+    rng = np.random.default_rng(seed)
+    keys = list(itertools.product(*(range(d) for d in dims)))
+    p = rng.exponential(size=len(keys))
+    p[rng.random(len(keys)) < 0.25] = 0.0
+    p /= p.sum()
+    return DensityState.from_probabilities(
+        {keys[i]: float(p[i]) for i in rng.permutation(len(keys))}, dims)
+
+
+ENGINE_STATES = {
+    "dense-2^6": lambda: random_density((2,) * 6, np.random.default_rng(1)),
+    "dense-2322": lambda: random_density((2, 3, 2, 2), np.random.default_rng(2)),
+    "classical-random": lambda: random_classical((2,) * 6, np.random.default_rng(3)),
+    "classical-shuffled-d3": lambda: _shuffled_classical((3,) * 4, 4),
+    "classical-shuffled-2323": lambda: _shuffled_classical((2, 3, 2, 3), 5),
+    "classical-digits-beyond-2^64": lambda: DensityState.from_probabilities(
+        {(0, 2 ** 70, 1): 0.5, (1, 3, 1): 0.25, (0, 3, 0): 0.25}, (2, 2 ** 71, 2)),
+    "pure-2^6": lambda: haar_state((2,) * 6, np.random.default_rng(6)),
+    "pure-2323": lambda: haar_state((2, 3, 2, 3), np.random.default_rng(7)),
+}
+
+
+def _hex(values):
+    return [v.hex() for v in values]
+
+
+def _reference(state):
+    return [0.0] + [subset_entropy(state, m) for m in range(1, 1 << state.n_parties)]
+
+
+@pytest.mark.parametrize("name", ENGINE_STATES)
+def test_all_entropies_match_the_per_subset_reference_bit_for_bit(name):
+    state = ENGINE_STATES[name]()
+    assert _hex(SubsetEntropyCache(state).all_entropies()) == _hex(_reference(state))
+
+
+@pytest.mark.parametrize("name", ["dense-2^6", "classical-shuffled-d3", "pure-2^6"])
+def test_all_entropies_by_size_then_in_full_match_the_reference(name):
+    state = ENGINE_STATES[name]()
+    ref = _reference(state)
+    full = len(ref) - 1
+    cache = SubsetEntropyCache(state)
+    for k in range(1, state.n_parties + 1):
+        expected = [v if m.bit_count() <= k or m == full else math.nan
+                    for m, v in enumerate(ref)]
+        assert _hex(cache.all_entropies(k)) == _hex(expected), k
+    assert _hex(cache.all_entropies()) == _hex(ref)
+
+
+def test_prefix_entropies_of_classical_256_match_the_reference():
+    state = make_classical(256)
+    cache = SubsetEntropyCache(state)
+    assert (_hex(cache.prefix_entropy(s) for s in range(1, 257))
+            == _hex(subset_entropy(state, (1 << s) - 1) for s in range(1, 257)))
+
+
+def test_engine_traces_dense_marginals_from_parents_and_reuses_pure_complements(
+        monkeypatch):
+    calls = []
+    real = correlations.marginal_entropy
+
+    def counting(state, keep):
+        calls.append((state.n_parties, len(tuple(keep))))
+        return real(state, keep)
+
+    monkeypatch.setattr(correlations, "marginal_entropy", counting)
+    SubsetEntropyCache(ENGINE_STATES["dense-2^6"]()).all_entropies()
+    # 63 subsets, each diagonalized once, from its parent or itself
+    assert len(calls) == 63
+    assert all(parties - kept <= 1 for parties, kept in calls)
+    calls.clear()
+    by_size = SubsetEntropyCache(ENGINE_STATES["dense-2^6"]())
+    for k in range(1, 7):
+        by_size.all_entropies(k)
+    assert len(calls) == 63
+    assert all(parties - kept <= 1 for parties, kept in calls)
+    calls.clear()
+    SubsetEntropyCache(ENGINE_STATES["pure-2^6"]()).all_entropies()
+    # one of each of the 21 unbalanced pairs, the 20 balanced subsets, the full set
+    assert len(calls) == 42
 
 
 @pytest.mark.parametrize("sites, message", [([0, 5], "out of range"),

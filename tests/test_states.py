@@ -30,6 +30,10 @@ def test_classical_table():
     assert c.probabilities() == {(0,) * 5: 0.5, (1,) * 5: 0.5}
     assert abs(vn_entropy(make_classical(3, 4)) - 2.0) < 1e-15
     assert is_permutation_invariant(c) is True
+    # the table is capped at MAX_CLASSICAL_DIGITS = 2^17 digits, before it is built
+    assert make_classical(65536).n_parties == 65536
+    with pytest.raises(CapacityError, match="2 entries x 65537 digits"):
+        make_classical(65537)
 
 
 def test_dicke_lexicographic_amplitudes():
@@ -77,9 +81,9 @@ def test_classical_pair_product():
     assert (0, 1, 0, 1) not in table
     with pytest.raises(ArgumentError):
         make_classical_pair_product(5)
-    # one entry per pair-bit string, capped like a dense dimension
+    # one entry per pair-bit string, capped at MAX_CLASSICAL_DIGITS digits
     assert len(make_classical_pair_product(24).probabilities()) == 4096
-    with pytest.raises(CapacityError, match="capacity limit"):
+    with pytest.raises(CapacityError, match="8192 entries x 26 digits"):
         make_classical_pair_product(26)
 
 
