@@ -13,10 +13,10 @@ from .closed_forms import (CF_FAMILIES, ClosedFormFamily, SweepPoint,
                            binary_entropy, cf_dist, cf_genuine,
                            cf_scaling_sweep, cf_weaving, dicke_marginal_entropy,
                            hypergeometric_spectrum)
-from .correlations import (CorrelationProfile, PartitionMinimum,
-                           SubsetEntropyCache, WeightScheme, closest_product,
-                           dist_to_pk, multi_information, neural_complexity,
-                           profile, weaving)
+from .correlations import (CorrelationProfile, PartitionMinimum, WeightScheme,
+                           closest_product, dist_to_pk, multi_information,
+                           neural_complexity, profile, subset_entropies,
+                           weaving)
 from .errors import (ArgumentError, CapacityError, ConsistencyError,
                      CorrweaveError, NumericError, StateFileError)
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition, compact_partition,
@@ -41,16 +41,17 @@ __all__ = [
     "ConsistencyError", "CorrelationProfile", "CorrweaveError",
     "DEFAULT_ENUM_CAP", "DEFAULT_MAX_DENSE_DIM", "DensityState",
     "KrausChannel", "NumericError", "PartitionMinimum", "PropertyResult",
-    "SetPartition", "StateFamily", "StateFileError", "SubsetEntropyCache",
-    "SweepPoint", "WeightScheme", "apply_channel", "binary_entropy",
-    "cf_dist", "cf_genuine", "cf_scaling_sweep", "cf_weaving",
-    "closest_product", "compact_partition", "dicke_marginal_entropy",
-    "dist_to_pk", "enumerate_partitions", "haar_state", "haar_unitary",
+    "SetPartition", "StateFamily", "StateFileError", "SweepPoint",
+    "WeightScheme", "apply_channel", "binary_entropy", "cf_dist",
+    "cf_genuine", "cf_scaling_sweep", "cf_weaving", "closest_product",
+    "compact_partition", "dicke_marginal_entropy", "dist_to_pk",
+    "enumerate_partitions", "haar_state", "haar_unitary",
     "hypergeometric_spectrum", "is_permutation_invariant", "make_a_family",
     "make_bell_product", "make_classical", "make_classical_pair_product",
     "make_dicke", "make_ghz", "marginal_entropy", "max_entry_distance",
     "multi_information", "neural_complexity", "partial_trace",
     "permute_subsystems", "profile", "random_channel", "random_classical",
     "random_density", "random_product_state", "relative_entropy",
-    "run_property_suite", "tensor_product", "vn_entropy", "weaving",
+    "run_property_suite", "subset_entropies", "tensor_product", "vn_entropy",
+    "weaving",
 ]

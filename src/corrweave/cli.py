@@ -28,9 +28,9 @@ from numpy.linalg import LinAlgError
 
 from . import __version__
 from .closed_forms import (CF_FAMILIES, FAMILIES, ClosedFormFamily, cf_dist,
-                           cf_genuine, cf_scaling_sweep, cf_weaving)
-from .correlations import (SubsetEntropyCache, WeightScheme, neural_complexity,
-                           profile, weaving)
+                           cf_genuine, cf_scaling_sweep, cf_weaving,
+                           check_closed_form_n)
+from .correlations import WeightScheme, neural_complexity, profile, weaving
 from .errors import (ArgumentError, CapacityError, CorrweaveError,
                      NumericError, StateFileError)
 from .properties import run_property_suite
@@ -86,11 +86,14 @@ def _round_floats(obj):
 
 
 def _cell(value, seps=(";", "|", ",")):
+    """``value`` as CSV text; a NaN or an infinity raises a NumericError."""
     if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise NumericError(f"cannot write CSV: {value} is not a finite number")
         return format(value, ".12g")
     if isinstance(value, (list, tuple)):
         return seps[0].join(_cell(v, seps[1:]) for v in value)
@@ -324,6 +327,7 @@ def cmd_table(n, d, weights, closed_form_only, output):
         raise CapacityError(
             f"matrix cross-check is capped at N={MATRIX_N_CAP}; "
             "pass --closed-form-only for larger N")
+    check_closed_form_n(n)
     scheme = _scheme(weights, n)
     rows = []
     for entry in sorted((f for f in FAMILIES.values() if f.table is not None),
@@ -376,15 +380,14 @@ def cmd_profile(state_spec, weights, mode, output):
         label = family.label()
         state = family.build()
     n = state.n_parties
-    cache = SubsetEntropyCache(state)
-    prof = profile(state, mode=mode, cache=cache)
+    prof = profile(state, mode=mode)
     if n >= 2:
         scheme = _scheme(weights, n)
         weave = weaving(prof, scheme)
         scheme_name = scheme.name
     else:
         weave, scheme_name = 0.0, weights
-    neural = neural_complexity(state, cache)
+    neural = neural_complexity(state)
     dims = list(state.dims)
     row = {label_key: label, "N": n,
            "d": dims[0] if len(set(dims)) == 1 else None, "dims": dims,
@@ -415,6 +418,7 @@ def cmd_scaling(family, n_min, n_max, d, a, weights, output):
         raise ArgumentError(f"need 2 <= n-min <= n-max, got {n_min}..{n_max}")
     if weights.startswith("file:"):
         raise ArgumentError("scaling sweeps accept named weight schemes only")
+    check_closed_form_n(n_max)
     n_values = []
     n = n_min
     while n <= n_max:

@@ -18,13 +18,18 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .correlations import WeightScheme
-from .errors import ArgumentError
+from .errors import ArgumentError, CapacityError
 from .partitions import compact_sum
 from .states import (make_a_family, make_bell_product, make_classical,
                      make_classical_pair_product, make_dicke, make_ghz)
 
 #: Genuine-order differences this far below zero are treated as rounding.
 CF_CLAMP = 1e-12
+#: Largest N a closed form is evaluated at, the largest ``classical:N``
+#: the classical table cap admits.  Weight schemes and profiles hold O(N)
+#: values, and ``dicke-half`` takes O(N^2) time: about 4 s at N = 16384 on
+#: a 2-vCPU Xeon VM, so about a minute at the cap.
+MAX_CLOSED_FORM_N = 1 << 16
 
 #: Sweep normalizations: (name, divisor for system size n).
 _BY_N = ("n", float)
@@ -117,6 +122,7 @@ class ClosedFormFamily:
         row = _closed_form(self.family)
         if self.n < 1:
             raise ArgumentError(f"need n >= 1, got {self.n}")
+        check_closed_form_n(self.n)
         if self.d < 2:
             raise ArgumentError(f"need d >= 2, got {self.d}")
         if row.even_only and self.n % 2:
@@ -127,6 +133,13 @@ class ClosedFormFamily:
                     f"{self.family} needs an amplitude in [0, 1], got {self.a}")
         elif self.a is not None:
             raise ArgumentError(f"family {self.family} takes no amplitude")
+
+
+def check_closed_form_n(n: int) -> None:
+    """Raise a CapacityError when ``n`` exceeds ``MAX_CLOSED_FORM_N``."""
+    if n > MAX_CLOSED_FORM_N:
+        raise CapacityError(
+            f"closed forms are capped at N={MAX_CLOSED_FORM_N}, got N={n}")
 
 
 def binary_entropy(p: float) -> float:

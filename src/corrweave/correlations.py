@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -43,111 +44,82 @@ MODE_FAST = "symmetric-fast"
 MODE_AUTO = "auto"
 
 
-class SubsetEntropyCache:
-    """Memoized marginal entropies of one state, keyed by subset bitmask.
+def subset_entropies(state: DensityState) -> list[float]:
+    """The entropy of every subset of the state's parties, indexed by
+    bitmask; entry 0, the empty set, is 0.0.  ``N`` is capped at
+    ``DEFAULT_ENUM_CAP``, and the entropies are computed once per state.
 
-    Entropies are computed on first use; :meth:`all_entropies` computes
-    every subset up front.  Sites are checked like a keep-set of
-    :func:`partial_trace`: repeated or out-of-range sites raise.  Every
-    entropy is computed by :func:`marginal_entropy` and has the bits of
-    ``marginal_entropy(state, subset)``.  A pure state's entropy of A is
-    reused for its complement when the two dimensions differ: then both
-    are the singular values of the same matrix.  (When they are equal the
-    matrices are transposes, whose singular values can differ in the last
-    bit, so both are computed.)
+    Every entropy is computed by :func:`marginal_entropy` and has the bits
+    of ``marginal_entropy(state, subset)``.  Dense marginals are traced
+    from their parent, the subset plus its lowest missing party, by one
+    ``np.trace`` (see :func:`_descend`); pure and classical ones come from
+    the whole state.
     """
+    n = state.n_parties
+    if n > DEFAULT_ENUM_CAP:
+        raise CapacityError(
+            f"the 2^{n} subset entropies for n={n} exceed the cap {DEFAULT_ENUM_CAP}")
+    table = state._entropies
+    full = (1 << n) - 1
+    if len(table) < full:
+        if state.rep == REP_DENSE:
+            _descend(table, state, full)
+        for mask in range(1, full + 1):
+            _entropy(state, mask, [i for i in range(n) if mask >> i & 1])
+    return [0.0] + [table[mask] for mask in range(1, full + 1)]
 
-    def __init__(self, state: DensityState):
-        self.state = state
-        self.table: dict[int, float] = {}
-        # every subset of at most this many parties is in the table
-        self._filled = 0
 
-    def entropy(self, subset: Iterable[int]) -> float:
-        keep = _normalize_keep(subset, self.state.n_parties)
-        return self._entropy_mask(sum(1 << i for i in keep))
+def _entropy(state: DensityState, mask: int, keep: Iterable[int]) -> float:
+    """Entropy of the parties ``keep``, whose bitmask is ``mask``, memoized
+    on the state.  A pure state's entropy of A is reused for its
+    complement when the two dimensions differ: then both are the singular
+    values of the same matrix.  (When they are equal the matrices are
+    transposes, whose singular values can differ in the last bit, so both
+    are computed.)"""
+    table = state._entropies
+    if mask not in table:
+        dims = state.dims
+        rest = mask ^ ((1 << len(dims)) - 1)
+        if (state.is_pure and rest in table
+                and _mask_dim(mask, dims) != _mask_dim(rest, dims)):
+            table[mask] = table[rest]
+        else:
+            table[mask] = marginal_entropy(state, keep)
+    return table[mask]
 
-    def prefix_entropy(self, s: int) -> float:
-        """Entropy of parties ``0..s-1`` (0.0 for ``s = 0``): of any ``s``
-        parties when the state is permutation invariant."""
-        if not 0 <= s <= self.state.n_parties:
-            raise ArgumentError(f"prefix size {s} out of range 0..{self.state.n_parties}")
-        return self._entropy_mask((1 << s) - 1) if s else 0.0
 
-    def _entropy_mask(self, mask: int) -> float:
-        value = self.table.get(mask)
-        if value is None:
-            dims = self.state.dims
-            rest = mask ^ ((1 << len(dims)) - 1)
-            if (self.state.is_pure and rest in self.table
-                    and _mask_dim(mask, dims) != _mask_dim(rest, dims)):
-                value = self.table[rest]
-            else:
-                keep = [i for i in range(len(dims)) if mask >> i & 1]
-                value = marginal_entropy(self.state, keep)
-            self.table[mask] = value
-        return value
+def _prefix_entropy(state: DensityState, s: int) -> float:
+    """Entropy of parties ``0..s-1`` (``s >= 1``): of any ``s`` parties
+    when the state is permutation invariant."""
+    return _entropy(state, (1 << s) - 1, range(s))
 
-    def all_entropies(self, max_size: Optional[int] = None) -> list[float]:
-        """The entropy of every subset, indexed by bitmask; entry 0, the
-        empty set, is 0.0.  Subsets of more than ``max_size`` parties,
-        other than the full set, are not computed and read NaN.
 
-        Dense marginals are traced from their parent, the subset plus its
-        lowest missing party, by one ``np.trace`` (see :meth:`_descend`);
-        pure and classical ones come from the whole state, one subset at
-        a time.
-        """
-        full = (1 << self.state.n_parties) - 1
-        size = self.state.n_parties if max_size is None else max_size
-        if self.state.rep == REP_DENSE:
-            self._descend(self.state, full, size)
-        values = [0.0] + [self._entropy_mask(m) if m.bit_count() <= size or m == full
-                          else math.nan for m in range(1, full + 1)]
-        self._filled = max(self._filled, size)
-        return values
+def _descend(table: dict[int, float], parent: DensityState, mask: int) -> None:
+    """Fill in the subsets below ``mask``, whose marginal state is ``parent``.
 
-    def _descend(self, parent: DensityState, mask: int, size: int) -> None:
-        """Fill in the subsets of at most ``size`` parties below ``mask``,
-        whose marginal state is ``parent``.
-
-        The children of ``mask`` lack one party ``b`` below its lowest
-        missing party; ``b`` sits at position ``b`` of ``parent``, and a
-        child's own children lack a party below ``b``.  Tracing ``b`` out
-        of ``parent`` is the last step of tracing the child from the whole
-        state (highest index first), so it gives the same bits.  Only the
-        chain of parents from the whole state down is alive at a time;
-        parents above ``size`` parties are traced, never diagonalized.
-        """
-        k = mask.bit_count()
-        low = (~mask & (mask + 1)).bit_length() - 1
-        for b in range(low if k > 1 else 0):
-            child = mask ^ (1 << b)
-            keep = [i for i in range(k) if i != b]
-            wanted = k - 1 <= size and child not in self.table
-            # the child's descendants hold k-1-b .. k-2 parties
-            if b and max(k - 1 - b, self._filled + 1) <= min(k - 2, size):
-                marginal = partial_trace(parent, keep)
-                if wanted:
-                    self.table[child] = marginal_entropy(marginal, range(k - 1))
-                self._descend(marginal, child, size)
-            elif wanted:
-                self.table[child] = marginal_entropy(parent, keep)
+    The children of ``mask`` lack one party ``b`` below its lowest missing
+    party; ``b`` sits at position ``b`` of ``parent``, and a child's own
+    children lack a party below ``b``.  Tracing ``b`` out of ``parent`` is
+    the last step of tracing the child from the whole state (highest index
+    first), so it gives the same bits.  Only the chain of parents from the
+    whole state down is alive at a time.
+    """
+    k = mask.bit_count()
+    low = (~mask & (mask + 1)).bit_length() - 1
+    for b in range(low if k > 1 else 0):
+        child = mask ^ (1 << b)
+        keep = [i for i in range(k) if i != b]
+        if b and k > 2:  # the child has children
+            marginal = partial_trace(parent, keep)
+            if child not in table:
+                table[child] = marginal_entropy(marginal, range(k - 1))
+            _descend(table, marginal, child)
+        elif child not in table:
+            table[child] = marginal_entropy(parent, keep)
 
 
 def _mask_dim(mask: int, dims: Sequence[int]) -> int:
     return math.prod(d for i, d in enumerate(dims) if mask >> i & 1)
-
-
-def _cache_for(state: DensityState,
-               cache: Optional[SubsetEntropyCache]) -> SubsetEntropyCache:
-    """``cache``, or a new one when it is None; a cache of another state
-    would serve that state's entropies, so it is rejected."""
-    if cache is None:
-        return SubsetEntropyCache(state)
-    if cache.state is not state:
-        raise ArgumentError("the entropy cache was built for a different state")
-    return cache
 
 
 class PartitionMinimum(NamedTuple):
@@ -280,13 +252,13 @@ def _resolve_mode(state: DensityState, mode: str) -> str:
     return MODE_BRUTE
 
 
-def dist_to_pk(state: DensityState, k: int, cache: Optional[SubsetEntropyCache] = None,
-               mode: str = MODE_AUTO) -> PartitionMinimum:
+def dist_to_pk(state: DensityState, k: int, mode: str = MODE_AUTO) -> PartitionMinimum:
     """Distance (bits) from ``state`` to products over partitions with
     blocks of at most ``k`` parties, with an achieving partition.
 
     ``brute`` minimizes over every partition with an O(3^N) dynamic
-    program over subset bitmasks (N is capped at ``DEFAULT_ENUM_CAP``, 14).
+    program over the :func:`subset_entropies` table (N is capped at
+    ``DEFAULT_ENUM_CAP``, 14).
     ``auto`` goes brute unless :func:`is_permutation_invariant` measures
     the state invariant; then (route ``symmetric-fast``) the compact
     partition, q blocks of k and one of r, is ``q h(k) + h(r) - h(N)``
@@ -298,15 +270,12 @@ def dist_to_pk(state: DensityState, k: int, cache: Optional[SubsetEntropyCache] 
     n = state.n_parties
     if not 1 <= k <= n:
         raise ArgumentError(f"order k={k} out of range 1..{n}")
-    cache = _cache_for(state, cache)
     if _resolve_mode(state, mode) == MODE_FAST:
         best_part = compact_partition(n, k)
-        best = compact_sum(n, k, cache.prefix_entropy) - cache.prefix_entropy(n)
-    elif n > DEFAULT_ENUM_CAP:
-        raise CapacityError(
-            f"brute-force minimization for n={n} exceeds the cap {DEFAULT_ENUM_CAP}")
+        h = partial(_prefix_entropy, state)
+        best = compact_sum(n, k, h) - h(n)
     else:
-        best, best_part = _partition_minimum(cache.all_entropies(k), n, k)
+        best, best_part = _partition_minimum(subset_entropies(state), n, k)
     if best < -CLAMP_TOL:
         raise ConsistencyError(
             f"dist({k}) evaluated to {best}, below the -1e-9 clamp window")
@@ -383,8 +352,7 @@ def _partition_minimum(h: list[float], n: int, k: int) -> PartitionMinimum:
     return PartitionMinimum(best, SetPartition(b for b in blocks if b))
 
 
-def profile(state: DensityState, mode: str = MODE_AUTO, *,
-            cache: Optional[SubsetEntropyCache] = None) -> CorrelationProfile:
+def profile(state: DensityState, mode: str = MODE_AUTO) -> CorrelationProfile:
     """Full correlation profile: dist(k) for every order, genuine
     correlations as consecutive differences, and the total.
 
@@ -394,12 +362,11 @@ def profile(state: DensityState, mode: str = MODE_AUTO, *,
     the total within 1e-8.
     """
     n = state.n_parties
-    cache = _cache_for(state, cache)
     resolved = _resolve_mode(state, mode)
     dist: list[float] = []
     argmin: list[SetPartition] = []
     for k in range(1, n + 1):
-        value, part = dist_to_pk(state, k, cache, mode)
+        value, part = dist_to_pk(state, k, mode)
         if dist and value > dist[-1] + CLAMP_TOL:
             raise ConsistencyError(
                 f"dist({k}) = {value} exceeds dist({k - 1}) = {dist[-1]} beyond 1e-9")
@@ -452,21 +419,20 @@ def closest_product(state: DensityState, partition: SetPartition) -> DensityStat
     return permute_subsystems(out, perm)
 
 
-def multi_information(state: DensityState, cluster: Optional[Iterable[int]] = None,
-                      cache: Optional[SubsetEntropyCache] = None) -> float:
+def multi_information(state: DensityState,
+                      cluster: Optional[Iterable[int]] = None) -> float:
     """Total correlations (bits) inside ``cluster`` (default: all parties):
     sum of single-site entropies minus the joint entropy."""
-    cache = _cache_for(state, cache)
     n = state.n_parties
     sites = range(n) if cluster is None else _normalize_keep(cluster, n)
-    value = sum(cache.entropy([i]) for i in sites) - cache.entropy(sites)
+    value = (sum(_entropy(state, 1 << i, (i,)) for i in sites)
+             - _entropy(state, sum(1 << i for i in sites), sites))
     if value < -CLAMP_TOL:
         raise ConsistencyError(f"multi-information evaluated to {value}")
     return max(value, 0.0)
 
 
-def neural_complexity(state: DensityState,
-                      cache: Optional[SubsetEntropyCache] = None) -> float:
+def neural_complexity(state: DensityState) -> float:
     """Cluster-size-resolved integration measure (bits).
 
     ``C = sum_{k=1}^{N-1} [ (k/N) * total - <multi-information of size-k
@@ -475,18 +441,14 @@ def neural_complexity(state: DensityState,
     (k/N) * h(N) ]`` with h(k) the mean entropy of size-k clusters.  If
     the state is measured invariant (whatever mode its profile used),
     that is the entropy of the first k parties, at any N; else all 2^N
-    subsets are averaged, and ``N`` is capped like the brute minimum.
+    subsets are averaged (:func:`subset_entropies`, so ``N`` is capped).
     """
     n = state.n_parties
-    cache = _cache_for(state, cache)
     if is_permutation_invariant(state):
-        h = [cache.prefix_entropy(s) for s in range(n + 1)]
-    elif n > DEFAULT_ENUM_CAP:
-        raise CapacityError(
-            f"neural complexity needs all 2^{n} subsets; cap is {DEFAULT_ENUM_CAP}")
+        h = [0.0] + [_prefix_entropy(state, s) for s in range(1, n + 1)]
     else:
         by_size = [0.0] * (n + 1)
-        for mask, value in enumerate(cache.all_entropies()):
+        for mask, value in enumerate(subset_entropies(state)):
             by_size[mask.bit_count()] += value
         h = [v / math.comb(n, s) for s, v in enumerate(by_size)]
     return sum((h[k] - k / n * h[n] for k in range(1, n)), 0.0)

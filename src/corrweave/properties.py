@@ -21,8 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .correlations import (SubsetEntropyCache, WeightScheme, closest_product,
-                           dist_to_pk, multi_information)
+from .correlations import (WeightScheme, closest_product, dist_to_pk,
+                           multi_information)
 from .random_states import (haar_state, random_channel, random_density,
                             random_product_state)
 from .tensor import apply_channel, max_entry_distance, partial_trace, tensor_product
@@ -40,17 +40,16 @@ class PropertyResult:
     passed: bool
 
 
-def _dist(state, k, perturb, cache=None):
-    value, part = dist_to_pk(state, k, cache, mode="brute")
+def _dist(state, k, perturb):
+    value, part = dist_to_pk(state, k, mode="brute")
     if perturb is not None:
         value = perturb(value)
     return value, part
 
 
 def _dists(state, orders, perturb):
-    """dist(k) of one state for each k in ``orders``, from one entropy cache."""
-    cache = SubsetEntropyCache(state)
-    return [_dist(state, k, perturb, cache)[0] for k in orders]
+    """dist(k) of one state for each k in ``orders``."""
+    return [_dist(state, k, perturb)[0] for k in orders]
 
 
 def run_property_suite(seed: int = 1234, trials: int = 200, *,
@@ -150,9 +149,8 @@ def _superadditivity(rng, trials, tol, perturb):
                 split.append(tuple(range(start, start + size)))
                 start += size
             clusters = tuple(split)
-        cache = SubsetEntropyCache(s)
-        total = multi_information(s, cache=cache)
-        parts = sum(multi_information(s, c, cache=cache) for c in clusters)
+        total = multi_information(s)
+        parts = sum(multi_information(s, c) for c in clusters)
         excess = parts - total
         if t % 2 == 1:
             excess = abs(excess)  # equality branch

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, CapacityError
-from .tensor import DensityState, _check_capacity, tensor_product
+from .tensor import DensityState, _check_capacity, _power_within, tensor_product
 
 #: Largest classical table a family builder makes, counted in digits
 #: (entries times parties).  ``classical:N`` has 2N digits and
@@ -19,10 +19,11 @@ from .tensor import DensityState, _check_capacity, tensor_product
 MAX_CLASSICAL_DIGITS = 1 << 17
 
 
-def _check_table(entries: int, n: int) -> None:
+def _check_table(base: int, n: int, power: int = 1) -> None:
     """Raise a CapacityError, before anything is built, when a table of
-    ``entries`` digit strings of ``n`` digits exceeds the cap."""
-    if entries * n > MAX_CLASSICAL_DIGITS:
+    ``base ** power`` digit strings of ``n`` digits exceeds the cap."""
+    if _power_within(base, power, MAX_CLASSICAL_DIGITS // n) is None:
+        entries = _power_within(base, power, 1 << 64) or f"{base}^{power}"
         raise CapacityError(
             f"classical table of {entries} entries x {n} digits exceeds the "
             f"capacity limit of {MAX_CLASSICAL_DIGITS} digits")
@@ -36,11 +37,10 @@ def make_ghz(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> DensitySta
     """
     if n < 1 or d < 2:
         raise ArgumentError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
-    dim = d ** n
-    _check_capacity(dim, max_dim)
+    dim = _check_capacity(d, max_dim, n)
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1 / math.sqrt(2)
-    amps[_repdigit_index(1, n, d)] = 1 / math.sqrt(2)
+    amps[(dim - 1) // (d - 1)] = 1 / math.sqrt(2)  # the repdigit 1..1 in base d
     return DensityState.from_amplitudes(amps, (d,) * n, validate=False, max_dim=max_dim)
 
 
@@ -62,8 +62,7 @@ def make_dicke(n: int, m: int, *, max_dim: Optional[int] = None) -> DensityState
     """N-qubit Dicke state: equal superposition of all strings with ``m`` ones."""
     if n < 1 or not 0 <= m <= n:
         raise ArgumentError(f"need 0 <= m <= n with n >= 1, got n={n}, m={m}")
-    _check_capacity(2 ** n, max_dim)
-    amps = np.zeros(2 ** n, dtype=complex)
+    amps = np.zeros(_check_capacity(2, max_dim, n), dtype=complex)
     coef = 1 / math.sqrt(math.comb(n, m))
     for ones in combinations(range(n), m):
         idx = sum(1 << (n - 1 - i) for i in ones)
@@ -78,7 +77,7 @@ def make_bell_product(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> D
     """
     if n < 2 or n % 2 or d < 2:
         raise ArgumentError(f"need even n >= 2 and d >= 2, got n={n}, d={d}")
-    _check_capacity(d ** n, max_dim)
+    _check_capacity(d, max_dim, n)
     pair = np.zeros(d * d, dtype=complex)
     for i in range(d):
         pair[i * d + i] = 1 / math.sqrt(d)
@@ -93,7 +92,7 @@ def make_classical_pair_product(n: int) -> DensityState:
     if n < 2 or n % 2:
         raise ArgumentError(f"need even n >= 2, got n={n}")
     pairs = n // 2
-    _check_table(2 ** pairs, n)  # one table entry per pair-bit string
+    _check_table(2, n, pairs)  # one table entry per pair-bit string
     table = {}
     for bits in range(2 ** pairs):
         key = []
@@ -115,18 +114,10 @@ def make_a_family(k: int, a: float, *, max_dim: Optional[int] = None) -> Density
         raise ArgumentError(f"need k >= 1, got {k}")
     if not 0.0 <= a <= 1.0:
         raise ArgumentError(f"need 0 <= a <= 1, got {a}")
-    _check_capacity(2 ** k, max_dim)
-    amps = np.zeros(2 ** k, dtype=complex)
+    amps = np.zeros(_check_capacity(2, max_dim, k), dtype=complex)
     amps[0] = a
     amps[-1] = math.sqrt(max(1.0 - a * a, 0.0))
     return DensityState.from_amplitudes(amps, (2,) * k, validate=False, max_dim=max_dim)
-
-
-def _repdigit_index(digit: int, n: int, d: int) -> int:
-    i = 0
-    for _ in range(n):
-        i = i * d + digit
-    return i
 
 
 # -- CLI vocabulary ------------------------------------------------------

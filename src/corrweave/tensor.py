@@ -53,13 +53,29 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def _check_capacity(dim: int, max_dim: Optional[int]) -> None:
+def _check_capacity(dim: int, max_dim: Optional[int], power: int = 1) -> int:
+    """``dim ** power``, or a CapacityError, raised before any larger
+    number is formed, when that exceeds the dense capacity limit."""
     cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else int(max_dim)
-    if dim > cap:
+    total = _power_within(dim, power, cap)
+    if total is None:
+        shown = dim if power == 1 else f"{dim}^{power}"
         raise CapacityError(
-            f"total dimension {dim} exceeds the dense capacity limit {cap}; "
-            "raise max_dim explicitly if this is intentional"
-        )
+            f"total dimension {shown} exceeds the dense capacity limit {cap}; "
+            "raise max_dim explicitly if this is intentional")
+    return total
+
+
+def _power_within(base: int, power: int, cap: int) -> Optional[int]:
+    """``base ** power`` if it is at most ``cap``, else None.  With
+    ``base >= 2`` the product passes ``cap`` within ``cap.bit_length()``
+    factors, so a huge ``power`` is never multiplied out."""
+    total = 1
+    for _ in range(power):
+        total *= base
+        if total > cap:
+            return None
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,6 +94,9 @@ class DensityState:
     permutation_invariant : bool or None
         The verdict of :func:`is_permutation_invariant` once it has been
         measured, ``None`` before; it cannot be set by a caller.
+
+    The marginal entropies measured so far are kept on the state too,
+    keyed by subset bitmask (see :func:`corrweave.subset_entropies`).
     """
 
     dims: tuple[int, ...]
@@ -87,6 +106,7 @@ class DensityState:
     _table: Optional[dict] = None
     permutation_invariant: Optional[bool] = field(default=None, init=False)
     _rows: Optional[tuple] = field(default=None, init=False, repr=False)
+    _entropies: dict = field(default_factory=dict, init=False, repr=False)
 
     # -- constructors -------------------------------------------------
 
@@ -99,8 +119,7 @@ class DensityState:
         1e-10 and smallest eigenvalue >= -1e-10.
         """
         dims = _check_dims(dims)
-        dim = math.prod(dims)
-        _check_capacity(dim, max_dim)
+        dim = _check_capacity(math.prod(dims), max_dim)
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise ArgumentError(f"matrix shape {m.shape} does not match dims {dims}")
@@ -122,8 +141,7 @@ class DensityState:
                         max_dim: Optional[int] = None) -> "DensityState":
         """Wrap a pure state's amplitude vector (unit norm within 1e-12)."""
         dims = _check_dims(dims)
-        dim = math.prod(dims)
-        _check_capacity(dim, max_dim)
+        dim = _check_capacity(math.prod(dims), max_dim)
         a = np.asarray(amps, dtype=complex).reshape(-1)
         if a.shape != (dim,):
             raise ArgumentError(f"amplitude length {a.shape[0]} does not match dims {dims}")
@@ -503,7 +521,7 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
     a subset A has the same bits whether it is traced from the whole
     state or from the marginal on A plus A's lowest missing subsystem
     (``keep`` then being A's positions in it), which
-    :meth:`corrweave.SubsetEntropyCache.all_entropies` relies on.
+    :func:`corrweave.subset_entropies` relies on.
     """
     n = state.n_parties
     keep = _normalize_keep(keep, n)

@@ -12,8 +12,8 @@ import time
 import numpy as np
 
 from corrweave import (ClosedFormFamily, DensityState, KrausChannel,
-                       StateFamily, SubsetEntropyCache, WeightScheme,
-                       apply_channel, binary_entropy, cf_dist, cf_genuine,
+                       StateFamily, WeightScheme, apply_channel,
+                       binary_entropy, cf_dist, cf_genuine,
                        cf_scaling_sweep, cf_weaving, dist_to_pk,
                        enumerate_partitions, make_a_family, make_classical,
                        make_dicke, make_ghz, neural_complexity, partial_trace,
@@ -217,10 +217,9 @@ def test_partition_minimum_routes_agree_and_counts_are_exact():
     worst = 0.0
     for _ in range(20):
         state = random_density((2, 2, 2, 2), rng)
-        cache = SubsetEntropyCache(state)
         joint = _entropy_bits_direct(state.to_matrix())
         for k in range(1, 5):
-            lib = dist_to_pk(state, k, cache, mode="brute").value
+            lib = dist_to_pk(state, k, mode="brute").value
             best = math.inf
             for part in enumerate_partitions(4, k):
                 total = sum(

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import corrweave
 from corrweave import (DensityState, NumericError, make_bell_product,
                        make_classical, make_ghz, tensor_product)
+from corrweave.closed_forms import FAMILIES
 from corrweave.cli import (_emit, _handle_errors, _round12, load_state_file,
                            main, save_state_file)
 from corrweave.random_states import haar_state, random_classical, random_density
@@ -189,6 +190,17 @@ def test_profile_weights_file_rejects_non_finite_and_boolean_weights(tmp_path, v
     result = run("profile", "--state", "ghz:4", "--weights", f"file:{path}")
     assert result.exit_code == 2, errtext(result)
     assert "finite numbers" in errtext(result)
+
+
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_weights_that_overflow_the_weaving_index_are_a_numeric_error(tmp_path, output):
+    # finite weights whose running sum, the omega form, is infinite
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"big-omega": [1e308, 1e308]}), encoding="utf-8")
+    result = run("profile", "--state", "ghz:3", "--weights", f"file:{path}",
+                 "--output", output)
+    assert result.exit_code == 4, errtext(result)
+    assert result.stdout == ""
 
 
 def test_profile_state_file_product_is_uncorrelated(tmp_path):
@@ -395,6 +407,73 @@ def test_profile_csv_matches_json():
     assert row["argmin"].split(";")[0] == "0|1|2|3"
 
 
+_TERA = 10 ** 12  # d^N is never formed: it would not fit in memory
+_EXTRAS = {"d": [None, "2", "3"], "m": ["0", "2"], "a": ["0", "0.6"], None: [None]}
+_BAD_FIELDS = {"name": ["", "nosuch", "GHZ"], "n": [-2, -1, 0, _TERA],
+               "extra": ["nan", "inf", "1e400", "-1", "x"]}
+_BAD_WEIGHTS = [-1.0, -1e308, 10 ** 400, None, True, "1", [1.0]]
+
+
+@st.composite
+def _profile_inputs(draw):
+    """A family spec ``NAME:N[:X]`` and a weights document or None.  Each
+    is valid (N up to 8; weights of the right length, some 1e308) or has
+    one part broken: a junk name, N <= 0 or 10^12, or X not a usable
+    number; a wrong length, a bad entry, a bad key, or both keys."""
+    row = draw(st.sampled_from([f for f in FAMILIES.values() if f.spec]))
+    fields = {"name": draw(st.sampled_from((row.name, *row.aliases))),
+              "n": draw(st.integers(1, 8)),
+              "extra": draw(st.sampled_from(_EXTRAS[row.param]))}
+    broken = draw(st.sampled_from([None, *_BAD_FIELDS]))
+    if broken:
+        fields[broken] = draw(st.sampled_from(_BAD_FIELDS[broken]))
+    spec = ":".join(str(v) for v in fields.values() if v is not None)
+    if draw(st.booleans()):
+        return spec, None
+    size = max(min(fields["n"], 9) - 1, 0)
+    values = draw(st.lists(st.one_of(st.floats(0.0, 3.0), st.just(1e308)),
+                           min_size=size, max_size=size))
+    key = draw(st.sampled_from(["omega", "big-omega"]))
+    broken = draw(st.sampled_from([None, "length", "entry", "key", "both"]))
+    if broken == "length":
+        values.append(1.0)
+    elif broken == "entry" and values:
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.sampled_from(_BAD_WEIGHTS))
+    elif broken == "key":
+        key = "Omega"
+    doc = {key: values}
+    if broken == "both":
+        doc["omega"] = doc["big-omega"] = values
+    return spec, doc
+
+
+def _no_non_finite_cells(output, text):
+    if output == "json":
+        json.loads(text, parse_constant=lambda token: pytest.fail(token))
+        return
+    for row in rows_from_csv(text):
+        for cell in row.values():
+            for token in cell.replace("|", ";").split(";"):
+                assert token.lower() not in ("nan", "inf", "-inf"), row
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(inputs=_profile_inputs(), output=st.sampled_from(["json", "csv"]))
+def test_fuzzed_family_specs_and_weights_exit_with_a_documented_code(
+        fuzz_dir, inputs, output):
+    spec, weights = inputs
+    args = ["profile", "--state", spec, "--output", output]
+    if weights is not None:
+        path = fuzz_dir / "weights.json"
+        path.write_text(json.dumps(weights), encoding="utf-8")
+        args += ["--weights", f"file:{path}"]
+    result = run(*args)
+    assert result.exit_code in (0, 2, 3, 4), (args, weights, errtext(result),
+                                              result.exception)
+    if result.exit_code == 0:
+        _no_non_finite_cells(output, result.stdout)
+
+
 def test_profile_unknown_family_is_an_argument_error():
     result = run("profile", "--state", "nosuch:4")
     assert result.exit_code == 2
@@ -402,7 +481,10 @@ def test_profile_unknown_family_is_an_argument_error():
 
 
 @pytest.mark.parametrize("spec", ["ghz:44", "a-family:44:0.5", "dicke:44:22",
-                                  "bell-product:44", "classical-pair-product:60"])
+                                  "bell-product:44", "classical-pair-product:60",
+                                  f"ghz:{_TERA}", f"dicke:{_TERA}:1",
+                                  f"bell-product:{_TERA}", f"a-family:{_TERA}:0.5",
+                                  f"classical-pair-product:{_TERA}"])
 def test_profile_oversized_family_is_a_capacity_error(spec):
     result = run("profile", "--state", spec)
     assert result.exit_code == 3
@@ -504,6 +586,21 @@ def test_scaling_rejects_bad_ranges_and_file_weights():
     assert run("scaling", "--family", "ghz", "--n-min", "4", "--n-max", "8",
                "--weights", "file:w.json").exit_code == 2
     assert run("scaling", "--family", "nosuch").exit_code == 2
+
+
+@pytest.mark.parametrize("args, code", [
+    (("scaling", "--family", "ghz", "--n-min", "65536", "--n-max", "65536"), 0),
+    (("scaling", "--family", "ghz", "--n-min", "8", "--n-max", "131072"), 3),
+    (("scaling", "--family", "ghz", "--n-min", str(2 ** 40), "--n-max", str(2 ** 40)), 3),
+    (("table", "--n", "131072", "--closed-form-only"), 3),
+    (("table", "--n", str(2 ** 40), "--closed-form-only"), 3),
+], ids=["scaling-2^16", "scaling-to-2^17", "scaling-2^40", "table-2^17", "table-2^40"])
+def test_closed_form_n_is_capped(args, code):
+    result = run(*args)
+    assert result.exit_code == code, errtext(result)
+    if code:
+        assert "closed forms are capped at N=65536" in errtext(result)
+        assert result.stdout == ""
 
 
 def test_scaling_rejects_malformed_delta_weights():

@@ -5,11 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from corrweave import (ArgumentError, ClosedFormFamily, WeightScheme,
-                       binary_entropy, cf_dist, cf_genuine, cf_scaling_sweep,
-                       cf_weaving, dicke_marginal_entropy,
+from corrweave import (ArgumentError, CapacityError, ClosedFormFamily,
+                       WeightScheme, binary_entropy, cf_dist, cf_genuine,
+                       cf_scaling_sweep, cf_weaving, dicke_marginal_entropy,
                        hypergeometric_spectrum, make_dicke, partial_trace,
                        profile, vn_entropy)
+from corrweave.closed_forms import MAX_CLOSED_FORM_N
 
 
 def test_family_validation():
@@ -27,6 +28,11 @@ def test_family_validation():
         ClosedFormFamily("ghz", 4, a=0.5)  # amplitude not accepted
     with pytest.raises(ArgumentError):
         ClosedFormFamily("ghz", 0)
+    ClosedFormFamily("ghz", MAX_CLOSED_FORM_N)
+    with pytest.raises(CapacityError, match="capped at N=65536"):
+        ClosedFormFamily("ghz", MAX_CLOSED_FORM_N + 1)
+    with pytest.raises(CapacityError):
+        cf_scaling_sweep("ghz", [8, 2 ** 40])
 
 
 def test_binary_entropy():

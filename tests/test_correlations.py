@@ -7,51 +7,38 @@ from oracles import subset_entropy
 
 from corrweave import correlations
 from corrweave import (ArgumentError, CapacityError, CorrelationProfile,
-                       DensityState, SubsetEntropyCache, WeightScheme,
-                       closest_product, dist_to_pk, is_permutation_invariant,
-                       make_a_family, make_bell_product, make_classical,
+                       DensityState, WeightScheme, closest_product,
+                       dist_to_pk, is_permutation_invariant, make_a_family,
+                       make_bell_product, make_classical,
                        make_classical_pair_product, make_dicke, make_ghz,
                        max_entry_distance, multi_information,
                        neural_complexity, partial_trace, permute_subsystems,
-                       profile, tensor_product, vn_entropy, weaving)
+                       profile, subset_entropies, tensor_product, vn_entropy,
+                       weaving)
 from corrweave.random_states import haar_state, random_classical, random_density
 
 RNG = np.random.default_rng(417)
 
 
-# -- cache ---------------------------------------------------------------
+# -- subset entropies ------------------------------------------------------
 
 def test_cache_full_set_matches_vn():
     for s in (make_ghz(4), make_classical(4), random_density((2, 2, 2), RNG)):
-        cache = SubsetEntropyCache(s)
-        assert abs(cache.prefix_entropy(s.n_parties) - vn_entropy(s)) < 1e-10
+        assert abs(subset_entropies(s)[-1] - vn_entropy(s)) < 1e-10
 
 
 def test_cache_symmetric_values_depend_on_size_only():
-    cache = SubsetEntropyCache(make_dicke(5, 2))
-    assert abs(cache.entropy((0, 3)) - cache.entropy((1, 4))) < 1e-12
-    assert abs(cache.entropy((0,)) - cache.entropy((4,))) < 1e-12
+    h = subset_entropies(make_dicke(5, 2))
+    assert abs(h[0b01001] - h[0b10010]) < 1e-12
+    assert abs(h[0b00001] - h[0b10000]) < 1e-12
 
 
 def test_cache_fill_policies_agree():
-    s = random_density((2, 2, 2), RNG)
-    lazy = SubsetEntropyCache(s)
-    for mask_sites in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
-        lazy.entropy(mask_sites)
-    eager = SubsetEntropyCache(s).all_entropies()
-    assert sorted(lazy.table) == list(range(1, 8))
-    for mask, value in lazy.table.items():
-        assert abs(value - eager[mask]) < 1e-12
-
-
-def test_cache_prefix_entropy():
-    cache = SubsetEntropyCache(make_dicke(4, 2))
-    assert cache.prefix_entropy(0) == 0.0
-    assert cache.prefix_entropy(2) == cache.entropy((0, 1))
-    for s in (-1, 5):
-        with pytest.raises(ArgumentError, match="out of range"):
-            cache.prefix_entropy(s)
-    assert sorted(cache.table) == [0b0011]
+    # a few entropies memoized by multi_information, then the rest
+    lazy, eager = (random_density((2, 2, 2), np.random.default_rng(0)) for _ in range(2))
+    multi_information(lazy, (0, 2))
+    assert sorted(lazy._entropies) == [0b001, 0b100, 0b101]
+    assert _hex(subset_entropies(lazy)) == _hex(subset_entropies(eager))
 
 
 def _shuffled_classical(dims, seed):
@@ -89,26 +76,12 @@ def _reference(state):
 @pytest.mark.parametrize("name", ENGINE_STATES)
 def test_all_entropies_match_the_per_subset_reference_bit_for_bit(name):
     state = ENGINE_STATES[name]()
-    assert _hex(SubsetEntropyCache(state).all_entropies()) == _hex(_reference(state))
-
-
-@pytest.mark.parametrize("name", ["dense-2^6", "classical-shuffled-d3", "pure-2^6"])
-def test_all_entropies_by_size_then_in_full_match_the_reference(name):
-    state = ENGINE_STATES[name]()
-    ref = _reference(state)
-    full = len(ref) - 1
-    cache = SubsetEntropyCache(state)
-    for k in range(1, state.n_parties + 1):
-        expected = [v if m.bit_count() <= k or m == full else math.nan
-                    for m, v in enumerate(ref)]
-        assert _hex(cache.all_entropies(k)) == _hex(expected), k
-    assert _hex(cache.all_entropies()) == _hex(ref)
+    assert _hex(subset_entropies(state)) == _hex(_reference(state))
 
 
 def test_prefix_entropies_of_classical_256_match_the_reference():
     state = make_classical(256)
-    cache = SubsetEntropyCache(state)
-    assert (_hex(cache.prefix_entropy(s) for s in range(1, 257))
+    assert (_hex(correlations._prefix_entropy(state, s) for s in range(1, 257))
             == _hex(subset_entropy(state, (1 << s) - 1) for s in range(1, 257)))
 
 
@@ -122,18 +95,14 @@ def test_engine_traces_dense_marginals_from_parents_and_reuses_pure_complements(
         return real(state, keep)
 
     monkeypatch.setattr(correlations, "marginal_entropy", counting)
-    SubsetEntropyCache(ENGINE_STATES["dense-2^6"]()).all_entropies()
+    dense = ENGINE_STATES["dense-2^6"]()
+    for k in range(1, 7):
+        dist_to_pk(dense, k, mode="brute")
     # 63 subsets, each diagonalized once, from its parent or itself
     assert len(calls) == 63
     assert all(parties - kept <= 1 for parties, kept in calls)
     calls.clear()
-    by_size = SubsetEntropyCache(ENGINE_STATES["dense-2^6"]())
-    for k in range(1, 7):
-        by_size.all_entropies(k)
-    assert len(calls) == 63
-    assert all(parties - kept <= 1 for parties, kept in calls)
-    calls.clear()
-    SubsetEntropyCache(ENGINE_STATES["pure-2^6"]()).all_entropies()
+    subset_entropies(ENGINE_STATES["pure-2^6"]())
     # one of each of the 21 unbalanced pairs, the 20 balanced subsets, the full set
     assert len(calls) == 42
 
@@ -143,23 +112,10 @@ def test_engine_traces_dense_marginals_from_parents_and_reuses_pure_complements(
                                              ([7], "out of range")],
                          ids=["out-of-range-pair", "duplicate", "out-of-range"])
 def test_cache_rejects_bad_sites(sites, message):
-    cache = SubsetEntropyCache(make_ghz(3))
+    state = make_ghz(3)
     with pytest.raises(ArgumentError, match=message):
-        cache.entropy(sites)
-    assert cache.table == {}
-
-
-@pytest.mark.parametrize("measure", [
-    lambda s, c: dist_to_pk(s, 1, c),
-    lambda s, c: profile(s, cache=c),
-    lambda s, c: neural_complexity(s, c),
-    lambda s, c: multi_information(s, cache=c),
-], ids=["dist_to_pk", "profile", "neural_complexity", "multi_information"])
-def test_cache_of_another_state_is_rejected(measure):
-    # GHZ(3) has dist(1) = 3 bits; the classical cache would give 2.
-    other = SubsetEntropyCache(make_classical(3))
-    with pytest.raises(ArgumentError, match="different state"):
-        measure(make_ghz(3), other)
+        multi_information(state, sites)
+    assert state._entropies == {}
 
 
 # -- dist_to_pk ------------------------------------------------------------
@@ -379,7 +335,7 @@ def test_neural_complexity_invariant_formula_matches_subset_average(state):
     # the per-size average over all 2^N subsets, which every state may use
     n = state.n_parties
     assert is_permutation_invariant(state)
-    h = SubsetEntropyCache(state).all_entropies()
+    h = subset_entropies(state)
     average = [sum(v for m, v in enumerate(h) if m.bit_count() == k) / math.comb(n, k)
                for k in range(n + 1)]
     expected = sum(average[k] - k / n * h[-1] for k in range(1, n))
@@ -388,15 +344,14 @@ def test_neural_complexity_invariant_formula_matches_subset_average(state):
 
 def test_invariant_states_need_n_entropies():
     state = make_dicke(12, 6)
-    cache = SubsetEntropyCache(state)
-    profile(state, cache=cache)
-    neural_complexity(state, cache)
-    assert len(cache.table) <= 12
+    profile(state)
+    neural_complexity(state)
+    assert len(state._entropies) <= 12
     # beyond the brute cap, and for any profile route
     assert neural_complexity(make_classical(20)) == 9.5
-    brute_cache = SubsetEntropyCache(make_ghz(4))
-    profile(brute_cache.state, mode="brute", cache=brute_cache)
-    assert neural_complexity(brute_cache.state, brute_cache) == 3.0
+    ghz = make_ghz(4)
+    profile(ghz, mode="brute")
+    assert neural_complexity(ghz) == 3.0
 
 
 def test_closest_product_reconstruction():

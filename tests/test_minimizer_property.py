@@ -13,8 +13,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corrweave import (SubsetEntropyCache, dist_to_pk, enumerate_partitions,
-                       make_bell_product, make_dicke, make_ghz)
+from corrweave import (dist_to_pk, enumerate_partitions, make_bell_product,
+                       make_dicke, make_ghz, subset_entropies)
 from corrweave.random_states import (haar_state, random_classical,
                                      random_density, random_product_state)
 
@@ -39,11 +39,10 @@ def _state(kind, n, seed):
     return make_bell_product(n + n % 2)
 
 
-def _enumeration_minimum(cache, n, k):
-    s_full = cache.prefix_entropy(n)
+def _enumeration_minimum(h, n, k):
     best, best_part = math.inf, None
     for part in enumerate_partitions(n, k):
-        value = sum(cache.entropy(b) for b in part.blocks) - s_full
+        value = sum(h[sum(1 << i for i in b)] for b in part.blocks) - h[-1]
         if value < best - 1e-15:
             best, best_part = value, part
     return max(best, 0.0), best_part
@@ -55,9 +54,8 @@ def _enumeration_minimum(cache, n, k):
 def test_dynamic_program_matches_enumeration(kind, n, seed):
     state = _state(kind, n, seed)
     n = state.n_parties
-    cache = SubsetEntropyCache(state)
     for k in range(1, n + 1):
-        value, part = dist_to_pk(state, k, cache, mode="brute")
-        expected_value, expected_part = _enumeration_minimum(cache, n, k)
+        value, part = dist_to_pk(state, k, mode="brute")
+        expected_value, expected_part = _enumeration_minimum(subset_entropies(state), n, k)
         assert value == expected_value, (k, value, expected_value)
         assert part.blocks == expected_part.blocks, (k, part, expected_part)
