@@ -37,7 +37,7 @@ from .properties import run_property_suite
 # make_* are not called here; they stay importable for callers that patch them.
 from .states import (StateFamily, make_bell_product, make_classical,  # noqa: F401
                      make_classical_pair_product, make_dicke, make_ghz)
-from .tensor import DensityState
+from .tensor import DensityState, _dense_dim
 
 #: Disagreement between closed-form and matrix values that flags a table row.
 AGREE_TOL = 1e-8
@@ -153,6 +153,8 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
     except RecursionError:
         raise ArgumentError(f"{path}: invalid JSON (nested too deeply)") from None
+    except ValueError:  # an integer beyond Python's int-to-str digit limit
+        raise ArgumentError(f"{path}: invalid JSON (an integer has too many digits)") from None
     if not isinstance(doc, dict) or len(doc.keys() & {"omega", "big-omega"}) != 1:
         raise ArgumentError(
             f"weights file {path} must hold exactly one of 'omega' or 'big-omega'")
@@ -184,6 +186,8 @@ def load_state_file(path: str) -> DensityState:
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
     except RecursionError:
         raise StateFileError(f"{path}: invalid JSON (nested too deeply)") from None
+    except ValueError:  # an integer beyond Python's int-to-str digit limit
+        raise StateFileError(f"{path}: invalid JSON (an integer has too many digits)") from None
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be a JSON object")
     for key in ("dims", "kind", "payload"):
@@ -197,7 +201,8 @@ def load_state_file(path: str) -> DensityState:
     if kind not in ("pure", "mixed", "classical"):
         raise StateFileError(
             f"{path}: field 'kind' must be pure, mixed, or classical, got {kind!r}")
-    dim = math.prod(dims)
+    # checked before the payload, which holds dim or dim^2 entries
+    dim = None if kind == "classical" else _dense_dim(dims, None)
     try:
         if kind == "pure":
             return DensityState.from_amplitudes(

@@ -11,14 +11,13 @@ the thousands, far beyond the matrix pipeline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .correlations import WeightScheme
-from .errors import ArgumentError, CapacityError
+from .errors import ArgumentError, CapacityError, NumericError
 from .partitions import compact_sum
 from .states import (make_a_family, make_bell_product, make_classical,
                      make_classical_pair_product, make_dicke, make_ghz)
@@ -27,8 +26,8 @@ from .states import (make_a_family, make_bell_product, make_classical,
 CF_CLAMP = 1e-12
 #: Largest N a closed form is evaluated at, the largest ``classical:N``
 #: the classical table cap admits.  Weight schemes and profiles hold O(N)
-#: values, and ``dicke-half`` takes O(N^2) time: about 4 s at N = 16384 on
-#: a 2-vCPU Xeon VM, so about a minute at the cap.
+#: values, and ``dicke-half`` takes O(N^2) time: a ``scaling`` point takes
+#: about 1.5 s at N = 16384 on a 2-vCPU Xeon VM, and about 19 s at the cap.
 MAX_CLOSED_FORM_N = 1 << 16
 
 #: Sweep normalizations: (name, divisor for system size n).
@@ -111,12 +110,17 @@ def _closed_form(family: str) -> Family:
 
 @dataclass(frozen=True)
 class ClosedFormFamily:
-    """A state family instance whose correlation profile has a closed form."""
+    """A state family instance whose correlation profile has a closed form.
+
+    The block entropies h(s) computed so far are kept on the instance
+    (see :meth:`_block_entropy`); they take no part in equality or hashing.
+    """
 
     family: str
     n: int
     d: int = 2
     a: Optional[float] = None
+    _h: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row = _closed_form(self.family)
@@ -133,6 +137,13 @@ class ClosedFormFamily:
                     f"{self.family} needs an amplitude in [0, 1], got {self.a}")
         elif self.a is not None:
             raise ArgumentError(f"family {self.family} takes no amplitude")
+
+    def _block_entropy(self, s: int) -> float:
+        """The family's h(s), computed once per instance."""
+        h = self._h.get(s)
+        if h is None:
+            h = self._h[s] = FAMILIES[self.family].h(self, s)
+        return h
 
 
 def check_closed_form_n(n: int) -> None:
@@ -205,8 +216,7 @@ def cf_dist(fam: ClosedFormFamily, k: int) -> float:
         # values and a genuine difference of exactly 0.
         h, blocks = row.h(fam, k), math.ceil(n / k)
         return (blocks - 1) * h if row.mixed else blocks * h
-    # partial, not a lambda: closing over row and fam slows every branch
-    return compact_sum(n, k, partial(row.h, fam))
+    return compact_sum(n, k, fam._block_entropy)
 
 
 def cf_genuine(fam: ClosedFormFamily, k: int) -> float:
@@ -221,14 +231,18 @@ def cf_genuine(fam: ClosedFormFamily, k: int) -> float:
 
 
 def cf_weaving(fam: ClosedFormFamily, weights: WeightScheme) -> float:
-    """Closed-form weaving index ``sum_i big_omega_i * dist(i)``."""
+    """Closed-form weaving index ``sum_i big_omega_i * dist(i)``; a
+    NumericError if the sum is not finite."""
     if weights.n != fam.n:
         raise ArgumentError(
             f"weight scheme is for n={weights.n}, family has n={fam.n}")
     if fam.n == 1:
         return 0.0
-    return float(sum(w * cf_dist(fam, i)
-                     for i, w in enumerate(weights.big_omega, start=1)))
+    value = float(sum(w * cf_dist(fam, i)
+                      for i, w in enumerate(weights.big_omega, start=1)))
+    if not math.isfinite(value):
+        raise NumericError(f"weaving index is not finite: {value}")
+    return value
 
 
 @dataclass(frozen=True)

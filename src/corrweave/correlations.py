@@ -386,8 +386,8 @@ def weaving(prof: CorrelationProfile, weights: WeightScheme) -> float:
     """Weaving index: ``sum_k omega_k * genuine(k)`` (bits).
 
     Evaluates both dual summation forms (the other being
-    ``sum_i big_omega_i * dist(i)``) and requires them to agree within
-    1e-9; returns the omega form.
+    ``sum_i big_omega_i * dist(i)``) and requires them to be finite and
+    to agree within 1e-9; returns the omega form.
     """
     if weights.n != prof.n:
         raise ArgumentError(
@@ -396,6 +396,9 @@ def weaving(prof: CorrelationProfile, weights: WeightScheme) -> float:
         return 0.0
     omega_form = float(sum(w * g for w, g in zip(weights.omega, prof.genuine)))
     big_form = float(sum(w * s for w, s in zip(weights.big_omega, prof.dist[:-1])))
+    if not (math.isfinite(omega_form) and math.isfinite(big_form)):
+        raise NumericError(
+            f"weaving index is not finite: {omega_form} vs {big_form}")
     scale = max(abs(omega_form), abs(big_form), 1.0)
     if abs(omega_form - big_form) > DUAL_FORM_TOL * scale:
         raise ConsistencyError(

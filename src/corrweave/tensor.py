@@ -16,6 +16,7 @@ All entropies are in bits (base-2 logarithms).  Subsystems are indexed
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -53,7 +54,7 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def _check_capacity(dim: int, max_dim: Optional[int], power: int = 1) -> int:
+def _check_capacity(dim: int, max_dim: Optional[int], power: int) -> int:
     """``dim ** power``, or a CapacityError, raised before any larger
     number is formed, when that exceeds the dense capacity limit."""
     cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else int(max_dim)
@@ -63,6 +64,24 @@ def _check_capacity(dim: int, max_dim: Optional[int], power: int = 1) -> int:
         raise CapacityError(
             f"total dimension {shown} exceeds the dense capacity limit {cap}; "
             "raise max_dim explicitly if this is intentional")
+    return total
+
+
+def _dense_dim(dims: Sequence[int], max_dim: Optional[int]) -> int:
+    """The product of ``dims``, or a CapacityError, raised before any
+    larger number is formed, when that exceeds the dense capacity limit.
+    The message gives the product as powers (``2^15000``), which prints
+    at any N where the decimal number would not."""
+    cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else int(max_dim)
+    total = 1
+    for d in dims:
+        total *= d
+        if total > cap:
+            shown = " x ".join(f"{base}^{count}" if count > 1 else f"{base}"
+                               for base, count in Counter(dims).items())
+            raise CapacityError(
+                f"total dimension {shown} exceeds the dense capacity limit {cap}; "
+                "raise max_dim explicitly if this is intentional")
     return total
 
 
@@ -119,7 +138,7 @@ class DensityState:
         1e-10 and smallest eigenvalue >= -1e-10.
         """
         dims = _check_dims(dims)
-        dim = _check_capacity(math.prod(dims), max_dim)
+        dim = _dense_dim(dims, max_dim)
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise ArgumentError(f"matrix shape {m.shape} does not match dims {dims}")
@@ -141,7 +160,7 @@ class DensityState:
                         max_dim: Optional[int] = None) -> "DensityState":
         """Wrap a pure state's amplitude vector (unit norm within 1e-12)."""
         dims = _check_dims(dims)
-        dim = _check_capacity(math.prod(dims), max_dim)
+        dim = _dense_dim(dims, max_dim)
         a = np.asarray(amps, dtype=complex).reshape(-1)
         if a.shape != (dim,):
             raise ArgumentError(f"amplitude length {a.shape[0]} does not match dims {dims}")
@@ -232,11 +251,11 @@ class DensityState:
         """Materialize the dense density matrix (capacity-checked)."""
         if self.rep == REP_DENSE:
             return self._matrix
-        _check_capacity(self.dim, max_dim)
+        dim = _dense_dim(self.dims, max_dim)
         if self.rep == REP_PURE:
             m = np.outer(self._amps, self._amps.conj())
         else:
-            m = np.zeros((self.dim, self.dim), dtype=complex)
+            m = np.zeros((dim, dim), dtype=complex)
             for key, p in self._table.items():
                 i = _ravel_digits(key, self.dims)
                 m[i, i] = p
@@ -291,7 +310,7 @@ def tensor_product(a: DensityState, b: DensityState, *,
                  for ka, pa in a._table.items()
                  for kb, pb in b._table.items()}
         return DensityState.from_probabilities(table, dims, validate=False)
-    _check_capacity(math.prod(dims), max_dim)
+    _dense_dim(dims, max_dim)
     m = np.kron(a.to_matrix(max_dim=max_dim), b.to_matrix(max_dim=max_dim))
     return DensityState.from_matrix(m, dims, validate=False, max_dim=max_dim)
 

@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import corrweave
+from corrweave import closed_forms
 from corrweave import (DensityState, NumericError, make_bell_product,
                        make_classical, make_ghz, tensor_product)
-from corrweave.closed_forms import FAMILIES
+from corrweave.closed_forms import CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N
 from corrweave.cli import (_emit, _handle_errors, _round12, load_state_file,
                            main, save_state_file)
 from corrweave.random_states import haar_state, random_classical, random_density
@@ -389,6 +390,28 @@ def test_profile_unnormalized_state_file_is_an_argument_error(tmp_path):
     assert "payload" in errtext(result)
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_profile_state_file_beyond_the_dense_cap_is_a_capacity_error(tmp_path, kind):
+    # 2^15000 has more decimal digits than Python will print
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"dims": [2] * 15000, "kind": kind, "payload": []}))
+    result = run("profile", "--state", str(path))
+    assert result.exit_code == 3, (errtext(result), result.exception)
+    assert "total dimension 2^15000 exceeds the dense capacity limit" in errtext(result)
+
+
+def test_json_integers_beyond_the_digit_limit_are_argument_errors(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text('{"dims": [%s], "kind": "pure", "payload": []}' % ("1" * 5000))
+    result = run("profile", "--state", str(path))
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert "an integer has too many digits" in errtext(result)
+    path.write_text('{"big-omega": [%s, 1]}' % ("1" * 5000))
+    result = run("profile", "--state", "ghz:3", "--weights", f"file:{path}")
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert "an integer has too many digits" in errtext(result)
+
+
 def test_profile_brute_dicke_value():
     result = run("profile", "--state", "dicke:4:2", "--mode", "brute")
     assert result.exit_code == 0
@@ -601,6 +624,56 @@ def test_closed_form_n_is_capped(args, code):
     if code:
         assert "closed forms are capped at N=65536" in errtext(result)
         assert result.stdout == ""
+
+
+_SIZES = st.one_of(st.integers(2, 12), st.integers(13, 300), st.integers(-3, 1),
+                   st.sampled_from([MAX_CLOSED_FORM_N + 1, MAX_CLOSED_FORM_N + 7, 2 ** 40]))
+_LOCAL_DIMS = st.one_of(st.integers(2, 4), st.sampled_from([7, 2 ** 40]), st.integers(-2, 1))
+_AMPLITUDES = st.one_of(st.floats(0.0, 1.0), st.none(), st.floats(-0.5, 1.5),
+                        st.sampled_from([math.nan, math.inf, -math.inf]))
+
+
+@st.composite
+def _numeric_options(draw):
+    """A ``table`` or ``scaling`` command line with drawn sizes, local
+    dimension and amplitude: runnable sizes up to 300, anything larger
+    beyond the closed-form cap."""
+    if draw(st.booleans()):
+        args = ["table", "--n", draw(_SIZES), "--d", draw(_LOCAL_DIMS)]
+        if draw(st.booleans()):
+            args.append("--closed-form-only")
+    else:
+        n_min = draw(_SIZES)
+        n_max = draw(st.one_of(st.integers(n_min, n_min + 300), _SIZES))
+        args = ["scaling", "--family", draw(st.sampled_from(CF_FAMILIES)),
+                "--n-min", n_min, "--n-max", n_max, "--d", draw(_LOCAL_DIMS)]
+        a = draw(_AMPLITUDES)
+        if a is not None:
+            args += ["--a", a]
+    return [str(arg) for arg in args]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(args=_numeric_options(), output=st.sampled_from(["json", "csv"]))
+def test_fuzzed_numeric_options_exit_with_a_documented_code(args, output):
+    result = run(*args, "--output", output)
+    assert result.exit_code in (0, 2, 3, 4), (args, errtext(result), result.exception)
+    if result.exit_code == 0:
+        _no_non_finite_cells(output, result.stdout)
+
+
+def test_table_computes_each_dicke_block_entropy_once(monkeypatch):
+    calls = []
+
+    def counted(n, m, k, original=closed_forms.dicke_marginal_entropy):
+        calls.append((n, m, k))
+        return original(n, m, k)
+
+    monkeypatch.setattr(closed_forms, "dicke_marginal_entropy", counted)
+    result = run("table", "--n", "64", "--closed-form-only")
+    assert result.exit_code == 0, errtext(result)
+    # two Dicke rows, each with h(1) .. h(63); h(64) is never asked for
+    assert len(calls) == len(set(calls)) <= 2 * 63
 
 
 def test_scaling_rejects_malformed_delta_weights():

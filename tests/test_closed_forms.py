@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from corrweave import (ArgumentError, CapacityError, ClosedFormFamily,
-                       WeightScheme, binary_entropy, cf_dist, cf_genuine,
-                       cf_scaling_sweep, cf_weaving, dicke_marginal_entropy,
-                       hypergeometric_spectrum, make_dicke, partial_trace,
-                       profile, vn_entropy)
+                       NumericError, WeightScheme, binary_entropy, cf_dist,
+                       cf_genuine, cf_scaling_sweep, cf_weaving,
+                       dicke_marginal_entropy, hypergeometric_spectrum,
+                       make_dicke, partial_trace, profile, vn_entropy)
 from corrweave.closed_forms import MAX_CLOSED_FORM_N
 
 
@@ -194,3 +194,38 @@ def test_cf_scaling_sweep():
     assert af[0].weaving > 0
     with pytest.raises(ArgumentError):
         cf_scaling_sweep("ghz", (8,), weights="bogus")
+
+
+@pytest.mark.parametrize("family", ["dicke-1", "dicke-half"])
+@pytest.mark.parametrize("n", [7, 64, 257])
+def test_memoized_block_entropies_match_a_fresh_instance_bit_for_bit(family, n):
+    n += family == "dicke-half" and n % 2  # dicke-half needs even n
+    fam = ClosedFormFamily(family, n)
+
+    def fresh():
+        return ClosedFormFamily(family, n)
+
+    for k in range(1, n + 1):
+        assert cf_dist(fam, k).hex() == cf_dist(fresh(), k).hex()
+    for k in range(2, n + 1):
+        assert cf_genuine(fam, k).hex() == cf_genuine(fresh(), k).hex()
+    for weights in (WeightScheme.order_weighted(n), WeightScheme.delta(n, 2)):
+        assert cf_weaving(fam, weights).hex() == cf_weaving(fresh(), weights).hex()
+    assert sorted(fam._h) == list(range(1, n))  # each h(s), s < N, computed once
+
+
+def test_memo_takes_no_part_in_equality_or_hashing():
+    filled, empty = ClosedFormFamily("dicke-half", 16), ClosedFormFamily("dicke-half", 16)
+    cf_weaving(filled, WeightScheme.order_weighted(16))
+    assert filled._h and not empty._h
+    assert filled == empty and hash(filled) == hash(empty)
+    assert repr(filled) == repr(empty)
+    assert len({filled, empty}) == 1
+
+
+@pytest.mark.parametrize("family, n", [("ghz", 3), ("dicke-1", 3), ("dicke-half", 4)])
+def test_cf_weaving_that_overflows_is_a_numeric_error(family, n):
+    fam = ClosedFormFamily(family, n)
+    with pytest.raises(NumericError, match="not finite"):
+        cf_weaving(fam, WeightScheme.from_big_omega([1e308] * (n - 1)))
+    assert math.isfinite(cf_weaving(fam, WeightScheme.from_big_omega([1e300] * (n - 1))))

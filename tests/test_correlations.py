@@ -7,9 +7,9 @@ from oracles import subset_entropy
 
 from corrweave import correlations
 from corrweave import (ArgumentError, CapacityError, CorrelationProfile,
-                       DensityState, WeightScheme, closest_product,
-                       dist_to_pk, is_permutation_invariant, make_a_family,
-                       make_bell_product, make_classical,
+                       DensityState, NumericError, WeightScheme,
+                       closest_product, dist_to_pk, is_permutation_invariant,
+                       make_a_family, make_bell_product, make_classical,
                        make_classical_pair_product, make_dicke, make_ghz,
                        max_entry_distance, multi_information,
                        neural_complexity, partial_trace, permute_subsystems,
@@ -290,6 +290,14 @@ def test_weaving_values():
     assert weaving(c5, WeightScheme.uniform(5)) == 4.0  # sums the genuine orders
     with pytest.raises(ArgumentError):
         weaving(p4, WeightScheme.order_weighted(5))
+
+
+def test_weaving_that_overflows_is_a_numeric_error():
+    # finite weights whose running sum, the omega form, is infinite
+    p3 = profile(make_ghz(3))
+    with pytest.raises(NumericError, match="not finite"):
+        weaving(p3, WeightScheme.from_big_omega([1e308, 1e308]))
+    assert weaving(p3, WeightScheme.from_big_omega([1e300, 1e300])) == pytest.approx(5e300)
 
 
 # -- multi-information and neural complexity ------------------------------------

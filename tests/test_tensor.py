@@ -94,6 +94,16 @@ def test_capacity_limits():
         wide.to_matrix()
 
 
+def test_capacity_errors_give_the_dimension_as_powers():
+    # 2^15000 has more decimal digits than Python will print
+    with pytest.raises(CapacityError, match=r"total dimension 2\^15000 exceeds"):
+        DensityState.from_amplitudes([], (2,) * 15000)
+    with pytest.raises(CapacityError, match=r"total dimension 2\^15000 exceeds"):
+        make_classical(15000).to_matrix()
+    with pytest.raises(CapacityError, match=r"total dimension 2\^6 x 3\^4 x 5 exceeds"):
+        DensityState.from_matrix(np.eye(2), (2,) * 6 + (3,) * 4 + (5,))
+
+
 def test_matrix_materialization_routes():
     pure = haar_state((2, 2), RNG)
     m = pure.to_matrix()
