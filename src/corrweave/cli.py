@@ -19,7 +19,9 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from csv import writer as csv_writer
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
@@ -27,9 +29,9 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
-from .closed_forms import (CF_FAMILIES, FAMILIES, ClosedFormFamily, cf_dist,
-                           cf_genuine, cf_scaling_sweep, cf_weaving,
-                           check_closed_form_n)
+from .closed_forms import (CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N,
+                           ClosedFormFamily, cf_dist, cf_genuine,
+                           cf_scaling_sweep, cf_weaving, check_closed_form_n)
 from .correlations import WeightScheme, neural_complexity, profile, weaving
 from .errors import (ArgumentError, CapacityError, CorrweaveError,
                      NumericError, StateFileError)
@@ -65,6 +67,17 @@ def _handle_errors(func):
     return wrapper
 
 
+@contextmanager
+def _capacity_advice(advice: str):
+    """Give a CapacityError raised in the block ``advice``, a step the
+    command line offers, in place of the library's advice (``max_dim``,
+    which no option sets)."""
+    try:
+        yield
+    except CapacityError as exc:
+        raise CapacityError(exc.limit, advice) from None
+
+
 # -- numeric formatting --------------------------------------------------
 
 
@@ -73,16 +86,72 @@ def _round12(x: float) -> float:
     return float(format(float(x), ".12g"))
 
 
-def _round_floats(obj):
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, float):
-        return _round12(obj)
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_round_floats(v) for v in obj]
-    return obj
+class _IntText(dict):
+    """The text of each int, formatted on first lookup."""
+
+    def __missing__(self, i):
+        text = self[i] = int.__repr__(i)
+        return text
+
+
+def _json_text(doc) -> str:
+    """``doc`` as ``json.dumps(doc, indent=2)`` writes it, with every float
+    first rounded by :func:`_round12`; a NaN or an infinity raises a
+    NumericError.
+
+    A list of ints is written by one ``join`` from a table that formats
+    each distinct int once: an invariant state's ``argmin`` lists N^2
+    party indices.
+    """
+    out: list[str] = []
+    _write_json(doc, "", out.append, _IntText())
+    return "".join(out)
+
+
+def _write_json(obj, pad: str, write, ints: _IntText) -> None:
+    """Pass the text of ``obj``, indented by ``pad``, to ``write``."""
+    if isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    elif isinstance(obj, float):
+        rounded = _round12(obj)
+        if not math.isfinite(rounded):
+            raise NumericError(f"cannot write JSON: {obj} is not a finite number")
+        write(float.__repr__(rounded))
+    elif isinstance(obj, (list, tuple)):
+        inner = pad + "  "
+        if not obj:
+            write("[]")
+        elif set(map(type, obj)) == {int}:
+            sep = ",\n" + inner
+            write(f"[\n{inner}{sep.join(map(ints.__getitem__, obj))}\n{pad}]")
+        else:
+            sep = "[\n" + inner
+            for item in obj:
+                write(sep)
+                _write_json(item, inner, write, ints)
+                sep = ",\n" + inner
+            write(f"\n{pad}]")
+    elif isinstance(obj, dict):
+        inner = pad + "  "
+        if not obj:
+            write("{}")
+        else:
+            sep = "{\n" + inner
+            for key, item in obj.items():
+                write(f"{sep}{encode_basestring_ascii(key)}: ")
+                _write_json(item, inner, write, ints)
+                sep = ",\n" + inner
+            write(f"\n{pad}}}")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _cell(value, seps=(";", "|", ",")):
@@ -122,14 +191,14 @@ def _emit(doc, rows, output):
     """Print the report: ``doc`` as JSON, or ``rows`` as CSV with the
     first row's keys as the header."""
     if output == "json":
-        click.echo(_strict_json(_round_floats(doc), indent=2), file=sys.stdout)
+        click.echo(_json_text(doc), file=sys.stdout)
         return
     fields = list(rows[0])
     buf = io.StringIO()
     w = csv_writer(buf, lineterminator="\n")
     w.writerow(fields)
     for row in rows:
-        w.writerow([_cell(_round_floats(row.get(f))) for f in fields])
+        w.writerow([_cell(row.get(f)) for f in fields])
     click.echo(buf.getvalue(), nl=False, file=sys.stdout)
 
 
@@ -350,7 +419,8 @@ def cmd_table(n, d, weights, closed_form_only, output):
                "mode": "closed-form", "matrix_max_dev": None, "agree": None,
                "units": "bits", "version": __version__}
         if not closed_form_only:
-            state = StateFamily(family, n, d=d_eff).build()
+            with _capacity_advice("pass --closed-form-only to skip the matrix cross-check"):
+                state = StateFamily(family, n, d=d_eff).build()
             prof = profile(state, mode="brute")
             dev = max(
                 max(abs(a - b) for a, b in zip(dist, prof.dist)),
@@ -378,12 +448,17 @@ def cmd_profile(state_spec, weights, mode, output):
     per order, total, weaving, neural complexity, minimizing partitions."""
     if os.path.exists(state_spec):
         label_key, label = "file", state_spec
-        state = load_state_file(state_spec)
+        with _capacity_advice(""):
+            state = load_state_file(state_spec)
     else:
         label_key = "family"
         family = StateFamily.parse(state_spec)
         label = family.label()
-        state = family.build()
+        scaling = (f"`corrweave scaling --family {family.family}` or "
+                   if family.family in CF_FAMILIES else "")
+        with _capacity_advice(f"closed forms run to N = {MAX_CLOSED_FORM_N}: use "
+                              f"{scaling}`corrweave table --n {family.n} --closed-form-only`"):
+            state = family.build()
     n = state.n_parties
     prof = profile(state, mode=mode)
     if n >= 2:
@@ -398,7 +473,7 @@ def cmd_profile(state_spec, weights, mode, output):
            "d": dims[0] if len(set(dims)) == 1 else None, "dims": dims,
            "dist": list(prof.dist), "genuine": list(prof.genuine),
            "total": prof.total, "weaving": weave, "neural_complexity": neural,
-           "argmin": [[list(b) for b in p.blocks] for p in prof.argmin],
+           "argmin": [p.blocks for p in prof.argmin],
            "weights": scheme_name, "mode": prof.mode,
            "units": "bits", "version": __version__}
     _emit(row, [row], output)

@@ -89,8 +89,10 @@ def compact_partition(n: int, k: int) -> SetPartition:
     size ``n mod k`` when ``k`` does not divide ``n``."""
     if not 1 <= k <= n:
         raise ArgumentError(f"k must satisfy 1 <= k <= n, got {k} for n={n}")
-    blocks = [tuple(range(s, min(s + k, n))) for s in range(0, n, k)]
-    return SetPartition(blocks)
+    part = object.__new__(SetPartition)  # the blocks are already canonical
+    object.__setattr__(part, "blocks",
+                       tuple(tuple(range(s, min(s + k, n))) for s in range(0, n, k)))
+    return part
 
 
 def compact_sum(n: int, k: int, h: Callable[[int], float]) -> float:

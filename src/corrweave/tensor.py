@@ -28,6 +28,8 @@ from .errors import ArgumentError, CapacityError, NumericError
 #: Eigendecompositions beyond this are impractical; classical tables are
 #: exempt because their cost scales with the number of nonzero entries.
 DEFAULT_MAX_DENSE_DIM = 4096
+#: The step a dense capacity error advises; the CLI offers its own steps.
+MAX_DIM_ADVICE = "raise max_dim explicitly if this is intentional"
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -62,8 +64,8 @@ def _check_capacity(dim: int, max_dim: Optional[int], power: int) -> int:
     if total is None:
         shown = dim if power == 1 else f"{dim}^{power}"
         raise CapacityError(
-            f"total dimension {shown} exceeds the dense capacity limit {cap}; "
-            "raise max_dim explicitly if this is intentional")
+            f"total dimension {shown} exceeds the dense capacity limit {cap}",
+            MAX_DIM_ADVICE)
     return total
 
 
@@ -80,8 +82,8 @@ def _dense_dim(dims: Sequence[int], max_dim: Optional[int]) -> int:
             shown = " x ".join(f"{base}^{count}" if count > 1 else f"{base}"
                                for base, count in Counter(dims).items())
             raise CapacityError(
-                f"total dimension {shown} exceeds the dense capacity limit {cap}; "
-                "raise max_dim explicitly if this is intentional")
+                f"total dimension {shown} exceeds the dense capacity limit {cap}",
+                MAX_DIM_ADVICE)
     return total
 
 
@@ -135,7 +137,13 @@ class DensityState:
         """Wrap a dense density matrix.
 
         Validation enforces hermiticity within 1e-10, unit trace within
-        1e-10 and smallest eigenvalue >= -1e-10.
+        1e-10 and smallest eigenvalue >= -1e-10.  The spectrum of that
+        last check gives the state's full-set entropy too: it has the bits
+        :func:`vn_entropy` computes from the stored copy, because
+        ``_hermitize`` works entry by entry and numpy hands LAPACK the same
+        Fortran-ordered buffer whatever the input's memory order.  (The
+        check runs before the copy is made, so the two are not alive
+        together.)
         """
         dims = _check_dims(dims)
         dim = _dense_dim(dims, max_dim)
@@ -149,11 +157,15 @@ class DensityState:
                 raise ArgumentError("matrix is not Hermitian within 1e-10")
             if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
                 raise ArgumentError("matrix trace differs from 1 beyond 1e-10")
-            if np.linalg.eigvalsh(_hermitize(m)).min() < -PSD_TOL:
+            evals = np.linalg.eigvalsh(_hermitize(m))
+            if evals.min() < -PSD_TOL:
                 raise ArgumentError("matrix has an eigenvalue below -1e-10")
         m = m.copy()
         m.setflags(write=False)
-        return cls(dims, REP_DENSE, _matrix=m)
+        state = cls(dims, REP_DENSE, _matrix=m)
+        if validate:
+            state._entropies[(1 << len(dims)) - 1] = _shannon_bits(evals)
+        return state
 
     @classmethod
     def from_amplitudes(cls, amps, dims, *, validate: bool = True,
@@ -279,7 +291,7 @@ def _ravel_digits(key: Sequence[int], dims: Sequence[int]) -> int:
 
 
 def _normalize_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    keep = tuple(sorted(int(i) for i in keep))
+    keep = tuple(sorted(map(int, keep)))
     if not keep:
         raise ArgumentError("keep-set must be nonempty")
     if len(set(keep)) != len(keep):

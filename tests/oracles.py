@@ -4,7 +4,23 @@ import math
 
 import numpy as np
 
+from corrweave.cli import _round12
 from corrweave.tensor import EIG_CLIP, _dense_partial_trace
+
+
+def oracle_round_floats(obj):
+    """``obj`` with every float rounded by ``_round12`` and every tuple a
+    list, so that ``json.dumps(..., indent=2)`` of it is the text the
+    CLI's JSON report must have."""
+    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
+        return obj
+    if isinstance(obj, float):
+        return _round12(obj)
+    if isinstance(obj, dict):
+        return {k: oracle_round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [oracle_round_floats(v) for v in obj]
+    return obj
 
 
 def count_partitions(n: int, kmax: int) -> int:

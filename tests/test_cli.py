@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import gc
+import hashlib
 import io
 import json
 import math
@@ -15,17 +16,19 @@ import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corrweave
 from corrweave import closed_forms
-from corrweave import (DensityState, NumericError, make_bell_product,
-                       make_classical, make_ghz, tensor_product)
+from corrweave import (DensityState, NumericError, compact_partition,
+                       make_bell_product, make_classical, make_ghz,
+                       tensor_product)
 from corrweave.closed_forms import CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N
-from corrweave.cli import (_emit, _handle_errors, _round12, load_state_file,
-                           main, save_state_file)
+from corrweave.cli import (_cell, _emit, _handle_errors, _json_text, _round12,
+                           load_state_file, main, save_state_file)
 from corrweave.random_states import haar_state, random_classical, random_density
+from oracles import oracle_round_floats
 
 
 runner = CliRunner()
@@ -398,6 +401,7 @@ def test_profile_state_file_beyond_the_dense_cap_is_a_capacity_error(tmp_path, k
     result = run("profile", "--state", str(path))
     assert result.exit_code == 3, (errtext(result), result.exception)
     assert "total dimension 2^15000 exceeds the dense capacity limit" in errtext(result)
+    assert "max_dim" not in errtext(result)
 
 
 def test_json_integers_beyond_the_digit_limit_are_argument_errors(tmp_path):
@@ -773,6 +777,83 @@ def test_json_output_rejects_non_finite_numbers(tmp_path):
     state = DensityState.from_amplitudes([math.nan, 0.0], (2,), validate=False)
     with pytest.raises(NumericError):
         save_state_file(state, str(tmp_path / "nan.json"))
+
+
+_FLOATS = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([-0.0, 1e-17, 1.7976931348623157e308, 5e-324]))
+_PARTITIONS = st.integers(1, 12).flatmap(
+    lambda n: st.integers(1, n).map(lambda k: compact_partition(n, k).blocks))
+_DOCS = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, st.text(max_size=5),
+              _PARTITIONS),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=5)),
+    max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(doc=_DOCS)
+@example(doc={"N": 1, "dims": [2], "dist": (0.0,), "genuine": (), "argmin": [((0,),)],
+              "d\u00e9j\u00e0 \u2713": {}, "mixed": [1, 2.5, -0.0, True, None]})
+def test_json_writer_matches_json_dumps_of_the_rounded_doc(doc):
+    want = json.dumps(oracle_round_floats(doc), indent=2, allow_nan=False)
+    assert _json_text(doc) == want
+
+
+def test_json_writer_leaves_no_reference_cycles():
+    # a cycle would keep every chunk of the report alive until a full collection
+    doc = {"dist": [0.5, 0.25], "argmin": [((0, 1), (2,))], "mode": "brute"}
+    gc.collect()
+    gc.disable()
+    try:
+        _json_text(doc)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_json_writer_rejects_non_finite_numbers(bad):
+    with pytest.raises(NumericError):
+        _json_text({"dist": [0.5, (1, 2), [bad]]})
+
+    @click.command()
+    @_handle_errors
+    def report():
+        _emit({"argmin": [((0,),)], "weaving": bad}, [], "json")
+
+    result = runner.invoke(report, [])
+    assert result.exit_code == 4 and not result.stdout
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(value=st.one_of(_FLOATS, st.lists(st.lists(st.one_of(_FLOATS, st.integers()),
+                                                  max_size=4), max_size=4)))
+def test_csv_cells_need_no_rounding_first(value):
+    assert _cell(value) == _cell(oracle_round_floats(value))
+
+
+@pytest.mark.parametrize("output, digest", [
+    ("json", "43012355dbef3ee22d5bb1fb4ff60fc5f12c921fdcac72f44d39a9157869c095"),
+    ("csv", "13ddcf3527cbd119a34c6fe0c75c2f8ef7c279754a09222e0af5acb8f6da7b3a")])
+def test_classical_256_report_bytes_are_pinned(output, digest):
+    result = run("profile", "--state", "classical:256", "--output", output)
+    assert result.exit_code == 0, errtext(result)
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == digest
+
+
+@pytest.mark.parametrize("args, advice", [
+    (["table", "--n", "4", "--d", "11"], "pass --closed-form-only"),
+    (["profile", "--state", "ghz:13"], "`corrweave scaling --family ghz`"),
+    (["profile", "--state", "a-family:13:0.6"], "`corrweave scaling --family a-family`"),
+    (["profile", "--state", "dicke:100:7"], "`corrweave table --n 100 --closed-form-only`"),
+    (["profile", "--state", "classical-pair-product:26"], "--family classical-pair-product`")])
+def test_capacity_errors_name_a_command_line_step(args, advice):
+    result = run(*args)
+    assert result.exit_code == 3, errtext(result)
+    assert advice in errtext(result)
+    assert "max_dim" not in errtext(result)
 
 
 def test_version_flag():

@@ -72,6 +72,13 @@ def test_compact_partition():
         compact_partition(3, 4)
 
 
+def test_compact_partition_is_canonical():
+    for n in range(1, 41):
+        for k in range(1, n + 1):
+            part = compact_partition(n, k)
+            assert part == SetPartition(part.blocks)
+
+
 def test_count_partitions_bell_numbers():
     for n, b in enumerate(BELL_NUMBERS):
         if n >= 1:

@@ -38,6 +38,22 @@ def test_from_matrix_validation():
         DensityState.from_matrix(neg, (2, 2))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_validated_matrix_keeps_the_entropy_of_its_psd_check(n):
+    rng = np.random.default_rng(4100 + n)
+    dims = (2,) * n
+    full = (1 << n) - 1
+    for rank in (1, None):
+        m = random_density(dims, rng, rank=rank).to_matrix()
+        strided = np.zeros((2 * len(m), 2 * len(m)), dtype=complex)
+        strided[::2, ::2] = m
+        for matrix in (m, np.asfortranarray(m), strided[::2, ::2]):
+            state = DensityState.from_matrix(matrix, dims)
+            assert list(state._entropies) == [full]
+            want = vn_entropy(DensityState.from_matrix(matrix, dims, validate=False))
+            assert state._entropies[full].hex() == want.hex()
+
+
 def test_from_amplitudes_validation():
     s = DensityState.from_amplitudes([1, 0, 0, 0], (2, 2))
     assert s.is_pure and vn_entropy(s) == 0.0
