@@ -2,8 +2,8 @@
 # computed twice: once from the closed forms and once by brute-force
 # minimization over set partitions of the actual density matrix.
 
-from corrweave import (ClosedFormFamily, WeightScheme, cf_dist, cf_genuine,
-                       cf_weaving, make_bell_product, make_classical,
+from corrweave import (ClosedFormFamily, WeightScheme, cf_profile,
+                       make_bell_product, make_classical,
                        make_classical_pair_product, make_dicke, make_ghz,
                        profile, weaving)
 
@@ -25,20 +25,18 @@ def main():
     print(f"{'family':24s} {'genuine(2..N)':>22s} {'total':>8s} "
           f"{'weaving':>8s} {'dev':>9s}")
     for name, state in FAMILIES:
-        fam = ClosedFormFamily(name, N)
-        genuine = [cf_genuine(fam, k) for k in range(2, N + 1)]
-        total = cf_dist(fam, 1)
-        weave = cf_weaving(fam, scheme)
+        cf = cf_profile(ClosedFormFamily(name, N))
+        weave = weaving(cf, scheme)
 
         # cross-check every number against the matrix pipeline
         prof = profile(state, mode="brute")
         dev = max(
-            max(abs(a - b) for a, b in zip(genuine, prof.genuine)),
-            abs(total - prof.total),
+            max(abs(a - b) for a, b in zip(cf.genuine, prof.genuine)),
+            abs(cf.total - prof.total),
             abs(weave - weaving(prof, scheme)),
         )
-        cell = " ".join(f"{g:6.3f}" for g in genuine)
-        print(f"{name:24s} {cell:>22s} {total:8.3f} {weave:8.3f} {dev:9.1e}")
+        cell = " ".join(f"{g:6.3f}" for g in cf.genuine)
+        print(f"{name:24s} {cell:>22s} {cf.total:8.3f} {weave:8.3f} {dev:9.1e}")
 
 
 if __name__ == "__main__":

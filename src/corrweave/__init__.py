@@ -10,7 +10,7 @@ arbitrary states of modest size.
 """
 
 from .closed_forms import (CF_FAMILIES, ClosedFormFamily, SweepPoint,
-                           binary_entropy, cf_dist, cf_genuine,
+                           binary_entropy, cf_dist, cf_genuine, cf_profile,
                            cf_scaling_sweep, cf_weaving, dicke_marginal_entropy,
                            hypergeometric_spectrum)
 from .correlations import (CorrelationProfile, PartitionMinimum, WeightScheme,
@@ -43,7 +43,7 @@ __all__ = [
     "KrausChannel", "NumericError", "PartitionMinimum", "PropertyResult",
     "SetPartition", "StateFamily", "StateFileError", "SweepPoint",
     "WeightScheme", "apply_channel", "binary_entropy", "cf_dist",
-    "cf_genuine", "cf_scaling_sweep", "cf_weaving", "closest_product",
+    "cf_genuine", "cf_profile", "cf_scaling_sweep", "cf_weaving", "closest_product",
     "compact_partition", "dicke_marginal_entropy", "dist_to_pk",
     "enumerate_partitions", "haar_state", "haar_unitary",
     "hypergeometric_spectrum", "is_permutation_invariant", "make_a_family",

@@ -29,10 +29,12 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from . import __version__
-from .closed_forms import (CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N,
-                           ClosedFormFamily, cf_dist, cf_genuine,
+# cf_dist, cf_genuine and cf_weaving stay importable for callers that patch them.
+from .closed_forms import (CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N,  # noqa: F401
+                           ClosedFormFamily, cf_dist, cf_genuine, cf_profile,
                            cf_scaling_sweep, cf_weaving, check_closed_form_n)
-from .correlations import WeightScheme, neural_complexity, profile, weaving
+from .correlations import (MODE_BRUTE, MODE_CLOSED_FORM, WeightScheme,
+                           neural_complexity, profile, weaving)
 from .errors import (ArgumentError, CapacityError, CorrweaveError,
                      NumericError, StateFileError)
 from .properties import run_property_suite
@@ -410,24 +412,21 @@ def cmd_table(n, d, weights, closed_form_only, output):
             continue
         family = entry.name
         d_eff = d if entry.qudit else 2
-        fam = ClosedFormFamily(family, n, d=d_eff)
-        dist = [cf_dist(fam, k) for k in range(1, n + 1)]
-        genuine = [cf_genuine(fam, k) for k in range(2, n + 1)]
-        row = {"family": family, "N": n, "d": d_eff, "dist": dist,
-               "genuine": genuine, "total": dist[0],
-               "weaving": cf_weaving(fam, scheme), "weights": scheme.name,
-               "mode": "closed-form", "matrix_max_dev": None, "agree": None,
+        cf = cf_profile(ClosedFormFamily(family, n, d=d_eff))
+        row = {"family": family, "N": n, "d": d_eff, "dist": list(cf.dist),
+               "genuine": list(cf.genuine), "total": cf.total,
+               "weaving": weaving(cf, scheme), "weights": scheme.name,
+               "mode": MODE_CLOSED_FORM, "matrix_max_dev": None, "agree": None,
                "units": "bits", "version": __version__}
         if not closed_form_only:
             with _capacity_advice("pass --closed-form-only to skip the matrix cross-check"):
                 state = StateFamily(family, n, d=d_eff).build()
-            prof = profile(state, mode="brute")
-            dev = max(
-                max(abs(a - b) for a, b in zip(dist, prof.dist)),
-                max(abs(a - b) for a, b in zip(genuine, prof.genuine)),
-                abs(dist[0] - prof.total),
+            prof = profile(state, mode=MODE_BRUTE)
+            dev = max(  # total is dist[0] in both profiles
+                max(abs(a - b) for a, b in zip(cf.dist + cf.genuine,
+                                               prof.dist + prof.genuine)),
                 abs(row["weaving"] - weaving(prof, scheme)))
-            row["mode"] = "closed-form+brute"
+            row["mode"] = f"{MODE_CLOSED_FORM}+{MODE_BRUTE}"
             row["matrix_max_dev"] = dev
             row["agree"] = dev <= AGREE_TOL
         rows.append(row)

@@ -16,14 +16,13 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .correlations import WeightScheme
-from .errors import ArgumentError, CapacityError, NumericError
+from .correlations import (MODE_CLOSED_FORM, CorrelationProfile, WeightScheme,
+                           weaving)
+from .errors import ArgumentError, CapacityError
 from .partitions import compact_sum
 from .states import (make_a_family, make_bell_product, make_classical,
                      make_classical_pair_product, make_dicke, make_ghz)
 
-#: Genuine-order differences this far below zero are treated as rounding.
-CF_CLAMP = 1e-12
 #: Largest N a closed form is evaluated at, the largest ``classical:N``
 #: the classical table cap admits.  Weight schemes and profiles hold O(N)
 #: values, and ``dicke-half`` takes O(N^2) time: a ``scaling`` point takes
@@ -214,35 +213,26 @@ def cf_dist(fam: ClosedFormFamily, k: int) -> float:
     if row.uniform:
         # One rounding, so orders with equal block counts get bit-equal
         # values and a genuine difference of exactly 0.
-        h, blocks = row.h(fam, k), math.ceil(n / k)
+        h, blocks = row.h(fam, k), -(-n // k)
         return (blocks - 1) * h if row.mixed else blocks * h
     return compact_sum(n, k, fam._block_entropy)
 
 
+def cf_profile(fam: ClosedFormFamily) -> CorrelationProfile:
+    """The family instance's profile: its closed-form dist(k) for every
+    order, through the checks of :meth:`CorrelationProfile.from_dist`."""
+    return CorrelationProfile.from_dist(
+        [cf_dist(fam, k) for k in range(1, fam.n + 1)], mode=MODE_CLOSED_FORM)
+
+
 def cf_genuine(fam: ClosedFormFamily, k: int) -> float:
-    """Closed-form genuine correlations of order ``k``: the difference of
-    consecutive dist values, clamped at 0 within 1e-12."""
-    if not 2 <= k <= fam.n:
-        raise ArgumentError(f"order k={k} out of range 2..{fam.n}")
-    diff = cf_dist(fam, k - 1) - cf_dist(fam, k)
-    if diff < -CF_CLAMP:
-        raise ArgumentError(f"genuine({k}) came out negative: {diff}")
-    return max(diff, 0.0)
+    """Closed-form genuine correlations of order ``k``."""
+    return cf_profile(fam).genuine_at(k)
 
 
 def cf_weaving(fam: ClosedFormFamily, weights: WeightScheme) -> float:
-    """Closed-form weaving index ``sum_i big_omega_i * dist(i)``; a
-    NumericError if the sum is not finite."""
-    if weights.n != fam.n:
-        raise ArgumentError(
-            f"weight scheme is for n={weights.n}, family has n={fam.n}")
-    if fam.n == 1:
-        return 0.0
-    value = float(sum(w * cf_dist(fam, i)
-                      for i, w in enumerate(weights.big_omega, start=1)))
-    if not math.isfinite(value):
-        raise NumericError(f"weaving index is not finite: {value}")
-    return value
+    """Closed-form weaving index, by :func:`~corrweave.correlations.weaving`."""
+    return weaving(cf_profile(fam), weights)
 
 
 @dataclass(frozen=True)
@@ -271,6 +261,7 @@ def cf_scaling_sweep(family: str, n_values: Sequence[int], *, d: int = 2,
     for n in n_values:
         n = int(n)
         fam = ClosedFormFamily(family, n, d=d, a=a if row.param == "a" else None)
-        w = cf_weaving(fam, WeightScheme.named(weights, n)) if n > 1 else 0.0
+        scheme = WeightScheme.named(weights, n) if n > 1 else None  # a bad name fails fast
+        w = weaving(cf_profile(fam), scheme) if scheme else 0.0
         points.append(SweepPoint(n, w, norm_name, w / norm(n)))
     return points

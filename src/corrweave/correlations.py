@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import accumulate, chain, repeat
+from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
@@ -41,6 +42,7 @@ TIE_TOL = 1e-15
 
 MODE_BRUTE = "brute"
 MODE_FAST = "symmetric-fast"
+MODE_CLOSED_FORM = "closed-form"
 MODE_AUTO = "auto"
 
 
@@ -146,6 +148,31 @@ class CorrelationProfile:
     argmin: Optional[tuple[SetPartition, ...]] = None
     mode: str = MODE_BRUTE
 
+    @classmethod
+    def from_dist(cls, dist: Sequence[float],
+                  argmin: Optional[Sequence[SetPartition]] = None,
+                  mode: str = MODE_BRUTE) -> "CorrelationProfile":
+        """The profile of ``dist``, dist(k) for k = 1..N.  A ConsistencyError
+        unless no order rises above the one before by more than 1e-9 (a
+        smaller rise gives genuine 0), dist(N) is 0 within 1e-9, and the
+        genuine orders sum back to the total within 1e-8."""
+        dist = tuple(dist)
+        drops = tuple(map(sub, dist, dist[1:]))
+        lowest = min(drops, default=0.0)
+        if lowest < -CLAMP_TOL:
+            k = next(k for k, drop in enumerate(drops, start=2) if drop < -CLAMP_TOL)
+            raise ConsistencyError(f"dist({k}) = {dist[k - 1]} exceeds "
+                                   f"dist({k - 1}) = {dist[k - 2]} beyond 1e-9")
+        if dist[-1] > CLAMP_TOL:
+            raise ConsistencyError(
+                f"dist({len(dist)}) = {dist[-1]} but the trivial partition gives 0")
+        # max(drop, 0.0) would keep a -0.0 drop too
+        genuine = drops if lowest >= 0.0 else tuple(map(max, drops, repeat(0.0)))
+        if abs(sum(genuine) + dist[-1] - dist[0]) > PROFILE_SUM_TOL:
+            raise ConsistencyError("genuine orders do not sum back to the total within 1e-8")
+        return cls(len(dist), dist, genuine, dist[0],
+                   None if argmin is None else tuple(argmin), mode)
+
     def dist_at(self, k: int) -> float:
         if not 1 <= k <= self.n:
             raise ArgumentError(f"order k={k} out of range 1..{self.n}")
@@ -178,20 +205,18 @@ class WeightScheme:
     @classmethod
     def from_big_omega(cls, big_omega: Sequence[float],
                        name: str = "custom") -> "WeightScheme":
-        big = tuple(float(x) for x in big_omega)
-        n = len(big) + 1
-        if not all(0 <= x < math.inf for x in big):
+        big = tuple(map(float, big_omega))
+        if not _finite_nonnegative(big):
             raise ArgumentError("big-omega weights must be finite and nonnegative")
-        return cls(n, _running_sum(big), big, name)
+        return cls(len(big) + 1, _running_sum(big), big, name)
 
     @classmethod
     def from_omega(cls, omega: Sequence[float], name: str = "custom") -> "WeightScheme":
-        om = tuple(float(x) for x in omega)
-        n = len(om) + 1
-        if not all(0 <= x < math.inf for x in om):
+        om = tuple(map(float, omega))
+        if not _finite_nonnegative(om):
             raise ArgumentError("omega weights must be finite and nonnegative")
-        big = tuple(b - a for a, b in zip((0.0,) + om, om))
-        return cls(n, _running_sum(big), big, name)
+        big = tuple(map(sub, om, (0.0,) + om))
+        return cls(len(om) + 1, _running_sum(big), big, name)
 
     @classmethod
     def order_weighted(cls, n: int) -> "WeightScheme":
@@ -211,8 +236,8 @@ class WeightScheme:
         _check_scheme_n(n)
         if not 2 <= k <= n:
             raise ArgumentError(f"delta order k={k} out of range 2..{n}")
-        om = tuple(1.0 if j == k else 0.0 for j in range(2, n + 1))
-        return cls.from_omega(om, name=f"delta:{k}")
+        return cls.from_omega([0.0] * (k - 2) + [1.0] + [0.0] * (n - k),
+                              name=f"delta:{k}")
 
     @classmethod
     def named(cls, spec: str, n: int) -> "WeightScheme":
@@ -235,13 +260,16 @@ def _check_scheme_n(n: int) -> None:
         raise ArgumentError(f"weight schemes need n >= 2, got {n}")
 
 
+def _finite_nonnegative(values: tuple[float, ...]) -> bool:
+    """Whether every value lies in [0, inf).  A NaN can hide from ``min``
+    and ``max``, but not from the sum."""
+    return (not math.isnan(sum(values)) and min(values, default=0.0) >= 0.0
+            and max(values, default=0.0) < math.inf)
+
+
 def _running_sum(big: Sequence[float]) -> tuple[float, ...]:
-    out = []
-    acc = 0.0
-    for x in big:
-        acc += x
-        out.append(acc)
-    return tuple(out)
+    """The running sums of ``big`` from 0.0, as ``acc += x`` makes them."""
+    return tuple(accumulate(big, initial=0.0))[1:]
 
 
 def _resolve_mode(state: DensityState, mode: str) -> str:
@@ -353,33 +381,13 @@ def _partition_minimum(h: list[float], n: int, k: int) -> PartitionMinimum:
 
 
 def profile(state: DensityState, mode: str = MODE_AUTO) -> CorrelationProfile:
-    """Full correlation profile: dist(k) for every order, genuine
-    correlations as consecutive differences, and the total.
-
-    Checks that dist is non-increasing and ends at 0, clamps dips below 0
-    or above the previous order within 1e-9 (larger violations raise a
-    consistency error), and verifies that the genuine orders sum back to
-    the total within 1e-8.
-    """
-    n = state.n_parties
+    """Full correlation profile: dist(k) for every order (clamped at 0
+    within 1e-9 by :func:`dist_to_pk`), checked and differenced by
+    :meth:`CorrelationProfile.from_dist`."""
     resolved = _resolve_mode(state, mode)
-    dist: list[float] = []
-    argmin: list[SetPartition] = []
-    for k in range(1, n + 1):
-        value, part = dist_to_pk(state, k, mode)
-        if dist and value > dist[-1] + CLAMP_TOL:
-            raise ConsistencyError(
-                f"dist({k}) = {value} exceeds dist({k - 1}) = {dist[-1]} beyond 1e-9")
-        dist.append(value)
-        argmin.append(part)
-    if dist[-1] > CLAMP_TOL:
-        raise ConsistencyError(f"dist({n}) = {dist[-1]} but the trivial partition gives 0")
-    genuine = tuple(max(dist[k - 2] - dist[k - 1], 0.0) for k in range(2, n + 1))
-    total = dist[0]
-    if abs(sum(genuine) + dist[-1] - total) > PROFILE_SUM_TOL:
-        raise ConsistencyError("genuine orders do not sum back to the total within 1e-8")
-    return CorrelationProfile(n, tuple(dist), genuine, total,
-                              argmin=tuple(argmin), mode=resolved)
+    minima = [dist_to_pk(state, k, mode) for k in range(1, state.n_parties + 1)]
+    return CorrelationProfile.from_dist([m.value for m in minima],
+                                        [m.argmin for m in minima], resolved)
 
 
 def weaving(prof: CorrelationProfile, weights: WeightScheme) -> float:
@@ -394,8 +402,8 @@ def weaving(prof: CorrelationProfile, weights: WeightScheme) -> float:
             f"weight scheme is for n={weights.n}, profile has n={prof.n}")
     if prof.n == 1:
         return 0.0
-    omega_form = float(sum(w * g for w, g in zip(weights.omega, prof.genuine)))
-    big_form = float(sum(w * s for w, s in zip(weights.big_omega, prof.dist[:-1])))
+    omega_form = float(sum(map(mul, weights.omega, prof.genuine)))
+    big_form = float(sum(map(mul, weights.big_omega, prof.dist)))
     if not (math.isfinite(omega_form) and math.isfinite(big_form)):
         raise NumericError(
             f"weaving index is not finite: {omega_form} vs {big_form}")

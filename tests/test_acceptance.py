@@ -13,7 +13,7 @@ import numpy as np
 
 from corrweave import (ClosedFormFamily, DensityState, KrausChannel,
                        StateFamily, WeightScheme, apply_channel,
-                       binary_entropy, cf_dist, cf_genuine,
+                       binary_entropy, cf_dist, cf_genuine, cf_profile,
                        cf_scaling_sweep, cf_weaving, dist_to_pk,
                        enumerate_partitions, make_a_family, make_classical,
                        make_dicke, make_ghz, neural_complexity, partial_trace,
@@ -37,9 +37,10 @@ def _report(num, ok, detail=""):
 
 def test_family_table_closed_forms_match_matrix_pipeline():
     """CRITERION 1: every family-table entry (per-order genuine values,
-    total, and weaving with omega_k = k-1) from the closed forms matches a
-    full matrix-pipeline recomputation within 1e-8 bits, for N in
-    {2,4,6,8} at d=2 and N in {4,6} at d=3, in under 2 minutes."""
+    total, and weaving with omega_k = k-1) from the closed forms, read one
+    by one and from the family's :func:`cf_profile`, matches a full
+    matrix-pipeline recomputation within 1e-8 bits, for N in {2,4,6,8} at
+    d=2 and N in {4,6} at d=3, in under 2 minutes."""
     qubit_families = ("classical-pair-product", "classical", "bell-product",
                       "ghz", "dicke-1", "dicke-half")
     qudit_families = ("qudit-classical", "qudit-bell-product")
@@ -57,6 +58,10 @@ def test_family_table_closed_forms_match_matrix_pipeline():
                  for k in range(2, n + 1)]
         devs.append(abs(cf_dist(fam, 1) - prof.total))
         devs.append(abs(cf_weaving(fam, scheme) - weaving(prof, scheme)))
+        cf = cf_profile(fam)
+        devs += [abs(a - b) for a, b in zip(cf.dist + cf.genuine, prof.dist + prof.genuine)]
+        devs.append(abs(cf.total - prof.total))
+        devs.append(abs(weaving(cf, scheme) - weaving(prof, scheme)))
         worst = max(worst, max(devs))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-8 and elapsed < 120.0

@@ -680,6 +680,32 @@ def test_table_computes_each_dicke_block_entropy_once(monkeypatch):
     assert len(calls) == len(set(calls)) <= 2 * 63
 
 
+@pytest.mark.parametrize("args, weaving", [
+    # 75094 * log2(5) = 174362.86835747...
+    (("--family", "classical", "--d", "5", "--n-min", "8192", "--n-max", "8192"),
+     174362.868357),
+    (("--family", "a-family", "--a", "0.6", "--n-min", "65536", "--n-max", "65536"),
+     756495.717912),
+])
+def test_scaling_large_n_weaving_has_its_last_digit(args, weaving):
+    result = run("scaling", *args)
+    assert result.exit_code == 0, errtext(result)
+    assert json.loads(result.output)[0]["weaving"] == weaving
+
+
+@pytest.mark.parametrize("command", [("table", "--n", "4", "--closed-form-only"),
+                                     ("scaling", "--family", "ghz", "--n-max", "8")])
+def test_closed_form_that_rises_with_k_exits_four(monkeypatch, command):
+    def rising(fam, k):
+        return 1.0 + 1e-6 * (k == 2) if k < fam.n else 0.0
+
+    monkeypatch.setattr(closed_forms, "cf_dist", rising)
+    result = run(*command)
+    assert result.exit_code == 4, errtext(result)
+    assert "dist(2) = 1.000001 exceeds dist(1) = 1.0 beyond 1e-9" in errtext(result)
+    assert result.stdout == ""
+
+
 def test_scaling_rejects_malformed_delta_weights():
     result = run("scaling", "--family", "ghz", "--n-max", "16",
                  "--weights", "delta:x")

@@ -7,9 +7,9 @@ import pytest
 
 from corrweave import (ArgumentError, CapacityError, ClosedFormFamily,
                        NumericError, WeightScheme, binary_entropy, cf_dist,
-                       cf_genuine, cf_scaling_sweep, cf_weaving,
+                       cf_genuine, cf_profile, cf_scaling_sweep, cf_weaving,
                        dicke_marginal_entropy, hypergeometric_spectrum,
-                       make_dicke, partial_trace, profile, vn_entropy)
+                       make_dicke, partial_trace, profile, vn_entropy, weaving)
 from corrweave.closed_forms import MAX_CLOSED_FORM_N
 
 
@@ -181,6 +181,30 @@ def test_cf_weaving_classical_vs_ghz_identity():
         assert w_cls == w_ghz - (n - 1)
 
 
+def test_cf_profile_is_the_closed_form_dist_through_from_dist():
+    fam = ClosedFormFamily("dicke-half", 6)
+    prof = cf_profile(fam)
+    assert prof.dist == tuple(cf_dist(fam, k) for k in range(1, 7))
+    assert prof.genuine == tuple(max(a - b, 0.0) for a, b in zip(prof.dist, prof.dist[1:]))
+    assert prof.total == prof.dist[0] and prof.n == 6
+    assert prof.argmin is None and prof.mode == "closed-form"
+    assert cf_profile(ClosedFormFamily("ghz", 1)).dist == (0.0,)
+
+
+@pytest.mark.parametrize("family, n", [
+    *((f, MAX_CLOSED_FORM_N) for f in ("ghz", "classical", "qudit-classical", "a-family",
+                                       "bell-product", "qudit-bell-product",
+                                       "classical-pair-product")),
+    ("dicke-1", 4096), ("dicke-half", 4096)])
+def test_cf_profile_passes_every_check_at_large_n(family, n):
+    fam = ClosedFormFamily(family, n, d=3 if family.startswith("qudit") else 2,
+                           a=0.6 if family == "a-family" else None)
+    prof = cf_profile(fam)  # monotone, ends at 0, sums back to the total
+    for spec in ("k-1", "delta:2", f"delta:{n // 2}"):
+        assert math.isfinite(weaving(prof, WeightScheme.named(spec, n)))  # dual forms agree
+    assert weaving(prof, WeightScheme.uniform(n)) == pytest.approx(prof.total, rel=1e-12)
+
+
 def test_cf_scaling_sweep():
     pts = cf_scaling_sweep("bell-product", (8, 16, 32))
     assert [p.n for p in pts] == [8, 16, 32]
@@ -207,10 +231,11 @@ def test_memoized_block_entropies_match_a_fresh_instance_bit_for_bit(family, n):
 
     for k in range(1, n + 1):
         assert cf_dist(fam, k).hex() == cf_dist(fresh(), k).hex()
+    once = cf_profile(fresh())
     for k in range(2, n + 1):
-        assert cf_genuine(fam, k).hex() == cf_genuine(fresh(), k).hex()
+        assert cf_genuine(fam, k).hex() == once.genuine_at(k).hex()
     for weights in (WeightScheme.order_weighted(n), WeightScheme.delta(n, 2)):
-        assert cf_weaving(fam, weights).hex() == cf_weaving(fresh(), weights).hex()
+        assert cf_weaving(fam, weights).hex() == weaving(once, weights).hex()
     assert sorted(fam._h) == list(range(1, n))  # each h(s), s < N, computed once
 
 

@@ -6,8 +6,9 @@ import pytest
 from oracles import subset_entropy
 
 from corrweave import correlations
-from corrweave import (ArgumentError, CapacityError, CorrelationProfile,
-                       DensityState, NumericError, WeightScheme,
+from corrweave import (ArgumentError, CapacityError, ConsistencyError,
+                       CorrelationProfile, DensityState, NumericError,
+                       WeightScheme,
                        closest_product, dist_to_pk, is_permutation_invariant,
                        make_a_family, make_bell_product, make_classical,
                        make_classical_pair_product, make_dicke, make_ghz,
@@ -231,6 +232,41 @@ def test_profile_single_party():
     assert p.dist == (0.0,) and p.genuine == () and p.total == 0.0
 
 
+@pytest.mark.parametrize("state, mode", [
+    (random_density((2, 3, 2), RNG), "brute"),
+    (make_dicke(5, 2), "brute"),
+    (make_dicke(5, 2), "auto"),
+    (make_classical(6, 3), "auto"),
+])
+def test_profile_is_its_dist_through_from_dist(state, mode):
+    p = profile(state, mode=mode)
+    assert p.mode == ("symmetric-fast" if mode == "auto" else "brute")
+    assert CorrelationProfile.from_dist(p.dist, p.argmin, p.mode) == p
+
+
+def test_from_dist_clamps_a_rise_within_the_window():
+    p = CorrelationProfile.from_dist([2.0, 2.0 + 5e-10, 0.0], mode="closed-form")
+    assert p.genuine == (0.0, 2.0 + 5e-10)
+    assert p.dist == (2.0, 2.0 + 5e-10, 0.0) and p.total == 2.0
+    assert p.argmin is None and p.mode == "closed-form"
+
+
+@pytest.mark.parametrize("dist, message", [
+    ([2.0, 2.0 + 2e-9, 0.0], r"dist\(2\) = 2.000000002 exceeds dist\(1\)"),
+    ([3.0, 1.0, 1.5, 0.0], r"dist\(3\) = 1.5 exceeds dist\(2\) = 1.0"),
+    ([2.0, 1.0, 2e-9], r"dist\(3\) = 2e-09 but the trivial partition gives 0"),
+])
+def test_from_dist_raises_beyond_the_window(dist, message):
+    with pytest.raises(ConsistencyError, match=message):
+        CorrelationProfile.from_dist(dist)
+
+
+def test_from_dist_genuine_is_each_drop_clamped_at_zero_bit_for_bit():
+    for dist in ([1.0, 1.0, 0.0], [1.0, 1.0 + 1e-12, 1.0, 0.0], [3.0, 2.5, 0.5, 0.0]):
+        expect = [max(a - b, 0.0).hex() for a, b in zip(dist, dist[1:])]
+        assert [g.hex() for g in CorrelationProfile.from_dist(dist).genuine] == expect
+
+
 # -- weights and weaving -------------------------------------------------------
 
 def test_weight_scheme_named_forms():
@@ -272,14 +308,16 @@ def test_weight_scheme_validation():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_weight_scheme_from_omega_rejects_non_finite(bad):
-    with pytest.raises(ArgumentError, match="finite"):
-        WeightScheme.from_omega([bad, 1.0])
+    for weights in ([bad, 1.0], [1.0, bad]):  # a NaN after a number hides from min and max
+        with pytest.raises(ArgumentError, match="finite"):
+            WeightScheme.from_omega(weights)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_weight_scheme_from_big_omega_rejects_non_finite(bad):
-    with pytest.raises(ArgumentError, match="finite"):
-        WeightScheme.from_big_omega([bad, 1.0])
+    for weights in ([bad, 1.0], [1.0, bad]):  # a NaN after a number hides from min and max
+        with pytest.raises(ArgumentError, match="finite"):
+            WeightScheme.from_big_omega(weights)
 
 
 def test_weaving_values():
