@@ -71,13 +71,12 @@ def _handle_errors(func):
 
 @contextmanager
 def _capacity_advice(advice: str):
-    """Give a CapacityError raised in the block ``advice``, a step the
-    command line offers, in place of the library's advice (``max_dim``,
-    which no option sets)."""
+    """Append ``advice``, a step the command line offers, to a
+    CapacityError raised in the block."""
     try:
         yield
     except CapacityError as exc:
-        raise CapacityError(exc.limit, advice) from None
+        raise CapacityError(f"{exc}; {advice}") from None
 
 
 # -- numeric formatting --------------------------------------------------
@@ -273,7 +272,7 @@ def load_state_file(path: str) -> DensityState:
         raise StateFileError(
             f"{path}: field 'kind' must be pure, mixed, or classical, got {kind!r}")
     # checked before the payload, which holds dim or dim^2 entries
-    dim = None if kind == "classical" else _dense_dim(dims, None)
+    dim = None if kind == "classical" else _dense_dim(dims)
     try:
         if kind == "pure":
             return DensityState.from_amplitudes(
@@ -447,8 +446,7 @@ def cmd_profile(state_spec, weights, mode, output):
     per order, total, weaving, neural complexity, minimizing partitions."""
     if os.path.exists(state_spec):
         label_key, label = "file", state_spec
-        with _capacity_advice(""):
-            state = load_state_file(state_spec)
+        state = load_state_file(state_spec)
     else:
         label_key = "family"
         family = StateFamily.parse(state_spec)
@@ -460,12 +458,8 @@ def cmd_profile(state_spec, weights, mode, output):
             state = family.build()
     n = state.n_parties
     prof = profile(state, mode=mode)
-    if n >= 2:
-        scheme = _scheme(weights, n)
-        weave = weaving(prof, scheme)
-        scheme_name = scheme.name
-    else:
-        weave, scheme_name = 0.0, weights
+    scheme = _scheme(weights, n)
+    weave = weaving(prof, scheme)
     neural = neural_complexity(state)
     dims = list(state.dims)
     row = {label_key: label, "N": n,
@@ -473,7 +467,7 @@ def cmd_profile(state_spec, weights, mode, output):
            "dist": list(prof.dist), "genuine": list(prof.genuine),
            "total": prof.total, "weaving": weave, "neural_complexity": neural,
            "argmin": [p.blocks for p in prof.argmin],
-           "weights": scheme_name, "mode": prof.mode,
+           "weights": scheme.name, "mode": prof.mode,
            "units": "bits", "version": __version__}
     _emit(row, [row], output)
 

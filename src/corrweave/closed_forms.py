@@ -226,12 +226,20 @@ def cf_profile(fam: ClosedFormFamily) -> CorrelationProfile:
 
 
 def cf_genuine(fam: ClosedFormFamily, k: int) -> float:
-    """Closed-form genuine correlations of order ``k``."""
+    """Closed-form genuine correlations of order ``k``.
+
+    Each call builds the whole profile (N ``cf_dist`` calls), so looping
+    over k costs O(N^2) of them; take one :func:`cf_profile` instead.
+    """
     return cf_profile(fam).genuine_at(k)
 
 
 def cf_weaving(fam: ClosedFormFamily, weights: WeightScheme) -> float:
-    """Closed-form weaving index, by :func:`~corrweave.correlations.weaving`."""
+    """Closed-form weaving index, by :func:`~corrweave.correlations.weaving`.
+
+    Each call builds the whole profile (N ``cf_dist`` calls); a caller
+    that needs more than one value should take one :func:`cf_profile`.
+    """
     return weaving(cf_profile(fam), weights)
 
 
@@ -261,7 +269,7 @@ def cf_scaling_sweep(family: str, n_values: Sequence[int], *, d: int = 2,
     for n in n_values:
         n = int(n)
         fam = ClosedFormFamily(family, n, d=d, a=a if row.param == "a" else None)
-        scheme = WeightScheme.named(weights, n) if n > 1 else None  # a bad name fails fast
-        w = weaving(cf_profile(fam), scheme) if scheme else 0.0
+        scheme = WeightScheme.named(weights, n)  # a bad name fails fast
+        w = weaving(cf_profile(fam), scheme)
         points.append(SweepPoint(n, w, norm_name, w / norm(n)))
     return points

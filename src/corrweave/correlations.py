@@ -256,8 +256,8 @@ class WeightScheme:
 
 
 def _check_scheme_n(n: int) -> None:
-    if n < 2:
-        raise ArgumentError(f"weight schemes need n >= 2, got {n}")
+    if n < 1:
+        raise ArgumentError(f"weight schemes need n >= 1, got {n}")
 
 
 def _finite_nonnegative(values: tuple[float, ...]) -> bool:
@@ -400,8 +400,6 @@ def weaving(prof: CorrelationProfile, weights: WeightScheme) -> float:
     if weights.n != prof.n:
         raise ArgumentError(
             f"weight scheme is for n={weights.n}, profile has n={prof.n}")
-    if prof.n == 1:
-        return 0.0
     omega_form = float(sum(map(mul, weights.omega, prof.genuine)))
     big_form = float(sum(map(mul, weights.big_omega, prof.dist)))
     if not (math.isfinite(omega_form) and math.isfinite(big_form)):

@@ -15,15 +15,7 @@ class ArgumentError(CorrweaveError, ValueError):
 
 
 class CapacityError(CorrweaveError):
-    """A requested computation exceeds a configured size limit.
-
-    ``limit`` is the message without its ``advice``, the step that lifts
-    the limit, so that a front end can give the step it offers instead.
-    """
-
-    def __init__(self, limit: str, advice: str = ""):
-        super().__init__(f"{limit}; {advice}" if advice else limit)
-        self.limit = limit
+    """A requested computation exceeds a fixed size limit."""
 
 
 class NumericError(CorrweaveError):

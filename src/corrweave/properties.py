@@ -53,7 +53,6 @@ def _dists(state, orders, perturb):
 
 
 def run_property_suite(seed: int = 1234, trials: int = 200, *,
-                       tol: float = DEFAULT_TOL,
                        perturb_dist: Optional[Callable[[float], float]] = None,
                        ) -> list[PropertyResult]:
     """Run every property with ``trials`` trials each, one shared seed."""
@@ -61,14 +60,14 @@ def run_property_suite(seed: int = 1234, trials: int = 200, *,
     checks = (_faithfulness, _extension_monotonicity, _channel_monotonicity,
               _discard_monotonicity, _superadditivity, _product_additivity,
               _dual_form, _contractivity)
-    return [check(rng, trials, tol, perturb_dist) for check in checks]
+    return [check(rng, trials, perturb_dist) for check in checks]
 
 
-def _result(name, trials, worst, tol):
+def _result(name, trials, worst, tol=DEFAULT_TOL):
     return PropertyResult(name, trials, worst, tol, worst <= tol)
 
 
-def _faithfulness(rng, trials, tol, perturb):
+def _faithfulness(rng, trials, perturb):
     """dist(k) vanishes exactly on products with blocks of at most k."""
     structures = {1: [(1, 1, 1, 1)], 2: [(2, 2), (2, 1, 1)], 3: [(3, 1)]}
     worst = 0.0
@@ -88,10 +87,10 @@ def _faithfulness(rng, trials, tol, perturb):
             err = max_entry_distance(s, closest_product(s, part))
             if err <= 1e-10:  # reconstruction matches => distance must vanish
                 worst = max(worst, abs(value))
-    return _result("faithfulness-0S", trials, worst, tol)
+    return _result("faithfulness-0S", trials, worst)
 
 
-def _extension_monotonicity(rng, trials, tol, perturb):
+def _extension_monotonicity(rng, trials, perturb):
     """Appending an uncorrelated party never increases dist(k)."""
     worst = -math.inf
     for _ in range(trials):
@@ -100,10 +99,10 @@ def _extension_monotonicity(rng, trials, tol, perturb):
         for after, before in zip(_dists(joint, range(1, 4), perturb),
                                  _dists(s, range(1, 4), perturb)):
             worst = max(worst, after - before)
-    return _result("monotonicity-1S", trials, worst, tol)
+    return _result("monotonicity-1S", trials, worst)
 
 
-def _channel_monotonicity(rng, trials, tol, perturb):
+def _channel_monotonicity(rng, trials, perturb):
     """A channel on one party never increases dist(k)."""
     worst = -math.inf
     for _ in range(trials):
@@ -114,10 +113,10 @@ def _channel_monotonicity(rng, trials, tol, perturb):
         for after, before in zip(_dists(out, range(1, 4), perturb),
                                  _dists(s, range(1, 4), perturb)):
             worst = max(worst, after - before)
-    return _result("monotonicity-2S", trials, worst, tol)
+    return _result("monotonicity-2S", trials, worst)
 
 
-def _discard_monotonicity(rng, trials, tol, perturb):
+def _discard_monotonicity(rng, trials, perturb):
     """Discarding parties never increases dist(k)."""
     worst = -math.inf
     for _ in range(trials):
@@ -127,10 +126,10 @@ def _discard_monotonicity(rng, trials, tol, perturb):
         for after, before in zip(_dists(marg, range(1, 4), perturb),
                                  _dists(s, range(1, 4), perturb)):
             worst = max(worst, after - before)
-    return _result("monotonicity-3D", trials, worst, tol)
+    return _result("monotonicity-3D", trials, worst)
 
 
-def _superadditivity(rng, trials, tol, perturb):
+def _superadditivity(rng, trials, perturb):
     """Multi-information over all parties dominates any sum over disjoint
     clusters, with equality when the state is a product over them."""
     clusterings = [((0, 1), (2, 3)), ((0,), (1, 2, 3)), ((0, 2), (1, 3))]
@@ -155,10 +154,10 @@ def _superadditivity(rng, trials, tol, perturb):
         if t % 2 == 1:
             excess = abs(excess)  # equality branch
         worst = max(worst, excess)
-    return _result("superadditivity-5S", trials, worst, tol)
+    return _result("superadditivity-5S", trials, worst)
 
 
-def _product_additivity(rng, trials, tol, perturb):
+def _product_additivity(rng, trials, perturb):
     """dist(k) adds over tensor factors (orders capped per factor)."""
     worst = 0.0
     for t in range(trials):
@@ -170,10 +169,10 @@ def _product_additivity(rng, trials, tol, perturb):
         for k, lhs in enumerate(_dists(joint, range(1, 5), perturb), start=1):
             j = min(k, 2) - 1
             worst = max(worst, abs(lhs - (dist_a[j] + dist_b[j])))
-    return _result("product-additivity", trials, worst, tol)
+    return _result("product-additivity", trials, worst)
 
 
-def _dual_form(rng, trials, tol, perturb):
+def _dual_form(rng, trials, perturb):
     """Weighted genuine orders equal the dual weighting of the distances."""
     worst = 0.0
     for _ in range(trials):
@@ -189,7 +188,7 @@ def _dual_form(rng, trials, tol, perturb):
     return _result("weaving-dual-form", trials, worst, DUAL_TOL)
 
 
-def _contractivity(rng, trials, tol, perturb):
+def _contractivity(rng, trials, perturb):
     """The weaving index never grows under a channel on one party."""
     worst = -math.inf
     for _ in range(trials):
@@ -204,4 +203,4 @@ def _contractivity(rng, trials, tol, perturb):
         w_out = sum(w * v for w, v in zip(scheme.big_omega,
                                           _dists(out, range(1, n), perturb)))
         worst = max(worst, w_out - w_in)
-    return _result("weaving-contractivity", trials, worst, tol)
+    return _result("weaving-contractivity", trials, worst)

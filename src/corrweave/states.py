@@ -29,7 +29,7 @@ def _check_table(base: int, n: int, power: int = 1) -> None:
             f"capacity limit of {MAX_CLASSICAL_DIGITS} digits")
 
 
-def make_ghz(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> DensityState:
+def make_ghz(n: int, d: int = 2) -> DensityState:
     """N-party GHZ state ``(|0..0> + |1..1>)/sqrt(2)``.
 
     Only levels 0 and 1 are superposed for every local dimension ``d``; the
@@ -37,11 +37,11 @@ def make_ghz(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> DensitySta
     """
     if n < 1 or d < 2:
         raise ArgumentError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
-    dim = _check_capacity(d, max_dim, n)
+    dim = _check_capacity(d, n)
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1 / math.sqrt(2)
     amps[(dim - 1) // (d - 1)] = 1 / math.sqrt(2)  # the repdigit 1..1 in base d
-    return DensityState.from_amplitudes(amps, (d,) * n, validate=False, max_dim=max_dim)
+    return DensityState.from_amplitudes(amps, (d,) * n, validate=False)
 
 
 def make_classical(n: int, d: int = 2) -> DensityState:
@@ -58,33 +58,33 @@ def make_classical(n: int, d: int = 2) -> DensityState:
     return DensityState.from_probabilities(table, (d,) * n, validate=False)
 
 
-def make_dicke(n: int, m: int, *, max_dim: Optional[int] = None) -> DensityState:
+def make_dicke(n: int, m: int) -> DensityState:
     """N-qubit Dicke state: equal superposition of all strings with ``m`` ones."""
     if n < 1 or not 0 <= m <= n:
         raise ArgumentError(f"need 0 <= m <= n with n >= 1, got n={n}, m={m}")
-    amps = np.zeros(_check_capacity(2, max_dim, n), dtype=complex)
+    amps = np.zeros(_check_capacity(2, n), dtype=complex)
     coef = 1 / math.sqrt(math.comb(n, m))
     for ones in combinations(range(n), m):
         idx = sum(1 << (n - 1 - i) for i in ones)
         amps[idx] = coef
-    return DensityState.from_amplitudes(amps, (2,) * n, validate=False, max_dim=max_dim)
+    return DensityState.from_amplitudes(amps, (2,) * n, validate=False)
 
 
-def make_bell_product(n: int, d: int = 2, *, max_dim: Optional[int] = None) -> DensityState:
+def make_bell_product(n: int, d: int = 2) -> DensityState:
     """Product of ``n/2`` maximally entangled pairs on adjacent subsystems.
 
     Each pair is ``sum_i |ii> / sqrt(d)``; ``n`` must be even.
     """
     if n < 2 or n % 2 or d < 2:
         raise ArgumentError(f"need even n >= 2 and d >= 2, got n={n}, d={d}")
-    _check_capacity(d, max_dim, n)
+    _check_capacity(d, n)
     pair = np.zeros(d * d, dtype=complex)
     for i in range(d):
         pair[i * d + i] = 1 / math.sqrt(d)
     amps = pair
     for _ in range(n // 2 - 1):
         amps = np.kron(amps, pair)
-    return DensityState.from_amplitudes(amps, (d,) * n, validate=False, max_dim=max_dim)
+    return DensityState.from_amplitudes(amps, (d,) * n, validate=False)
 
 
 def make_classical_pair_product(n: int) -> DensityState:
@@ -103,7 +103,7 @@ def make_classical_pair_product(n: int) -> DensityState:
     return DensityState.from_probabilities(table, (2,) * n, validate=False)
 
 
-def make_a_family(k: int, a: float, *, max_dim: Optional[int] = None) -> DensityState:
+def make_a_family(k: int, a: float) -> DensityState:
     """K-qubit state ``a|0..0> + sqrt(1-a^2)|1..1>``.
 
     Interpolates between product states (``a`` in {0, 1}) and the GHZ
@@ -114,10 +114,10 @@ def make_a_family(k: int, a: float, *, max_dim: Optional[int] = None) -> Density
         raise ArgumentError(f"need k >= 1, got {k}")
     if not 0.0 <= a <= 1.0:
         raise ArgumentError(f"need 0 <= a <= 1, got {a}")
-    amps = np.zeros(_check_capacity(2, max_dim, k), dtype=complex)
+    amps = np.zeros(_check_capacity(2, k), dtype=complex)
     amps[0] = a
     amps[-1] = math.sqrt(max(1.0 - a * a, 0.0))
-    return DensityState.from_amplitudes(amps, (2,) * k, validate=False, max_dim=max_dim)
+    return DensityState.from_amplitudes(amps, (2,) * k, validate=False)
 
 
 # -- CLI vocabulary ------------------------------------------------------

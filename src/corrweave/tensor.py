@@ -28,8 +28,6 @@ from .errors import ArgumentError, CapacityError, NumericError
 #: Eigendecompositions beyond this are impractical; classical tables are
 #: exempt because their cost scales with the number of nonzero entries.
 DEFAULT_MAX_DENSE_DIM = 4096
-#: The step a dense capacity error advises; the CLI offers its own steps.
-MAX_DIM_ADVICE = "raise max_dim explicitly if this is intentional"
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -56,34 +54,30 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def _check_capacity(dim: int, max_dim: Optional[int], power: int) -> int:
+def _check_capacity(dim: int, power: int) -> int:
     """``dim ** power``, or a CapacityError, raised before any larger
     number is formed, when that exceeds the dense capacity limit."""
-    cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else int(max_dim)
-    total = _power_within(dim, power, cap)
+    total = _power_within(dim, power, DEFAULT_MAX_DENSE_DIM)
     if total is None:
         shown = dim if power == 1 else f"{dim}^{power}"
-        raise CapacityError(
-            f"total dimension {shown} exceeds the dense capacity limit {cap}",
-            MAX_DIM_ADVICE)
+        raise CapacityError(f"total dimension {shown} exceeds the dense "
+                            f"capacity limit {DEFAULT_MAX_DENSE_DIM}")
     return total
 
 
-def _dense_dim(dims: Sequence[int], max_dim: Optional[int]) -> int:
+def _dense_dim(dims: Sequence[int]) -> int:
     """The product of ``dims``, or a CapacityError, raised before any
     larger number is formed, when that exceeds the dense capacity limit.
     The message gives the product as powers (``2^15000``), which prints
     at any N where the decimal number would not."""
-    cap = DEFAULT_MAX_DENSE_DIM if max_dim is None else int(max_dim)
     total = 1
     for d in dims:
         total *= d
-        if total > cap:
+        if total > DEFAULT_MAX_DENSE_DIM:
             shown = " x ".join(f"{base}^{count}" if count > 1 else f"{base}"
                                for base, count in Counter(dims).items())
-            raise CapacityError(
-                f"total dimension {shown} exceeds the dense capacity limit {cap}",
-                MAX_DIM_ADVICE)
+            raise CapacityError(f"total dimension {shown} exceeds the dense "
+                                f"capacity limit {DEFAULT_MAX_DENSE_DIM}")
     return total
 
 
@@ -132,8 +126,7 @@ class DensityState:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def from_matrix(cls, matrix, dims, *, validate: bool = True,
-                    max_dim: Optional[int] = None) -> "DensityState":
+    def from_matrix(cls, matrix, dims, *, validate: bool = True) -> "DensityState":
         """Wrap a dense density matrix.
 
         Validation enforces hermiticity within 1e-10, unit trace within
@@ -146,7 +139,7 @@ class DensityState:
         together.)
         """
         dims = _check_dims(dims)
-        dim = _dense_dim(dims, max_dim)
+        dim = _dense_dim(dims)
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (dim, dim):
             raise ArgumentError(f"matrix shape {m.shape} does not match dims {dims}")
@@ -168,11 +161,10 @@ class DensityState:
         return state
 
     @classmethod
-    def from_amplitudes(cls, amps, dims, *, validate: bool = True,
-                        max_dim: Optional[int] = None) -> "DensityState":
+    def from_amplitudes(cls, amps, dims, *, validate: bool = True) -> "DensityState":
         """Wrap a pure state's amplitude vector (unit norm within 1e-12)."""
         dims = _check_dims(dims)
-        dim = _dense_dim(dims, max_dim)
+        dim = _dense_dim(dims)
         a = np.asarray(amps, dtype=complex).reshape(-1)
         if a.shape != (dim,):
             raise ArgumentError(f"amplitude length {a.shape[0]} does not match dims {dims}")
@@ -259,11 +251,11 @@ class DensityState:
             object.__setattr__(self, "_rows", (digits, probs))
         return self._rows
 
-    def to_matrix(self, *, max_dim: Optional[int] = None) -> np.ndarray:
+    def to_matrix(self) -> np.ndarray:
         """Materialize the dense density matrix (capacity-checked)."""
         if self.rep == REP_DENSE:
             return self._matrix
-        dim = _dense_dim(self.dims, max_dim)
+        dim = _dense_dim(self.dims)
         if self.rep == REP_PURE:
             m = np.outer(self._amps, self._amps.conj())
         else:
@@ -304,27 +296,25 @@ def _normalize_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
 # -- composition and reduction ----------------------------------------
 
 
-def tensor_product(a: DensityState, b: DensityState, *,
-                   max_dim: Optional[int] = None) -> DensityState:
+def tensor_product(a: DensityState, b: DensityState) -> DensityState:
     """Kronecker product of two states; ``a`` occupies the leading subsystems.
 
     The output representation is pure if both inputs are pure, classical if
     both are classical, dense otherwise.  Dense and pure outputs are
-    capacity-limited (default 4096 total dimension); classical outputs are
-    not.
+    capacity-limited (4096 total dimension); classical outputs are not.
     """
     dims = a.dims + b.dims
     if a.rep == REP_PURE and b.rep == REP_PURE:
         amps = np.kron(a._amps, b._amps)
-        return DensityState.from_amplitudes(amps, dims, validate=False, max_dim=max_dim)
+        return DensityState.from_amplitudes(amps, dims, validate=False)
     if a.rep == REP_CLASSICAL and b.rep == REP_CLASSICAL:
         table = {ka + kb: pa * pb
                  for ka, pa in a._table.items()
                  for kb, pb in b._table.items()}
         return DensityState.from_probabilities(table, dims, validate=False)
-    _dense_dim(dims, max_dim)
-    m = np.kron(a.to_matrix(max_dim=max_dim), b.to_matrix(max_dim=max_dim))
-    return DensityState.from_matrix(m, dims, validate=False, max_dim=max_dim)
+    _dense_dim(dims)
+    m = np.kron(a.to_matrix(), b.to_matrix())
+    return DensityState.from_matrix(m, dims, validate=False)
 
 
 def partial_trace(state: DensityState, keep: Iterable[int]) -> DensityState:

@@ -542,6 +542,22 @@ def test_profile_single_party_neural_complexity_is_a_float():
     assert '"neural_complexity": 0.0,' in result.output
 
 
+@pytest.mark.parametrize("weights", ["nonsense", "delta:2", "file:/no/such/weights.json"])
+def test_profile_single_party_validates_weights(weights):
+    result = run("profile", "--state", "ghz:1", "--weights", weights)
+    assert result.exit_code == 2, errtext(result)
+    assert '"weaving"' not in result.output
+
+
+def test_profile_single_party_accepts_an_empty_weights_file(tmp_path):
+    path = tmp_path / "w.json"
+    path.write_text('{"omega": []}')
+    result = run("profile", "--state", "ghz:1", "--weights", f"file:{path}")
+    assert result.exit_code == 0, errtext(result)
+    doc = json.loads(result.output)
+    assert doc["weaving"] == 0.0 and doc["weights"] == f"file:{path}"
+
+
 def test_profile_fast_mode_is_gone():
     result = run("profile", "--state", "ghz:4", "--mode", "fast")
     assert result.exit_code == 2 and "--mode" in errtext(result)

@@ -301,7 +301,8 @@ def test_weight_scheme_validation():
     with pytest.raises(ArgumentError):
         WeightScheme.from_big_omega((-1.0,))
     with pytest.raises(ArgumentError):
-        WeightScheme.order_weighted(1)
+        WeightScheme.order_weighted(0)
+    assert WeightScheme.order_weighted(1).omega == ()
     with pytest.raises(ArgumentError):
         WeightScheme.delta(4, 5)
 

@@ -97,12 +97,22 @@ def test_from_probabilities_rejects_non_finite_entries(bad):
 
 
 def test_capacity_limits():
-    with pytest.raises(CapacityError):
-        DensityState.from_amplitudes(np.zeros(2 ** 13), (2,) * 13)
-    amps = np.zeros(2 ** 13)
+    amps = np.zeros(2 ** 12)
     amps[0] = 1.0
-    big = DensityState.from_amplitudes(amps, (2,) * 13, max_dim=2 ** 13)
-    assert big.n_parties == 13
+    assert DensityState.from_amplitudes(amps, (2,) * 12).n_parties == 12
+    # 2^13 = 8192 is past the fixed dense cap at every entry point
+    half = DensityState.from_amplitudes(amps, (2,) * 12, validate=False)
+    refusals = (
+        lambda: DensityState.from_amplitudes(np.zeros(2 ** 13), (2,) * 13),
+        lambda: DensityState.from_matrix(np.eye(2), (2,) * 13),
+        lambda: make_classical(13).to_matrix(),
+        lambda: tensor_product(half, make_ghz(1)),
+        lambda: make_ghz(13))
+    for refuse in refusals:
+        with pytest.raises(CapacityError) as info:
+            refuse()
+        assert str(info.value) == "total dimension 2^13 exceeds the dense capacity limit 4096"
+        assert "max_dim" not in str(info.value) and "; " not in str(info.value)
     # classical tables are exempt from the dense cap
     wide = make_classical(30)
     assert wide.dim == 2 ** 30
