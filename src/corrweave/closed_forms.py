@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -25,8 +26,10 @@ from .states import (make_a_family, make_bell_product, make_classical,
 
 #: Largest N a closed form is evaluated at, the largest ``classical:N``
 #: the classical table cap admits.  Weight schemes and profiles hold O(N)
-#: values, and ``dicke-half`` takes O(N^2) time: a ``scaling`` point takes
-#: about 1.5 s at N = 16384 on a 2-vCPU Xeon VM, and about 19 s at the cap.
+#: values, and ``dicke-half`` takes O(N^2) time: its h(s) come from one
+#: batched pass per instance (:func:`dicke_block_entropies`), and a
+#: ``scaling`` point takes about 1.8 s at N = 16384 on a 2-vCPU Xeon VM,
+#: and about 12 s at the cap.
 MAX_CLOSED_FORM_N = 1 << 16
 
 #: Sweep normalizations: (name, divisor for system size n).
@@ -67,6 +70,19 @@ def _log2_d(fam, size: int) -> float:
     return math.log2(fam.d)
 
 
+def _dicke_h(excitations: Callable[[int], int]) -> Callable:
+    """h(fam, s) of the Dicke state with ``excitations(N)`` excitations.
+    The first call on an instance fills its ``_h`` memo with every h(s),
+    s < N, from one :func:`dicke_block_entropies` pass."""
+    def h(fam, s: int) -> float:
+        if not fam._h:
+            n = fam.n
+            table = dicke_block_entropies(n, excitations(n), range(1, n))
+            fam._h.update(zip(range(1, n), table.tolist()))
+        return fam._h[s]
+    return h
+
+
 FAMILIES = {f.name: f for f in (
     Family("ghz", lambda f: make_ghz(f.n, f.d), table=3,
            normalization=_BY_N_LOG_N, h=lambda f, s: 1.0, uniform=True),
@@ -81,10 +97,10 @@ FAMILIES = {f.name: f for f in (
            param=None, even_only=True, table=0, h=lambda f, s: 1.0,
            mixed=True, pairs=True),
     Family("dicke-1", lambda f: make_dicke(f.n, 1), param=None, spec=False,
-           table=4, h=lambda f, s: dicke_marginal_entropy(f.n, 1, s)),
+           table=4, h=_dicke_h(lambda n: 1)),
     Family("dicke-half", lambda f: make_dicke(f.n, f.n // 2), param=None,
            spec=False, even_only=True, table=5, normalization=_BY_N_SQUARED,
-           h=lambda f, s: dicke_marginal_entropy(f.n, f.n // 2, s)),
+           h=_dicke_h(lambda n: n // 2)),
     Family("qudit-classical", lambda f: make_classical(f.n, f.d), spec=False,
            table=6, qudit=True, normalization=_BY_N_LOG_N, h=_log2_d,
            mixed=True, uniform=True),
@@ -111,8 +127,9 @@ def _closed_form(family: str) -> Family:
 class ClosedFormFamily:
     """A state family instance whose correlation profile has a closed form.
 
-    The block entropies h(s) computed so far are kept on the instance
-    (see :meth:`_block_entropy`); they take no part in equality or hashing.
+    A Dicke row keeps its block entropies h(s) on the instance, all of
+    them from one batched pass (see :func:`_dicke_h`); they take no part
+    in equality or hashing.
     """
 
     family: str
@@ -137,13 +154,6 @@ class ClosedFormFamily:
         elif self.a is not None:
             raise ArgumentError(f"family {self.family} takes no amplitude")
 
-    def _block_entropy(self, s: int) -> float:
-        """The family's h(s), computed once per instance."""
-        h = self._h.get(s)
-        if h is None:
-            h = self._h[s] = FAMILIES[self.family].h(self, s)
-        return h
-
 
 def check_closed_form_n(n: int) -> None:
     """Raise a CapacityError when ``n`` exceeds ``MAX_CLOSED_FORM_N``."""
@@ -161,41 +171,141 @@ def binary_entropy(p: float) -> float:
     return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
+#: Terms a chunk of the batched Dicke pass computes at most: it holds as
+#: many rows as fit at the costliest row's count (one row if that alone
+#: is more).  Their zero-padded buffer is wider where the tails underflow
+#: uncomputed.
+_DICKE_CHUNK = 1 << 14
+
+
 def hypergeometric_spectrum(n: int, m: int, k: int) -> np.ndarray:
     """Eigenvalues of the k-site marginal of the N-qubit Dicke state with
-    ``m`` excitations: ``C(k, i) C(n-k, m-i) / C(n, m)``.
+    ``m`` excitations: ``C(k, i) C(n-k, m-i) / C(n, m)``, for ``i`` from
+    ``max(0, m-(n-k))`` to ``min(k, m)``.
 
-    The term-ratio recurrence is unrolled both ways from 1.0 at the
-    distribution mode, and the terms are divided by their sum.  The mode
-    is the largest term, so the sum is at least 1 and nothing overflows;
-    the spectrum sums to 1 within ~1e-15 even for n in the thousands,
-    where a log-gamma evaluation would drift at the 1e-11 level.
+    One row of the batched pass of :func:`_dicke_chunks`: term ratios
+    multiplied outward from 1.0 at the distribution mode, divided by their
+    sum.  The mode is the largest term, so the sum is at least 1 and
+    nothing overflows; the spectrum sums to 1 within ~1e-15 even for n in
+    the thousands, where a log-gamma evaluation would drift at the 1e-11
+    level.
     """
-    if not 0 <= m <= n or not 1 <= k <= n:
-        raise ArgumentError(f"need 0 <= m <= n and 1 <= k <= n, got n={n}, m={m}, k={k}")
-    lo = max(0, m - (n - k))
-    hi = min(k, m)
-    i0 = min(hi, max(lo, (k + 1) * (m + 1) // (n + 2)))
-    out = np.empty(hi - lo + 1)
-    j0 = i0 - lo
-    out[j0] = 1.0
-    if i0 < hi:
-        i = np.arange(i0, hi, dtype=float)
-        up = (k - i) * (m - i) / ((i + 1) * (n - k - m + i + 1))
-        out[j0 + 1:] = np.cumprod(up)
-    if i0 > lo:
-        i = np.arange(i0, lo, -1, dtype=float)
-        down = i * (n - k - m + i) / ((k - i + 1) * (m - i + 1))
-        out[j0 - 1::-1] = np.cumprod(down)
-    return out / out.sum()
+    (_, p, starts, stops, _), = _dicke_chunks(n, m, [k])
+    return p[0, starts[0]:stops[0]]
 
 
 def dicke_marginal_entropy(n: int, m: int, k: int) -> float:
-    """Entropy in bits of the k-site Dicke marginal (0 when k = n)."""
-    p = hypergeometric_spectrum(n, m, k)
-    p = p[p > 0]
-    h = float(-(p * np.log2(p)).sum())
-    return h if h > 0 else 0.0  # the spectrum [1.0] gives -0.0
+    """Entropy in bits of the k-site Dicke marginal (0 when k = n): one
+    row of :func:`dicke_block_entropies`."""
+    return float(dicke_block_entropies(n, m, [k])[0])
+
+
+def dicke_block_entropies(n: int, m: int, ks) -> np.ndarray:
+    """Entropies in bits of the k-site marginals of the N-qubit Dicke state
+    with ``m`` excitations, one per k in ``ks`` (0 where k = n), from the
+    spectra of :func:`_dicke_chunks`.  Each entropy sums the row's
+    positive terms ``p log2 p`` in order, as one ``np.add.reduce``."""
+    out = np.empty(len(ks))
+    for rows, p, _, _, cols in _dicke_chunks(n, m, ks):
+        p = p[:, cols]
+        positive = p > 0
+        counts = np.count_nonzero(positive, axis=1)
+        stops = np.cumsum(counts)
+        p = p[positive]
+        terms = np.log2(p)
+        terms *= p
+        out[rows] = -_segment_sums(terms, stops - counts, stops)
+    return np.where(out > 0, out, 0.0)  # the spectrum [1.0] gives -0.0
+
+
+def _dicke_chunks(n: int, m: int, ks):
+    """The Dicke spectra of every k in ``ks``, a chunk of rows at a time.
+
+    Yields ``(rows, p, starts, stops, cols)``: row j of ``p`` holds the
+    spectrum of ``ks[rows][j]`` in ``p[j, starts[j]:stops[j]]`` and zeros
+    elsewhere, and every positive term lies in the columns ``cols``.  The
+    bits are those of the per-k recurrence (kept in ``tests/oracles.py``):
+    each term ratio is one rounding of exact integers, ``np.cumprod`` along
+    a row is sequential, and each row is divided by the ``np.add.reduce``
+    of exactly its own terms.
+    """
+    ks = np.asarray(ks, dtype=np.int64)
+    if not 0 <= m <= n or ks.size and not 1 <= ks.min() <= ks.max() <= n:
+        k = ks.tolist()
+        raise ArgumentError(f"need 0 <= m <= n and 1 <= k <= n, got n={n}, m={m}, "
+                            f"k={k[0] if len(k) == 1 else k}")
+    lo = np.maximum(0, m - (n - ks))
+    hi = np.minimum(ks, m)
+    mode = np.minimum(hi, np.maximum(lo, (ks + 1) * (m + 1) // (n + 2)))
+    # Relative to the mode, the terms fall below 2^-1074, the least double,
+    # about 39 standard deviations out (normal approximation), and the last
+    # subnormal stops shrinking only where the term ratio drops below 1/2,
+    # about 0.7 sd^2 out.  A first tile past both usually covers a row;
+    # more tiles are added until every row has reached 0.
+    sd = np.sqrt(ks * (n - ks) * (m * (n - m) / (n * n * max(n - 1, 1))))
+    tiles = np.maximum(40 * sd, 0.7 * sd * sd).astype(np.int64) + 16
+    below, above = mode - lo, hi - mode
+    # the terms a row computes when its first tile reaches the tail
+    cost = np.minimum(below, tiles) + np.minimum(above, tiles) + 1
+    count = max(1, _DICKE_CHUNK // int(cost.max(initial=1)))
+    for first in range(0, len(ks), count):
+        stop = min(first + count, len(ks))
+        rows = slice(first, stop)
+        wd, wu = int(below[rows].max()), int(above[rows].max())
+        width = wd + 1 + wu
+        k, i0 = ks[rows, None].astype(float), mode[rows, None].astype(float)
+        tile = int(tiles[rows].max())
+        p = np.zeros((stop - first, width))
+        p[:, wd] = 1.0
+        # above the mode, then below it as the terms above the mode of
+        # the mirror image i -> k - i, which has n - m excitations
+        cu = _beyond_mode(p[:, wd + 1:], n, m, k, i0, tile)
+        cd = _beyond_mode(p[:, :wd][:, ::-1], n, n - m, k, k - i0, tile)
+        starts, stops = wd - below[rows], wd + 1 + above[rows]
+        flat = np.arange(stop - first) * width
+        cols = slice(wd - cd, wd + 1 + cu)
+        p[:, cols] /= _segment_sums(p.ravel(), flat + starts, flat + stops)[:, None]
+        yield rows, p, starts, stops, cols
+
+
+def _beyond_mode(out: np.ndarray, n: int, m: int, k: np.ndarray,
+                 i0: np.ndarray, tile: int) -> int:
+    """Fill the zeroed ``out[:, j]`` with the terms at ``i0 + j + 1``
+    relative to the term at ``i0``: the products of the term ratios
+    ``(k-i)(m-i) / ((i+1)(n-k-m+i+1))`` from ``i = i0``.  The ratio at
+    the last term, ``i = min(k, m)``, is exactly 0 and the ones after it
+    are finite, so past a row's end its products stay 0 (or -0.0).
+    Columns are filled ``tile`` at a time until every row has reached 0;
+    returns how many were filled (the rest stay 0)."""
+    width = out.shape[1]
+    # the factors k-i, m-i, i+1 and n-k-m+i+1 at i = i0; column j has i = i0 + j
+    f1, f2, f3, f4 = k - i0, m - i0, i0 + 1, (n - m + 1) - k + i0
+    for c in range(0, width, tile):
+        r = out[:, c:c + tile]
+        j = np.arange(c, c + r.shape[1], dtype=float)
+        np.subtract(f1, j, out=r)
+        r *= f2 - j
+        d = f3 + j
+        d *= f4 + j
+        r /= d
+        if c:
+            r[:, 0] *= out[:, c - 1]
+        np.cumprod(r, axis=1, out=r)
+        if not r[:, -1].any():
+            return c + r.shape[1]
+    return width
+
+
+def _segment_sums(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a[start:stop])`` for each segment.  A pairwise sum's
+    bits depend on its slice, so each longer segment is reduced alone;
+    segments of one or two terms (at most one rounding) are summed at once."""
+    first = a[starts]
+    out = np.where(stops - starts > 1, first + a[np.minimum(starts + 1, a.size - 1)], first)
+    long = np.flatnonzero(stops - starts > 2)
+    out[long] = [np.add.reduce(a[i:j])
+                 for i, j in zip(starts[long].tolist(), stops[long].tolist())]
+    return out
 
 
 def cf_dist(fam: ClosedFormFamily, k: int) -> float:
@@ -215,7 +325,7 @@ def cf_dist(fam: ClosedFormFamily, k: int) -> float:
         # values and a genuine difference of exactly 0.
         h, blocks = row.h(fam, k), -(-n // k)
         return (blocks - 1) * h if row.mixed else blocks * h
-    return compact_sum(n, k, fam._block_entropy)
+    return compact_sum(n, k, partial(row.h, fam))
 
 
 def cf_profile(fam: ClosedFormFamily) -> CorrelationProfile:

@@ -304,15 +304,15 @@ def tensor_product(a: DensityState, b: DensityState) -> DensityState:
     capacity-limited (4096 total dimension); classical outputs are not.
     """
     dims = a.dims + b.dims
-    if a.rep == REP_PURE and b.rep == REP_PURE:
-        amps = np.kron(a._amps, b._amps)
-        return DensityState.from_amplitudes(amps, dims, validate=False)
     if a.rep == REP_CLASSICAL and b.rep == REP_CLASSICAL:
         table = {ka + kb: pa * pb
                  for ka, pa in a._table.items()
                  for kb, pb in b._table.items()}
         return DensityState.from_probabilities(table, dims, validate=False)
-    _dense_dim(dims)
+    _dense_dim(dims)  # before np.kron forms a vector or matrix past the cap
+    if a.rep == REP_PURE and b.rep == REP_PURE:
+        amps = np.kron(a._amps, b._amps)
+        return DensityState.from_amplitudes(amps, dims, validate=False)
     m = np.kron(a.to_matrix(), b.to_matrix())
     return DensityState.from_matrix(m, dims, validate=False)
 

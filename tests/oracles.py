@@ -69,3 +69,32 @@ def _shannon(p: np.ndarray) -> float:
     p = p[p > EIG_CLIP]
     h = float(-(p * np.log2(p)).sum())
     return h if h > 0 else 0.0
+
+
+def dicke_spectrum_per_k(n: int, m: int, k: int) -> np.ndarray:
+    """The k-site Dicke spectrum ``C(k, i) C(n-k, m-i) / C(n, m)`` by the
+    per-k recurrence: term ratios unrolled both ways from 1.0 at the mode
+    by ``np.cumprod``, then divided by their ``sum``."""
+    lo = max(0, m - (n - k))
+    hi = min(k, m)
+    i0 = min(hi, max(lo, (k + 1) * (m + 1) // (n + 2)))
+    out = np.empty(hi - lo + 1)
+    j0 = i0 - lo
+    out[j0] = 1.0
+    if i0 < hi:
+        i = np.arange(i0, hi, dtype=float)
+        up = (k - i) * (m - i) / ((i + 1) * (n - k - m + i + 1))
+        out[j0 + 1:] = np.cumprod(up)
+    if i0 > lo:
+        i = np.arange(i0, lo, -1, dtype=float)
+        down = i * (n - k - m + i) / ((k - i + 1) * (m - i + 1))
+        out[j0 - 1::-1] = np.cumprod(down)
+    return out / out.sum()
+
+
+def dicke_entropy_per_k(n: int, m: int, k: int) -> float:
+    """Entropy in bits of :func:`dicke_spectrum_per_k` (0 when k = n)."""
+    p = dicke_spectrum_per_k(n, m, k)
+    p = p[p > 0]
+    h = float(-(p * np.log2(p)).sum())
+    return h if h > 0 else 0.0  # the spectrum [1.0] gives -0.0

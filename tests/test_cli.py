@@ -683,17 +683,17 @@ def test_fuzzed_numeric_options_exit_with_a_documented_code(args, output):
 
 
 def test_table_computes_each_dicke_block_entropy_once(monkeypatch):
-    calls = []
+    fills = []
 
-    def counted(n, m, k, original=closed_forms.dicke_marginal_entropy):
-        calls.append((n, m, k))
-        return original(n, m, k)
+    def counted(n, m, ks, original=closed_forms.dicke_block_entropies):
+        fills.append((n, m, tuple(ks)))
+        return original(n, m, ks)
 
-    monkeypatch.setattr(closed_forms, "dicke_marginal_entropy", counted)
+    monkeypatch.setattr(closed_forms, "dicke_block_entropies", counted)
     result = run("table", "--n", "64", "--closed-form-only")
     assert result.exit_code == 0, errtext(result)
-    # two Dicke rows, each with h(1) .. h(63); h(64) is never asked for
-    assert len(calls) == len(set(calls)) <= 2 * 63
+    # two Dicke rows, each filled once with h(1) .. h(63); h(64) is never asked for
+    assert fills == [(64, 1, tuple(range(1, 64))), (64, 32, tuple(range(1, 64)))]
 
 
 @pytest.mark.parametrize("args, weaving", [

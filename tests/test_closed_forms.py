@@ -10,7 +10,9 @@ from corrweave import (ArgumentError, CapacityError, ClosedFormFamily,
                        cf_genuine, cf_profile, cf_scaling_sweep, cf_weaving,
                        dicke_marginal_entropy, hypergeometric_spectrum,
                        make_dicke, partial_trace, profile, vn_entropy, weaving)
-from corrweave.closed_forms import MAX_CLOSED_FORM_N
+from corrweave.closed_forms import (MAX_CLOSED_FORM_N, _beyond_mode,
+                                    dicke_block_entropies)
+from oracles import dicke_entropy_per_k, dicke_spectrum_per_k
 
 
 def test_family_validation():
@@ -101,6 +103,42 @@ def test_dicke_marginal_entropy_matches_exact_oracle():
                 exact = _exact_dicke_entropy(n, m, k)
                 got = Decimal(dicke_marginal_entropy(n, m, k))
                 assert abs(got - exact) <= Decimal("1e-13") * exact, (n, m, k)
+
+
+def test_batched_dicke_entropies_match_the_per_k_oracle_bit_for_bit():
+    # every m for n <= 64, and the edge and middle fillings of larger n,
+    # checked at every step-th k (the offset moving with m) and at k = n
+    grid = [(n, m) for n in range(1, 65) for m in range(n + 1)]
+    grid += [(n, m) for n in (100, 255, 256, 257, 1024, 1500, 2048)
+             for m in sorted({0, 1, 2, n // 3, n // 2, n - 1, n})]
+    for n, m in grid:
+        step = max(8, n // 32)
+        ks = [*range(1 + m % step, n, step), n]
+        # a table of n <= 64 rows is one chunk, so its sampled rows take the
+        # path of the whole table; larger tables run whole, in several chunks
+        table = dicke_block_entropies(n, m, range(1, n + 1) if n > 64 else ks)
+        got = [table[k - 1] for k in ks] if n > 64 else table.tolist()
+        assert [h.hex() for h in got] == [
+            dicke_entropy_per_k(n, m, k).hex() for k in ks], (n, m)
+        assert got[-1] == 0.0 and math.copysign(1.0, got[-1]) == 1.0  # h(n) = +0.0
+    # half-filled rows whose tails underflow to 0 are on the grid
+    for n in (1500, 2048):
+        p = hypergeometric_spectrum(n, n // 2, n // 2)
+        assert p.tobytes() == dicke_spectrum_per_k(n, n // 2, n // 2).tobytes()
+        assert (p == 0).any(), n
+
+
+def test_dicke_terms_past_the_first_tile_have_the_same_bits():
+    # (n, m, k) = (2048, 1024, 1024) from its mode i0 = 512: the terms
+    # above it underflow to 0 before the last one, i = 1024
+    n, m, k, i0 = 2048, 1024, np.array([[1024.0]]), np.array([[512.0]])
+    whole = np.zeros((1, 512))
+    assert _beyond_mode(whole, n, m, k, i0, 512) == 512
+    assert 0 < (whole > 0).sum() < 512
+    for tile in (1, 7, 100):
+        part = np.zeros((1, 512))
+        filled = _beyond_mode(part, n, m, k, i0, tile)
+        assert filled < 512 and part.tobytes() == whole.tobytes(), tile
 
 
 def test_cf_dist_ghz_and_classical():

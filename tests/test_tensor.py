@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,18 @@ def test_capacity_limits():
     assert wide.dim == 2 ** 30
     with pytest.raises(CapacityError):
         wide.to_matrix()
+
+
+def test_pure_tensor_product_past_the_cap_is_refused_before_it_allocates():
+    ghz = make_ghz(12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"total dimension 2\^24 exceeds"):
+            tensor_product(ghz, ghz)  # a 2^24-entry complex vector is 256 MB
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_capacity_errors_give_the_dimension_as_powers():
