@@ -95,21 +95,37 @@ class _IntText(dict):
         return text
 
 
+class _FloatText(dict):
+    """The text of each float rounded by :func:`_round12`, formatted on
+    first lookup; a NaN or an infinity raises a NumericError.  Zeros are
+    not kept, since 0.0 and -0.0 are one key but print apart."""
+
+    def __missing__(self, x):
+        rounded = _round12(x)
+        if not math.isfinite(rounded):
+            raise NumericError(f"cannot write JSON: {x} is not a finite number")
+        text = float.__repr__(rounded)
+        if x:
+            self[x] = text
+        return text
+
+
 def _json_text(doc) -> str:
     """``doc`` as ``json.dumps(doc, indent=2)`` writes it, with every float
     first rounded by :func:`_round12`; a NaN or an infinity raises a
     NumericError.
 
-    A list of ints is written by one ``join`` from a table that formats
-    each distinct int once: an invariant state's ``argmin`` lists N^2
-    party indices.
+    A list of ints, or of floats, is written by one ``join`` from a table
+    that formats each distinct number once: an invariant state's
+    ``argmin`` lists N^2 party indices, a profile's ``dist`` N floats.
+    The tables live for one report.
     """
     out: list[str] = []
-    _write_json(doc, "", out.append, _IntText())
+    _write_json(doc, "", out.append, _IntText(), _FloatText())
     return "".join(out)
 
 
-def _write_json(obj, pad: str, write, ints: _IntText) -> None:
+def _write_json(obj, pad: str, write, ints: _IntText, floats: _FloatText) -> None:
     """Pass the text of ``obj``, indented by ``pad``, to ``write``."""
     if isinstance(obj, str):
         write(encode_basestring_ascii(obj))
@@ -122,22 +138,21 @@ def _write_json(obj, pad: str, write, ints: _IntText) -> None:
     elif isinstance(obj, int):
         write(int.__repr__(obj))
     elif isinstance(obj, float):
-        rounded = _round12(obj)
-        if not math.isfinite(rounded):
-            raise NumericError(f"cannot write JSON: {obj} is not a finite number")
-        write(float.__repr__(rounded))
+        write(floats[obj])
     elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
+        types = set(map(type, obj))
         if not obj:
             write("[]")
-        elif set(map(type, obj)) == {int}:
+        elif types == {int} or types == {float}:
+            texts = ints if int in types else floats
             sep = ",\n" + inner
-            write(f"[\n{inner}{sep.join(map(ints.__getitem__, obj))}\n{pad}]")
+            write(f"[\n{inner}{sep.join(map(texts.__getitem__, obj))}\n{pad}]")
         else:
             sep = "[\n" + inner
             for item in obj:
                 write(sep)
-                _write_json(item, inner, write, ints)
+                _write_json(item, inner, write, ints, floats)
                 sep = ",\n" + inner
             write(f"\n{pad}]")
     elif isinstance(obj, dict):
@@ -148,7 +163,7 @@ def _write_json(obj, pad: str, write, ints: _IntText) -> None:
             sep = "{\n" + inner
             for key, item in obj.items():
                 write(f"{sep}{encode_basestring_ascii(key)}: ")
-                _write_json(item, inner, write, ints)
+                _write_json(item, inner, write, ints, floats)
                 sep = ",\n" + inner
             write(f"\n{pad}}}")
     else:
@@ -218,6 +233,9 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ArgumentError(f"cannot read weights file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ArgumentError(f"weights file {path} is not valid UTF-8 "
+                            f"({exc.reason} at byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ArgumentError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
@@ -249,6 +267,9 @@ def load_state_file(path: str) -> DensityState:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise StateFileError(f"cannot read state file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"state file {path} is not valid UTF-8 "
+                             f"({exc.reason} at byte {exc.start})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -338,7 +359,7 @@ def _parse_prob_table(payload, dims, path):
             f"{path}: digit-string keys support local dimensions up to 10")
     table = {}
     for key, p in payload.items():
-        if (len(key) != len(dims) or not key.isdigit()
+        if (len(key) != len(dims) or not (key.isascii() and key.isdigit())
                 or any(int(c) >= d for c, d in zip(key, dims))):
             raise StateFileError(
                 f"{path}: field 'payload' key {key!r} is not a valid digit "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -45,10 +44,12 @@ class Family:
     extra field (``d``, ``m``, ``a`` or None); ``aliases`` are more spec
     names, and ``spec`` says whether ``name`` is one; ``table`` is the row
     position in ``corrweave table``, whose ``qudit`` rows take ``--d``.
-    The closed form is ``h(fam, s)``, the entropy of ``s`` sites: the same
-    for every ``s < N`` if ``uniform``, or of sites within one pair if
-    ``pairs``.  The whole state (or pair) is pure, or, if ``mixed``, has
-    the entropy of its blocks, as a mixture of correlated strings does.
+    The closed form is ``h(fam)``, the entropy of a block of sites: one
+    float, the same for every size ``s < N`` if ``uniform``, or that of
+    one site of a pair if ``pairs``; else an array of h(s) for every
+    ``s`` from 0 to N, with h(0) = h(N) = 0.0.  The whole state (or pair)
+    is pure, or, if ``mixed``, has the entropy of its blocks, as a
+    mixture of correlated strings does.
     """
 
     name: str
@@ -66,26 +67,28 @@ class Family:
     pairs: bool = False
 
 
-def _log2_d(fam, size: int) -> float:
+def _log2_d(fam) -> float:
     return math.log2(fam.d)
 
 
 def _dicke_h(excitations: Callable[[int], int]) -> Callable:
-    """h(fam, s) of the Dicke state with ``excitations(N)`` excitations.
-    The first call on an instance fills its ``_h`` memo with every h(s),
-    s < N, from one :func:`dicke_block_entropies` pass."""
-    def h(fam, s: int) -> float:
-        if not fam._h:
+    """h(fam) of the Dicke state with ``excitations(N)`` excitations: the
+    array of h(0..N).  The first call on an instance fills its ``_h`` memo
+    with it, every h(s), s < N, from one :func:`dicke_block_entropies`
+    pass."""
+    def h(fam) -> np.ndarray:
+        if fam._h is None:
             n = fam.n
-            table = dicke_block_entropies(n, excitations(n), range(1, n))
-            fam._h.update(zip(range(1, n), table.tolist()))
-        return fam._h[s]
+            table = np.zeros(n + 1)
+            table[1:n] = dicke_block_entropies(n, excitations(n), range(1, n))
+            object.__setattr__(fam, "_h", table)
+        return fam._h
     return h
 
 
 FAMILIES = {f.name: f for f in (
     Family("ghz", lambda f: make_ghz(f.n, f.d), table=3,
-           normalization=_BY_N_LOG_N, h=lambda f, s: 1.0, uniform=True),
+           normalization=_BY_N_LOG_N, h=lambda f: 1.0, uniform=True),
     Family("classical", lambda f: make_classical(f.n, f.d),
            aliases=("classical-correlated", "qudit-classical"), table=1,
            normalization=_BY_N_LOG_N, h=_log2_d, mixed=True, uniform=True),
@@ -94,7 +97,7 @@ FAMILIES = {f.name: f for f in (
            aliases=("qudit-bell-product",), even_only=True, table=2,
            h=_log2_d, pairs=True),
     Family("classical-pair-product", lambda f: make_classical_pair_product(f.n),
-           param=None, even_only=True, table=0, h=lambda f, s: 1.0,
+           param=None, even_only=True, table=0, h=lambda f: 1.0,
            mixed=True, pairs=True),
     Family("dicke-1", lambda f: make_dicke(f.n, 1), param=None, spec=False,
            table=4, h=_dicke_h(lambda n: 1)),
@@ -108,7 +111,7 @@ FAMILIES = {f.name: f for f in (
            spec=False, even_only=True, table=7, qudit=True, h=_log2_d,
            pairs=True),
     Family("a-family", lambda f: make_a_family(f.n, f.a), param="a",
-           h=lambda f, s: binary_entropy(f.a * f.a), uniform=True),
+           h=lambda f: binary_entropy(f.a * f.a), uniform=True),
 )}
 
 CF_FAMILIES = tuple(name for name, f in FAMILIES.items() if f.h is not None)
@@ -136,7 +139,7 @@ class ClosedFormFamily:
     n: int
     d: int = 2
     a: Optional[float] = None
-    _h: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _h: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         row = _closed_form(self.family)
@@ -308,38 +311,47 @@ def _segment_sums(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.nd
     return out
 
 
-def cf_dist(fam: ClosedFormFamily, k: int) -> float:
-    """Closed-form dist(k) in bits for the family instance."""
-    n = fam.n
-    if not 1 <= k <= n:
-        raise ArgumentError(f"order k={k} out of range 1..{n}")
-    row = FAMILIES[fam.family]
-    if k == n or row.pairs and k > 1:
-        # blocks of size >= 2 can cover whole pairs; only k = 1 cuts them
-        return 0.0
+def _dist_array(fam: ClosedFormFamily) -> np.ndarray:
+    """Closed-form dist(k) in bits for every order k = 1..N of the family
+    instance, from its row's h in one array pass."""
+    n, row = fam.n, FAMILIES[fam.family]
+    h = row.h(fam)
+    ks = np.arange(1, n + 1)
     if row.pairs:
-        h = row.h(fam, 1)
-        return n / 2 * (2 * h - (h if row.mixed else 0.0))
-    if row.uniform:
+        # blocks of size >= 2 can cover whole pairs; only k = 1 cuts them
+        dist = np.zeros(n)
+        dist[0] = n / 2 * (2 * h - (h if row.mixed else 0.0))
+    elif row.uniform:
         # One rounding, so orders with equal block counts get bit-equal
         # values and a genuine difference of exactly 0.
-        h, blocks = row.h(fam, k), -(-n // k)
-        return (blocks - 1) * h if row.mixed else blocks * h
-    return compact_sum(n, k, partial(row.h, fam))
+        blocks = -(-n // ks)
+        dist = (blocks - 1 if row.mixed else blocks) * h
+    else:
+        dist = compact_sum(n, ks, h)
+    dist[-1] = 0.0  # the whole state is one block
+    return dist
+
+
+def cf_dist(fam: ClosedFormFamily, k: int) -> float:
+    """Closed-form dist(k) in bits for the family instance: one entry of
+    the whole profile's array pass, so each call costs O(N)."""
+    if not 1 <= k <= fam.n:
+        raise ArgumentError(f"order k={k} out of range 1..{fam.n}")
+    return float(_dist_array(fam)[k - 1])
 
 
 def cf_profile(fam: ClosedFormFamily) -> CorrelationProfile:
     """The family instance's profile: its closed-form dist(k) for every
     order, through the checks of :meth:`CorrelationProfile.from_dist`."""
-    return CorrelationProfile.from_dist(
-        [cf_dist(fam, k) for k in range(1, fam.n + 1)], mode=MODE_CLOSED_FORM)
+    return CorrelationProfile.from_dist(_dist_array(fam).tolist(),
+                                        mode=MODE_CLOSED_FORM)
 
 
 def cf_genuine(fam: ClosedFormFamily, k: int) -> float:
     """Closed-form genuine correlations of order ``k``.
 
-    Each call builds the whole profile (N ``cf_dist`` calls), so looping
-    over k costs O(N^2) of them; take one :func:`cf_profile` instead.
+    Each call builds the whole profile, so looping over k costs O(N^2);
+    take one :func:`cf_profile` instead.
     """
     return cf_profile(fam).genuine_at(k)
 
@@ -347,8 +359,8 @@ def cf_genuine(fam: ClosedFormFamily, k: int) -> float:
 def cf_weaving(fam: ClosedFormFamily, weights: WeightScheme) -> float:
     """Closed-form weaving index, by :func:`~corrweave.correlations.weaving`.
 
-    Each call builds the whole profile (N ``cf_dist`` calls); a caller
-    that needs more than one value should take one :func:`cf_profile`.
+    Each call builds the whole profile; a caller that needs more than one
+    value should take one :func:`cf_profile`.
     """
     return weaving(cf_profile(fam), weights)
 

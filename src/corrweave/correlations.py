@@ -16,15 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import accumulate, chain, repeat
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
 # enumerate_partitions is not called here; it stays importable for callers that patch it.
-from .partitions import (DEFAULT_ENUM_CAP, SetPartition, compact_partition,  # noqa: F401
-                         compact_sum, enumerate_partitions)
+from .partitions import (DEFAULT_ENUM_CAP, SetPartition,  # noqa: F401
+                         compact_partitions, compact_sum, enumerate_partitions)
 from .tensor import (REP_DENSE, DensityState, _normalize_keep,
                      is_permutation_invariant, marginal_entropy, partial_trace,
                      permute_subsystems, tensor_product)
@@ -299,15 +300,28 @@ def dist_to_pk(state: DensityState, k: int, mode: str = MODE_AUTO) -> PartitionM
     if not 1 <= k <= n:
         raise ArgumentError(f"order k={k} out of range 1..{n}")
     if _resolve_mode(state, mode) == MODE_FAST:
-        best_part = compact_partition(n, k)
-        h = partial(_prefix_entropy, state)
-        best = compact_sum(n, k, h) - h(n)
-    else:
-        best, best_part = _partition_minimum(subset_entropies(state), n, k)
+        return _compact_minima(state, [k])[0]
+    return _clamped(k, *_partition_minimum(subset_entropies(state), n, k))
+
+
+def _compact_minima(state: DensityState, ks: Sequence[int]) -> list[PartitionMinimum]:
+    """:func:`dist_to_pk` of a state measured invariant for each order in
+    ``ks``, in one array pass over the prefix entropies it needs."""
+    n = state.n_parties
+    orders = np.asarray(ks)
+    h = np.zeros(n + 1)
+    for s in sorted({n, *orders.tolist(), *(n % orders).tolist()} - {0}):
+        h[s] = _prefix_entropy(state, s)
+    values = (compact_sum(n, orders, h) - h[n]).tolist()
+    return list(map(_clamped, ks, values, compact_partitions(n, ks)))
+
+
+def _clamped(k: int, best: float, part: SetPartition) -> PartitionMinimum:
+    """The minimum of order ``k``, clamped at 0 within the clamp window."""
     if best < -CLAMP_TOL:
         raise ConsistencyError(
             f"dist({k}) evaluated to {best}, below the -1e-9 clamp window")
-    return PartitionMinimum(max(best, 0.0), best_part)
+    return PartitionMinimum(max(best, 0.0), part)
 
 
 def _blocks(s: int, k: int):
@@ -385,7 +399,9 @@ def profile(state: DensityState, mode: str = MODE_AUTO) -> CorrelationProfile:
     within 1e-9 by :func:`dist_to_pk`), checked and differenced by
     :meth:`CorrelationProfile.from_dist`."""
     resolved = _resolve_mode(state, mode)
-    minima = [dist_to_pk(state, k, mode) for k in range(1, state.n_parties + 1)]
+    ks = range(1, state.n_parties + 1)
+    minima = (_compact_minima(state, ks) if resolved == MODE_FAST
+              else [dist_to_pk(state, k, MODE_BRUTE) for k in ks])
     return CorrelationProfile.from_dist([m.value for m in minima],
                                         [m.argmin for m in minima], resolved)
 

@@ -11,7 +11,7 @@ reference, and its canonical order defines which minimizer is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import ArgumentError, CapacityError
 
@@ -87,16 +87,29 @@ def _walk(n: int, kmax: int) -> Iterator[SetPartition]:
 def compact_partition(n: int, k: int) -> SetPartition:
     """Contiguous blocks of size ``k``; one trailing remainder block of
     size ``n mod k`` when ``k`` does not divide ``n``."""
-    if not 1 <= k <= n:
-        raise ArgumentError(f"k must satisfy 1 <= k <= n, got {k} for n={n}")
-    part = object.__new__(SetPartition)  # the blocks are already canonical
-    object.__setattr__(part, "blocks",
-                       tuple(tuple(range(s, min(s + k, n))) for s in range(0, n, k)))
-    return part
+    return compact_partitions(n, (k,))[0]
 
 
-def compact_sum(n: int, k: int, h: Callable[[int], float]) -> float:
-    """``sum`` of ``h(len(block))`` over :func:`compact_partition`'s blocks,
-    as ``q h(k) + h(r)`` with ``n = q k + r``; ``h(0)`` is never called."""
+def compact_partitions(n: int, ks: Iterable[int]) -> list[SetPartition]:
+    """:func:`compact_partition` for each order in ``ks``.  Every block is
+    a slice of one tuple of the indices, so the partitions share its ints
+    (an int above 256 is an object of its own)."""
+    parties = tuple(range(n))
+    out = []
+    for k in ks:
+        if not 1 <= k <= n:
+            raise ArgumentError(f"k must satisfy 1 <= k <= n, got {k} for n={n}")
+        part = object.__new__(SetPartition)  # the blocks are already canonical
+        object.__setattr__(part, "blocks",
+                           tuple(parties[s:s + k] for s in range(0, n, k)))
+        out.append(part)
+    return out
+
+
+def compact_sum(n: int, k, h):
+    """``sum`` of ``h[len(block)]`` over :func:`compact_partition`'s blocks,
+    as ``q h[k] + h[r]`` with ``n = q k + r``; ``h[0]`` must be 0.0.
+    ``k`` is one order, with ``h`` indexed by block size, or an array of
+    orders, with ``h`` an array over every size from 0 to ``n``."""
     q, r = divmod(n, k)
-    return q * h(k) + (h(r) if r else 0.0)
+    return q * h[k] + h[r]

@@ -283,11 +283,17 @@ def _ravel_digits(key: Sequence[int], dims: Sequence[int]) -> int:
 
 
 def _normalize_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    keep = tuple(sorted(map(int, keep)))
+    """``keep`` as a sorted tuple of distinct indices below ``n``.  A
+    ``range`` with a positive step is already sorted and distinct, so
+    only its bounds are checked."""
+    if isinstance(keep, range) and keep.step > 0:
+        keep = tuple(keep)
+    else:
+        keep = tuple(sorted(map(int, keep)))
+        if len(set(keep)) != len(keep):
+            raise ArgumentError(f"keep-set {keep} contains duplicates")
     if not keep:
         raise ArgumentError("keep-set must be nonempty")
-    if len(set(keep)) != len(keep):
-        raise ArgumentError(f"keep-set {keep} contains duplicates")
     if keep[0] < 0 or keep[-1] >= n:
         raise ArgumentError(f"keep-set {keep} out of range for {n} subsystems")
     return keep

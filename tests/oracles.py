@@ -5,6 +5,7 @@ import math
 import numpy as np
 
 from corrweave.cli import _round12
+from corrweave.closed_forms import FAMILIES
 from corrweave.tensor import EIG_CLIP, _dense_partial_trace
 
 
@@ -98,3 +99,21 @@ def dicke_entropy_per_k(n: int, m: int, k: int) -> float:
     p = p[p > 0]
     h = float(-(p * np.log2(p)).sum())
     return h if h > 0 else 0.0  # the spectrum [1.0] gives -0.0
+
+
+def cf_dist_per_k(fam, k: int) -> float:
+    """Closed-form dist(k) in bits of a family instance, one order at a
+    time: the scalar form of each family branch."""
+    n = fam.n
+    row = FAMILIES[fam.family]
+    if k == n or row.pairs and k > 1:
+        # blocks of size >= 2 can cover whole pairs; only k = 1 cuts them
+        return 0.0
+    h = row.h(fam)
+    if row.pairs:
+        return n / 2 * (2 * h - (h if row.mixed else 0.0))
+    if row.uniform:
+        blocks = -(-n // k)
+        return (blocks - 1) * h if row.mixed else blocks * h
+    q, r = divmod(n, k)
+    return q * float(h[k]) + (float(h[r]) if r else 0.0)

@@ -341,12 +341,21 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(doc=_state_docs())
-def test_fuzzed_state_files_exit_with_a_documented_code(fuzz_dir, doc):
+@given(doc=_state_docs(), junk=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_fuzzed_state_files_exit_with_a_documented_code(fuzz_dir, doc, junk):
+    # junk, when drawn, places a byte that is never valid UTF-8 at that
+    # fraction of the text
     path = fuzz_dir / "state.json"
-    path.write_text(json.dumps(doc))
+    data = json.dumps(doc).encode()
+    if junk is not None:
+        cut = int(junk * len(data))
+        data = data[:cut] + b"\xff" + data[cut:]
+    path.write_bytes(data)
     result = run("profile", "--state", str(path))
     assert result.exit_code in (0, 2, 3, 4), (doc, errtext(result), result.exception)
+    if junk is not None:
+        assert result.exit_code == 2
+        assert f"state file {path} is not valid UTF-8" in errtext(result)
 
 
 def test_profile_malformed_state_file(tmp_path):
@@ -414,6 +423,33 @@ def test_json_integers_beyond_the_digit_limit_are_argument_errors(tmp_path):
     result = run("profile", "--state", "ghz:3", "--weights", f"file:{path}")
     assert result.exit_code == 2, (errtext(result), result.exception)
     assert "an integer has too many digits" in errtext(result)
+
+
+def test_files_that_are_not_utf8_are_argument_errors(tmp_path):
+    path = tmp_path / "latin1.json"
+    data = b'{"dims": [2], "kind": "pure", "payload": [], "note": "caf\xff"}'
+    path.write_bytes(data)
+    result = run("profile", "--state", str(path))
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert (f"error: state file {path} is not valid UTF-8 "
+            f"(invalid start byte at byte {data.index(0xff)})") in errtext(result)
+    path.write_bytes(b'{"big-omega": [1.0, 1.0], "note": "caf\xff"}')
+    result = run("profile", "--state", "ghz:3", "--weights", f"file:{path}")
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert f"error: weights file {path} is not valid UTF-8" in errtext(result)
+    assert "too many digits" not in errtext(result)
+
+
+@pytest.mark.parametrize("key", ["\u00b2", "\u0661", "0\u00b9", "\uff11"])
+def test_classical_keys_take_ascii_digits_only(tmp_path, key):
+    # superscripts, Arabic-Indic and fullwidth digits pass str.isdigit()
+    path = tmp_path / "digits.json"
+    payload = {key: 0.5, "0" * len(key): 0.5}
+    path.write_text(json.dumps({"dims": [2] * len(key), "kind": "classical",
+                                "payload": payload}), encoding="utf-8")
+    result = run("profile", "--state", str(path))
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert f"key {key!r} is not a valid digit string" in errtext(result)
 
 
 def test_profile_brute_dicke_value():
@@ -712,10 +748,11 @@ def test_scaling_large_n_weaving_has_its_last_digit(args, weaving):
 @pytest.mark.parametrize("command", [("table", "--n", "4", "--closed-form-only"),
                                      ("scaling", "--family", "ghz", "--n-max", "8")])
 def test_closed_form_that_rises_with_k_exits_four(monkeypatch, command):
-    def rising(fam, k):
-        return 1.0 + 1e-6 * (k == 2) if k < fam.n else 0.0
+    def rising(fam):
+        return np.array([1.0 + 1e-6 * (k == 2) if k < fam.n else 0.0
+                         for k in range(1, fam.n + 1)])
 
-    monkeypatch.setattr(closed_forms, "cf_dist", rising)
+    monkeypatch.setattr(closed_forms, "_dist_array", rising)
     result = run(*command)
     assert result.exit_code == 4, errtext(result)
     assert "dist(2) = 1.000001 exceeds dist(1) = 1.0 beyond 1e-9" in errtext(result)

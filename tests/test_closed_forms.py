@@ -10,9 +10,10 @@ from corrweave import (ArgumentError, CapacityError, ClosedFormFamily,
                        cf_genuine, cf_profile, cf_scaling_sweep, cf_weaving,
                        dicke_marginal_entropy, hypergeometric_spectrum,
                        make_dicke, partial_trace, profile, vn_entropy, weaving)
-from corrweave.closed_forms import (MAX_CLOSED_FORM_N, _beyond_mode,
+from corrweave.closed_forms import (CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N,
+                                    _beyond_mode, _dist_array,
                                     dicke_block_entropies)
-from oracles import dicke_entropy_per_k, dicke_spectrum_per_k
+from oracles import cf_dist_per_k, dicke_entropy_per_k, dicke_spectrum_per_k
 
 
 def test_family_validation():
@@ -141,6 +142,22 @@ def test_dicke_terms_past_the_first_tile_have_the_same_bits():
         assert filled < 512 and part.tobytes() == whole.tobytes(), tile
 
 
+@pytest.mark.parametrize("family", CF_FAMILIES)
+def test_dist_array_matches_the_per_k_oracle_bit_for_bit(family):
+    row = FAMILIES[family]
+    params = {"d": [{"d": d} for d in (2, 3, 5)],
+              "a": [{"a": a} for a in (0.0, 0.5, 0.6, 1.0)]}.get(row.param, [{}])
+    for n in [*range(1, 65), 100, 255, 256, 257, 1000, 1024, 4096]:
+        if row.even_only and n % 2:
+            continue
+        for extra in params:
+            fam = ClosedFormFamily(family, n, **extra)
+            want = [cf_dist_per_k(fam, k).hex() for k in range(1, n + 1)]
+            assert [x.hex() for x in _dist_array(fam).tolist()] == want, (n, extra)
+            ks = sorted({1, min(2, n), max(n // 2, 1), n})
+            assert [cf_dist(fam, k).hex() for k in ks] == [want[k - 1] for k in ks]
+
+
 def test_cf_dist_ghz_and_classical():
     ghz4 = ClosedFormFamily("ghz", 4)
     assert [cf_dist(ghz4, k) for k in range(1, 5)] == [4.0, 2.0, 2.0, 0.0]
@@ -267,6 +284,8 @@ def test_memoized_block_entropies_match_a_fresh_instance_bit_for_bit(family, n):
     def fresh():
         return ClosedFormFamily(family, n)
 
+    cf_dist(fam, 1)
+    memo = fam._h
     for k in range(1, n + 1):
         assert cf_dist(fam, k).hex() == cf_dist(fresh(), k).hex()
     once = cf_profile(fresh())
@@ -274,13 +293,13 @@ def test_memoized_block_entropies_match_a_fresh_instance_bit_for_bit(family, n):
         assert cf_genuine(fam, k).hex() == once.genuine_at(k).hex()
     for weights in (WeightScheme.order_weighted(n), WeightScheme.delta(n, 2)):
         assert cf_weaving(fam, weights).hex() == weaving(once, weights).hex()
-    assert sorted(fam._h) == list(range(1, n))  # each h(s), s < N, computed once
+    assert fam._h is memo and memo.shape == (n + 1,)  # each h(s), s < N, computed once
 
 
 def test_memo_takes_no_part_in_equality_or_hashing():
     filled, empty = ClosedFormFamily("dicke-half", 16), ClosedFormFamily("dicke-half", 16)
     cf_weaving(filled, WeightScheme.order_weighted(16))
-    assert filled._h and not empty._h
+    assert filled._h is not None and empty._h is None
     assert filled == empty and hash(filled) == hash(empty)
     assert repr(filled) == repr(empty)
     assert len({filled, empty}) == 1

@@ -414,3 +414,24 @@ def test_closest_product_reconstruction():
     assert max_entry_distance(inter, recon2) < 1e-12
     with pytest.raises(ArgumentError):
         closest_product(s, SetPartition([(0, 1)]))
+
+
+def test_invariant_profile_partitions_share_their_party_indices():
+    # classical:1000 holds 1000 compact partitions of up to 1000 indices;
+    # with an index tuple each, its ints above 256 took 32.5 MB
+    import tracemalloc
+
+    state = make_classical(1000)
+    tracemalloc.start()
+    try:
+        prof = profile(state)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert prof.mode == "symmetric-fast" and len(prof.argmin) == 1000
+    assert held < 12e6, held
+    assert prof.argmin[0].blocks[999][0] is prof.argmin[998].blocks[1][0]
+    assert [p.blocks for p in prof.argmin[:3]] == [
+        tuple((i,) for i in range(1000)),
+        tuple((i, i + 1) for i in range(0, 1000, 2)),
+        tuple(tuple(range(i, min(i + 3, 1000))) for i in range(0, 1000, 3))]

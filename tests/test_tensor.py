@@ -402,3 +402,29 @@ def test_permutation_invariance_cannot_be_declared_or_loosened():
         DensityState((2,) * 4, "pure", _amps=amps, permutation_invariant=True)
     with pytest.raises(TypeError):
         is_permutation_invariant(make_bell_product(4), tol=1.0)
+
+
+def test_range_keep_sets_give_the_bits_and_errors_of_lists():
+    rng = np.random.default_rng(31)
+    states = [haar_state((2, 3, 2, 2), rng), random_density((2, 2, 3), rng),
+              random_classical((3, 2, 2, 2), rng), make_classical(300)]
+    for state in states:
+        n = state.n_parties
+        keeps = [range(s) for s in range(1, n + 1)] + [
+            range(1, n), range(0, n, 2), range(n - 1, -1, -1), range(n - 1, 0, -2)]
+        for keep in keeps:
+            assert (marginal_entropy(state, keep).hex()
+                    == marginal_entropy(state, list(keep)).hex()), (state, keep)
+            if n <= 4:
+                assert (partial_trace(state, keep).to_matrix().tobytes()
+                        == partial_trace(state, list(keep)).to_matrix().tobytes())
+    state = make_ghz(3)
+    for keep, message in [(range(0), "keep-set must be nonempty"),
+                          (range(2, 2), "keep-set must be nonempty"),
+                          (range(4), "keep-set (0, 1, 2, 3) out of range for 3 subsystems"),
+                          (range(-1, 2), "keep-set (-1, 0, 1) out of range for 3 subsystems"),
+                          (range(1, 6, 2), "keep-set (1, 3, 5) out of range for 3 subsystems")]:
+        for form in (keep, list(keep)):
+            with pytest.raises(ArgumentError) as exc:
+                marginal_entropy(state, form)
+            assert str(exc.value) == message, form
