@@ -14,6 +14,7 @@ error, 5 property-suite failure.
 from __future__ import annotations
 
 import functools
+import gc
 import io
 import json
 import math
@@ -262,7 +263,22 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
 
 
 def load_state_file(path: str) -> DensityState:
-    """Parse a UTF-8 JSON state file: {dims, kind, payload}."""
+    """Parse a UTF-8 JSON state file: {dims, kind, payload}.
+
+    The cyclic garbage collector is paused while the file is parsed and
+    converted, since the payload's many small lists set off collections
+    that free nothing; the caller's setting is restored after.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_state_file(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse_state_file(path: str) -> DensityState:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:

@@ -25,10 +25,11 @@ from .states import (make_a_family, make_bell_product, make_classical,
 
 #: Largest N a closed form is evaluated at, the largest ``classical:N``
 #: the classical table cap admits.  Weight schemes and profiles hold O(N)
-#: values, and ``dicke-half`` takes O(N^2) time: its h(s) come from one
-#: batched pass per instance (:func:`dicke_block_entropies`), and a
-#: ``scaling`` point takes about 1.8 s at N = 16384 on a 2-vCPU Xeon VM,
-#: and about 12 s at the cap.
+#: values, and ``dicke-half`` takes O(N^2) time: its h(s) for s <= N/2
+#: come from one batched pass per instance (:func:`dicke_block_entropies`)
+#: and the rest are their bit-equal mirror h(N - s) (:func:`_dicke_h`), so
+#: a ``scaling`` point takes about 0.9 s at N = 16384 on a 2-vCPU Xeon VM,
+#: and about 6 s at the cap (12 s when the pass computed every s).
 MAX_CLOSED_FORM_N = 1 << 16
 
 #: Sweep normalizations: (name, divisor for system size n).
@@ -47,9 +48,10 @@ class Family:
     The closed form is ``h(fam)``, the entropy of a block of sites: one
     float, the same for every size ``s < N`` if ``uniform``, or that of
     one site of a pair if ``pairs``; else an array of h(s) for every
-    ``s`` from 0 to N, with h(0) = h(N) = 0.0.  The whole state (or pair)
-    is pure, or, if ``mixed``, has the entropy of its blocks, as a
-    mixture of correlated strings does.
+    ``s`` from 0 to N, with h(0) = h(N) = 0.0 (a Dicke row computes
+    h(s) for s <= N/2 and mirrors the rest, see :func:`_dicke_h`).  The
+    whole state (or pair) is pure, or, if ``mixed``, has the entropy of
+    its blocks, as a mixture of correlated strings does.
     """
 
     name: str
@@ -74,13 +76,20 @@ def _log2_d(fam) -> float:
 def _dicke_h(excitations: Callable[[int], int]) -> Callable:
     """h(fam) of the Dicke state with ``excitations(N)`` excitations: the
     array of h(0..N).  The first call on an instance fills its ``_h`` memo
-    with it, every h(s), s < N, from one :func:`dicke_block_entropies`
-    pass."""
+    with it from one :func:`dicke_block_entropies` pass.
+
+    The state is pure, so complementary blocks share a spectrum and
+    h(s) = h(N - s): the pass computes h(s) for s <= N/2 and mirrors the
+    rest.  The mirror is bit-exact because the two Dicke rows hold one
+    excitation or N/2, where rows s and N - s sum the same terms.
+    """
     def h(fam) -> np.ndarray:
         if fam._h is None:
-            n = fam.n
+            n, half = fam.n, fam.n // 2
             table = np.zeros(n + 1)
-            table[1:n] = dicke_block_entropies(n, excitations(n), range(1, n))
+            table[1:half + 1] = dicke_block_entropies(
+                n, excitations(n), range(1, half + 1))
+            table[half + 1:n] = table[1:n - half][::-1]
             object.__setattr__(fam, "_h", table)
         return fam._h
     return h
@@ -130,8 +139,8 @@ def _closed_form(family: str) -> Family:
 class ClosedFormFamily:
     """A state family instance whose correlation profile has a closed form.
 
-    A Dicke row keeps its block entropies h(s) on the instance, all of
-    them from one batched pass (see :func:`_dicke_h`); they take no part
+    A Dicke row keeps its block entropies h(s) on the instance, from one
+    batched pass and its mirror (see :func:`_dicke_h`); they take no part
     in equality or hashing.
     """
 
@@ -148,6 +157,9 @@ class ClosedFormFamily:
         check_closed_form_n(self.n)
         if self.d < 2:
             raise ArgumentError(f"need d >= 2, got {self.d}")
+        if row.param != "d" and self.d != 2:
+            raise ArgumentError(
+                f"family {self.family} takes no local dimension, got d={self.d}")
         if row.even_only and self.n % 2:
             raise ArgumentError(f"family {self.family} needs even n, got {self.n}")
         if row.param == "a":
@@ -382,15 +394,16 @@ def cf_scaling_sweep(family: str, n_values: Sequence[int], *, d: int = 2,
     family's natural normalization (n, n*log2(n), or n^2) divided out.
 
     ``weights`` names a scheme constructed per N: ``k-1`` (default),
-    ``uniform``, or ``delta:K``; ``a`` is used by families that take an
-    amplitude and ignored by the others.
+    ``uniform``, or ``delta:K``; ``d`` and ``a`` are checked by
+    :class:`ClosedFormFamily`, which refuses either where the family takes
+    none.
     """
     row = _closed_form(family)
     norm_name, norm = row.normalization
     points = []
     for n in n_values:
         n = int(n)
-        fam = ClosedFormFamily(family, n, d=d, a=a if row.param == "a" else None)
+        fam = ClosedFormFamily(family, n, d=d, a=a)
         scheme = WeightScheme.named(weights, n)  # a bad name fails fast
         w = weaving(cf_profile(fam), scheme)
         points.append(SweepPoint(n, w, norm_name, w / norm(n)))

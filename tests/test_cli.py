@@ -21,9 +21,9 @@ from hypothesis import strategies as st
 
 import corrweave
 from corrweave import closed_forms
-from corrweave import (DensityState, NumericError, compact_partition,
-                       make_bell_product, make_classical, make_ghz,
-                       tensor_product)
+from corrweave import (DensityState, NumericError, StateFileError,
+                       compact_partition, make_bell_product, make_classical,
+                       make_ghz, tensor_product)
 from corrweave.closed_forms import CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N
 from corrweave.cli import (_cell, _emit, _handle_errors, _json_text, _round12,
                            load_state_file, main, save_state_file)
@@ -248,6 +248,33 @@ def test_profile_state_file_round_trip_all_kinds(tmp_path):
         else:
             payload = (lambda s: s.amplitudes()) if state.is_pure else (lambda s: s.to_matrix())
             assert payload(loaded).tobytes() == payload(state).tobytes(), name
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_state_file_load_pauses_gc_and_restores_the_callers_setting(
+        tmp_path, monkeypatch, enabled):
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    save_state_file(make_ghz(3), str(good))
+    bad.write_text(json.dumps({"dims": [2], "kind": "pure", "payload": [[1, 0]]}))
+    during = []
+
+    def loads(text, original=json.loads):
+        during.append(gc.isenabled())
+        return original(text)
+
+    monkeypatch.setattr(json, "loads", loads)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        load_state_file(str(good))
+        after_load = gc.isenabled()
+        with pytest.raises(StateFileError):
+            load_state_file(str(bad))
+        after_error = gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == [False, False]
+    assert after_load is enabled and after_error is enabled
 
 
 _M = [[0.5, 0], [0, 0]]  # a valid [re, im] row of a 2x2 mixed payload
@@ -693,17 +720,21 @@ _AMPLITUDES = st.one_of(st.floats(0.0, 1.0), st.none(), st.floats(-0.5, 1.5),
 def _numeric_options(draw):
     """A ``table`` or ``scaling`` command line with drawn sizes, local
     dimension and amplitude: runnable sizes up to 300, anything larger
-    beyond the closed-form cap."""
+    beyond the closed-form cap.  ``scaling`` gets ``--d`` and ``--a`` only
+    for a family that takes them, so that its draws can reach exit 0."""
     if draw(st.booleans()):
         args = ["table", "--n", draw(_SIZES), "--d", draw(_LOCAL_DIMS)]
         if draw(st.booleans()):
             args.append("--closed-form-only")
     else:
+        family = draw(st.sampled_from(CF_FAMILIES))
         n_min = draw(_SIZES)
         n_max = draw(st.one_of(st.integers(n_min, n_min + 300), _SIZES))
-        args = ["scaling", "--family", draw(st.sampled_from(CF_FAMILIES)),
-                "--n-min", n_min, "--n-max", n_max, "--d", draw(_LOCAL_DIMS)]
-        a = draw(_AMPLITUDES)
+        args = ["scaling", "--family", family, "--n-min", n_min, "--n-max", n_max]
+        param = FAMILIES[family].param
+        if param == "d":
+            args += ["--d", draw(_LOCAL_DIMS)]
+        a = draw(_AMPLITUDES) if param == "a" else None
         if a is not None:
             args += ["--a", a]
     return [str(arg) for arg in args]
@@ -728,8 +759,18 @@ def test_table_computes_each_dicke_block_entropy_once(monkeypatch):
     monkeypatch.setattr(closed_forms, "dicke_block_entropies", counted)
     result = run("table", "--n", "64", "--closed-form-only")
     assert result.exit_code == 0, errtext(result)
-    # two Dicke rows, each filled once with h(1) .. h(63); h(64) is never asked for
-    assert fills == [(64, 1, tuple(range(1, 64))), (64, 32, tuple(range(1, 64)))]
+    # two Dicke rows, each filled once with h(1) .. h(32) and mirrored to h(63);
+    # h(64) is never asked for
+    assert fills == [(64, 1, tuple(range(1, 33))), (64, 32, tuple(range(1, 33)))]
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--family", "dicke-1", "--d", "7"), "family dicke-1 takes no local dimension, got d=7"),
+    (("--family", "ghz", "--a", "0.5"), "family ghz takes no amplitude")])
+def test_scaling_refuses_a_parameter_the_family_does_not_take(args, message):
+    result = run("scaling", *args, "--n-min", "4", "--n-max", "4")
+    assert result.exit_code == 2, errtext(result)
+    assert message in errtext(result)
 
 
 @pytest.mark.parametrize("args, weaving", [

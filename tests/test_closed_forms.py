@@ -31,6 +31,10 @@ def test_family_validation():
         ClosedFormFamily("ghz", 4, a=0.5)  # amplitude not accepted
     with pytest.raises(ArgumentError):
         ClosedFormFamily("ghz", 0)
+    for family, extra in (("dicke-1", {}), ("dicke-half", {}),
+                          ("classical-pair-product", {}), ("a-family", {"a": 0.5})):
+        with pytest.raises(ArgumentError, match=f"family {family} takes no local dimension"):
+            ClosedFormFamily(family, 4, d=3, **extra)  # d not accepted
     ClosedFormFamily("ghz", MAX_CLOSED_FORM_N)
     with pytest.raises(CapacityError, match="capped at N=65536"):
         ClosedFormFamily("ghz", MAX_CLOSED_FORM_N + 1)
@@ -303,6 +307,18 @@ def test_memo_takes_no_part_in_equality_or_hashing():
     assert filled == empty and hash(filled) == hash(empty)
     assert repr(filled) == repr(empty)
     assert len({filled, empty}) == 1
+
+
+@pytest.mark.parametrize("family, excitations, sizes", [
+    ("dicke-1", lambda n: 1, [*range(2, 301), 1024, 4095, 4096]),
+    ("dicke-half", lambda n: n // 2, [*range(2, 301, 2), 1024, 4096])])
+def test_mirrored_block_entropies_match_the_full_pass_bit_for_bit(
+        family, excitations, sizes):
+    for n in sizes:
+        table = FAMILIES[family].h(ClosedFormFamily(family, n))
+        full = dicke_block_entropies(n, excitations(n), range(1, n))
+        assert [h.hex() for h in table.tolist()] == [
+            "0x0.0p+0", *(h.hex() for h in full.tolist()), "0x0.0p+0"], n
 
 
 @pytest.mark.parametrize("family, n", [("ghz", 3), ("dicke-1", 3), ("dicke-half", 4)])
