@@ -11,8 +11,7 @@ arbitrary states of modest size.
 
 from .closed_forms import (CF_FAMILIES, ClosedFormFamily, SweepPoint,
                            binary_entropy, cf_dist, cf_genuine, cf_profile,
-                           cf_scaling_sweep, cf_weaving, dicke_marginal_entropy,
-                           hypergeometric_spectrum)
+                           cf_scaling_sweep, cf_weaving, dicke_marginal_entropy)
 from .correlations import (CorrelationProfile, PartitionMinimum, WeightScheme,
                            closest_product, dist_to_pk, multi_information,
                            neural_complexity, profile, subset_entropies,
@@ -46,7 +45,7 @@ __all__ = [
     "cf_genuine", "cf_profile", "cf_scaling_sweep", "cf_weaving", "closest_product",
     "compact_partition", "dicke_marginal_entropy", "dist_to_pk",
     "enumerate_partitions", "haar_state", "haar_unitary",
-    "hypergeometric_spectrum", "is_permutation_invariant", "make_a_family",
+    "is_permutation_invariant", "make_a_family",
     "make_bell_product", "make_classical", "make_classical_pair_product",
     "make_dicke", "make_ghz", "marginal_entropy", "max_entry_distance",
     "multi_information", "neural_complexity", "partial_trace",

@@ -186,10 +186,10 @@ def _cell(value, seps=(";", "|", ",")):
     return str(value)
 
 
-def _strict_json(doc, **kwargs) -> str:
+def _strict_json(doc) -> str:
     """``doc`` as JSON; a NaN or an infinity raises a NumericError."""
     try:
-        return json.dumps(doc, allow_nan=False, **kwargs)
+        return json.dumps(doc, allow_nan=False)
     except ValueError as exc:
         raise NumericError(f"cannot write JSON: {exc}") from None
 
@@ -219,7 +219,25 @@ def _emit(doc, rows, output):
     click.echo(buf.getvalue(), nl=False, file=sys.stdout)
 
 
-# -- weight schemes ------------------------------------------------------
+# -- input files: weight schemes and states ------------------------------
+
+
+def _read_json(path: str, what: str, error: type[CorrweaveError]):
+    """The document in the UTF-8 JSON file at ``path``.  A file that cannot
+    be read or parsed raises ``error``, naming it a ``what`` file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"cannot read {what} file {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} file {path} is not valid UTF-8 "
+                    f"({exc.reason} at byte {exc.start})") from None
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise error(f"{path}: invalid JSON (nested too deeply)") from None
+    except ValueError:  # an integer beyond Python's int-to-str digit limit
+        raise error(f"{path}: invalid JSON (an integer has too many digits)") from None
 
 
 def _scheme(spec: str, n: int) -> WeightScheme:
@@ -230,20 +248,7 @@ def _scheme(spec: str, n: int) -> WeightScheme:
 
 def _scheme_from_file(spec: str, n: int) -> WeightScheme:
     path = spec.split(":", 1)[1]
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ArgumentError(f"cannot read weights file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise ArgumentError(f"weights file {path} is not valid UTF-8 "
-                            f"({exc.reason} at byte {exc.start})") from None
-    except json.JSONDecodeError as exc:
-        raise ArgumentError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
-    except RecursionError:
-        raise ArgumentError(f"{path}: invalid JSON (nested too deeply)") from None
-    except ValueError:  # an integer beyond Python's int-to-str digit limit
-        raise ArgumentError(f"{path}: invalid JSON (an integer has too many digits)") from None
+    doc = _read_json(path, "weights", ArgumentError)
     if not isinstance(doc, dict) or len(doc.keys() & {"omega", "big-omega"}) != 1:
         raise ArgumentError(
             f"weights file {path} must hold exactly one of 'omega' or 'big-omega'")
@@ -257,9 +262,6 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
     builder = (WeightScheme.from_omega if key == "omega"
                else WeightScheme.from_big_omega)
     return builder(values, name=spec)
-
-
-# -- state files ---------------------------------------------------------
 
 
 def load_state_file(path: str) -> DensityState:
@@ -279,22 +281,7 @@ def load_state_file(path: str) -> DensityState:
 
 
 def _parse_state_file(path: str) -> DensityState:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise StateFileError(f"cannot read state file {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise StateFileError(f"state file {path} is not valid UTF-8 "
-                             f"({exc.reason} at byte {exc.start})") from None
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StateFileError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
-    except RecursionError:
-        raise StateFileError(f"{path}: invalid JSON (nested too deeply)") from None
-    except ValueError:  # an integer beyond Python's int-to-str digit limit
-        raise StateFileError(f"{path}: invalid JSON (an integer has too many digits)") from None
+    doc = _read_json(path, "state", StateFileError)
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be a JSON object")
     for key in ("dims", "kind", "payload"):

@@ -193,22 +193,7 @@ def binary_entropy(p: float) -> float:
 _DICKE_CHUNK = 1 << 14
 
 
-def hypergeometric_spectrum(n: int, m: int, k: int) -> np.ndarray:
-    """Eigenvalues of the k-site marginal of the N-qubit Dicke state with
-    ``m`` excitations: ``C(k, i) C(n-k, m-i) / C(n, m)``, for ``i`` from
-    ``max(0, m-(n-k))`` to ``min(k, m)``.
-
-    One row of the batched pass of :func:`_dicke_chunks`: term ratios
-    multiplied outward from 1.0 at the distribution mode, divided by their
-    sum.  The mode is the largest term, so the sum is at least 1 and
-    nothing overflows; the spectrum sums to 1 within ~1e-15 even for n in
-    the thousands, where a log-gamma evaluation would drift at the 1e-11
-    level.
-    """
-    (_, p, starts, stops, _), = _dicke_chunks(n, m, [k])
-    return p[0, starts[0]:stops[0]]
-
-
+# perfbench/tracing.py wraps this name; the Dicke rows call dicke_block_entropies.
 def dicke_marginal_entropy(n: int, m: int, k: int) -> float:
     """Entropy in bits of the k-site Dicke marginal (0 when k = n): one
     row of :func:`dicke_block_entropies`."""
@@ -217,32 +202,18 @@ def dicke_marginal_entropy(n: int, m: int, k: int) -> float:
 
 def dicke_block_entropies(n: int, m: int, ks) -> np.ndarray:
     """Entropies in bits of the k-site marginals of the N-qubit Dicke state
-    with ``m`` excitations, one per k in ``ks`` (0 where k = n), from the
-    spectra of :func:`_dicke_chunks`.  Each entropy sums the row's
-    positive terms ``p log2 p`` in order, as one ``np.add.reduce``."""
-    out = np.empty(len(ks))
-    for rows, p, _, _, cols in _dicke_chunks(n, m, ks):
-        p = p[:, cols]
-        positive = p > 0
-        counts = np.count_nonzero(positive, axis=1)
-        stops = np.cumsum(counts)
-        p = p[positive]
-        terms = np.log2(p)
-        terms *= p
-        out[rows] = -_segment_sums(terms, stops - counts, stops)
-    return np.where(out > 0, out, 0.0)  # the spectrum [1.0] gives -0.0
+    with ``m`` excitations, one per k in ``ks`` (0 where k = n).
 
-
-def _dicke_chunks(n: int, m: int, ks):
-    """The Dicke spectra of every k in ``ks``, a chunk of rows at a time.
-
-    Yields ``(rows, p, starts, stops, cols)``: row j of ``p`` holds the
-    spectrum of ``ks[rows][j]`` in ``p[j, starts[j]:stops[j]]`` and zeros
-    elsewhere, and every positive term lies in the columns ``cols``.  The
-    bits are those of the per-k recurrence (kept in ``tests/oracles.py``):
-    each term ratio is one rounding of exact integers, ``np.cumprod`` along
-    a row is sequential, and each row is divided by the ``np.add.reduce``
-    of exactly its own terms.
+    Row k's spectrum is ``C(k, i) C(n-k, m-i) / C(n, m)``, ``i`` from
+    ``max(0, m-(n-k))`` to ``min(k, m)``.  Rows go in chunks of at most
+    ``_DICKE_CHUNK`` computed terms.  A row holds 1.0 at the mode, its
+    largest term, and :func:`_beyond_mode` fills tiles of columns outward
+    until every row has underflowed to 0, so nothing overflows and the zero
+    tails are never computed.  Each row is divided by the ``np.add.reduce``
+    of exactly its own terms; its entropy is one ``np.add.reduce`` of its
+    positive ``p log2 p`` in order.  The bits are those of the per-k
+    recurrence in ``tests/oracles.py``: each term ratio is one rounding of
+    exact integers, and ``np.cumprod`` along a row is sequential.
     """
     ks = np.asarray(ks, dtype=np.int64)
     if not 0 <= m <= n or ks.size and not 1 <= ks.min() <= ks.max() <= n:
@@ -263,6 +234,7 @@ def _dicke_chunks(n: int, m: int, ks):
     # the terms a row computes when its first tile reaches the tail
     cost = np.minimum(below, tiles) + np.minimum(above, tiles) + 1
     count = max(1, _DICKE_CHUNK // int(cost.max(initial=1)))
+    out = np.empty(len(ks))
     for first in range(0, len(ks), count):
         stop = min(first + count, len(ks))
         rows = slice(first, stop)
@@ -276,11 +248,18 @@ def _dicke_chunks(n: int, m: int, ks):
         # the mirror image i -> k - i, which has n - m excitations
         cu = _beyond_mode(p[:, wd + 1:], n, m, k, i0, tile)
         cd = _beyond_mode(p[:, :wd][:, ::-1], n, n - m, k, k - i0, tile)
-        starts, stops = wd - below[rows], wd + 1 + above[rows]
-        flat = np.arange(stop - first) * width
-        cols = slice(wd - cd, wd + 1 + cu)
-        p[:, cols] /= _segment_sums(p.ravel(), flat + starts, flat + stops)[:, None]
-        yield rows, p, starts, stops, cols
+        at = np.arange(stop - first) * width + wd  # each mode in p.ravel()
+        sums = _segment_sums(p.ravel(), at - below[rows], at + 1 + above[rows])
+        p = p[:, wd - cd:wd + 1 + cu]  # every positive term
+        p /= sums[:, None]
+        positive = p > 0
+        counts = np.count_nonzero(positive, axis=1)
+        ends = np.cumsum(counts)
+        p = p[positive]
+        terms = np.log2(p)
+        terms *= p
+        out[rows] = -_segment_sums(terms, ends - counts, ends)
+    return np.where(out > 0, out, 0.0)  # the spectrum [1.0] gives -0.0
 
 
 def _beyond_mode(out: np.ndarray, n: int, m: int, k: np.ndarray,

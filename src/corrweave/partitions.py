@@ -107,9 +107,9 @@ def compact_partitions(n: int, ks: Iterable[int]) -> list[SetPartition]:
 
 
 def compact_sum(n: int, k, h):
-    """``sum`` of ``h[len(block)]`` over :func:`compact_partition`'s blocks,
-    as ``q h[k] + h[r]`` with ``n = q k + r``; ``h[0]`` must be 0.0.
-    ``k`` is one order, with ``h`` indexed by block size, or an array of
-    orders, with ``h`` an array over every size from 0 to ``n``."""
+    """``sum`` of ``h[len(block)]`` over :func:`compact_partition`'s blocks
+    for each order in the array ``k``, as ``q h[k] + h[r]`` with
+    ``n = q k + r``; ``h`` is an array over every size from 0 to ``n``, with
+    ``h[0]`` = 0.0."""
     q, r = divmod(n, k)
     return q * h[k] + h[r]

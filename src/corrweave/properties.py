@@ -21,14 +21,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .correlations import (WeightScheme, closest_product, dist_to_pk,
-                           multi_information)
+from .correlations import (DUAL_FORM_TOL, WeightScheme, closest_product,
+                           dist_to_pk, multi_information)
+from .errors import ArgumentError
 from .random_states import (haar_state, random_channel, random_density,
                             random_product_state)
 from .tensor import apply_channel, max_entry_distance, partial_trace, tensor_product
 
 DEFAULT_TOL = 1e-8
-DUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,6 +56,8 @@ def run_property_suite(seed: int = 1234, trials: int = 200, *,
                        perturb_dist: Optional[Callable[[float], float]] = None,
                        ) -> list[PropertyResult]:
     """Run every property with ``trials`` trials each, one shared seed."""
+    if seed < 0:
+        raise ArgumentError(f"need a seed >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     checks = (_faithfulness, _extension_monotonicity, _channel_monotonicity,
               _discard_monotonicity, _superadditivity, _product_additivity,
@@ -185,7 +187,7 @@ def _dual_form(rng, trials, perturb):
         big_form = sum(w * v for w, v in zip(scheme.big_omega, dist[:-1]))
         scale = max(abs(omega_form), abs(big_form), 1.0)
         worst = max(worst, abs(omega_form - big_form) / scale)
-    return _result("weaving-dual-form", trials, worst, DUAL_TOL)
+    return _result("weaving-dual-form", trials, worst, DUAL_FORM_TOL)
 
 
 def _contractivity(rng, trials, perturb):

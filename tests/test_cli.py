@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -467,6 +468,35 @@ def test_files_that_are_not_utf8_are_argument_errors(tmp_path):
     assert "too many digits" not in errtext(result)
 
 
+_BAD_FILES = {  # contents (None: a directory), and the message
+    "directory": (None, "cannot read {what} file {path}: {isdir}"),
+    "not-utf8": (b'{"note": "caf\xff"}',
+                 "{what} file {path} is not valid UTF-8 (invalid start byte at byte 13)"),
+    "invalid-json": (b"{not json",
+                     "{path}:1:2: invalid JSON (Expecting property name enclosed in double quotes)"),
+    "nested-too-deep": (b"[" * 100000 + b"]" * 100000, "{path}: invalid JSON (nested too deeply)"),
+    "huge-integer": (b"[" + b"1" * 5000 + b"]",
+                     "{path}: invalid JSON (an integer has too many digits)"),
+}
+
+
+@pytest.mark.parametrize("what", ["state", "weights"])
+@pytest.mark.parametrize("case", _BAD_FILES)
+def test_unreadable_json_files_are_argument_errors(tmp_path, what, case):
+    data, message = _BAD_FILES[case]
+    path = tmp_path / "input.json"
+    if data is None:
+        path.mkdir()
+    else:
+        path.write_bytes(data)
+    isdir = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    args = (["--state", str(path)] if what == "state"
+            else ["--state", "ghz:3", "--weights", f"file:{path}"])
+    result = run("profile", *args)
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert result.stderr == f"error: {message.format(what=what, path=path, isdir=isdir)}\n"
+
+
 @pytest.mark.parametrize("key", ["\u00b2", "\u0661", "0\u00b9", "\uff11"])
 def test_classical_keys_take_ascii_digits_only(tmp_path, key):
     # superscripts, Arabic-Indic and fullwidth digits pass str.isdigit()
@@ -850,6 +880,12 @@ def test_check_failure_exits_five(monkeypatch):
 
 def test_check_rejects_zero_trials():
     assert run("check", "--trials", "0").exit_code == 2
+
+
+def test_check_rejects_a_negative_seed():
+    result = run("check", "--seed", "-1", "--trials", "1")
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert result.stderr == "error: need a seed >= 0, got -1\n"
 
 
 def test_check_csv_output():

@@ -8,8 +8,8 @@ import pytest
 from corrweave import (ArgumentError, CapacityError, ClosedFormFamily,
                        NumericError, WeightScheme, binary_entropy, cf_dist,
                        cf_genuine, cf_profile, cf_scaling_sweep, cf_weaving,
-                       dicke_marginal_entropy, hypergeometric_spectrum,
-                       make_dicke, partial_trace, profile, vn_entropy, weaving)
+                       dicke_marginal_entropy, make_dicke, partial_trace,
+                       profile, vn_entropy, weaving)
 from corrweave.closed_forms import (CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N,
                                     _beyond_mode, _dist_array,
                                     dicke_block_entropies)
@@ -50,28 +50,31 @@ def test_binary_entropy():
         binary_entropy(1.2)
 
 
-def test_hypergeometric_spectrum_normalized():
-    # half-filled Dicke marginals must stay normalized to 1e-12 at any k,
-    # including system sizes in the thousands
-    for n in (4, 16, 256, 4096):
-        for k in (1, 2, n // 3 or 1, n // 2, n - 1, n):
-            p = hypergeometric_spectrum(n, n // 2, k)
-            assert abs(p.sum() - 1.0) < 1e-12, (n, k)
-            assert (p >= 0).all()
-    for n, m, k in ((6, 3, 2), (8, 1, 5), (4097, 2048, 17), (4096, 1, 2048)):
-        p = hypergeometric_spectrum(n, m, k)
-        assert abs(p.sum() - 1.0) < 1e-12
-        assert (p >= 0).all()
-    assert hypergeometric_spectrum(4, 2, 4).tolist() == [1.0]
+# (n, m, k) rows: half-filled ones up to n = 4096, edge fillings, and short
+# spectra whose terms are checked against exact combinatorics
+_EXACT_ROWS = {(6, 3, 2), (9, 4, 5), (12, 6, 7), (30, 15, 11)}
+_SINGLE_ROWS = sorted({(n, n // 2, k) for n in (4, 16, 256, 4096)
+                       for k in (1, 2, n // 3 or 1, n // 2, n - 1, n)}
+                      | {(8, 1, 5), (4097, 2048, 17), (4096, 1, 2048)} | _EXACT_ROWS)
 
 
-def test_hypergeometric_spectrum_matches_exact_combinatorics():
-    for n, m, k in ((6, 3, 2), (9, 4, 5), (12, 6, 7), (30, 15, 11)):
-        p = hypergeometric_spectrum(n, m, k)
-        lo, hi = max(0, m - (n - k)), min(k, m)
-        exact = [math.comb(k, i) * math.comb(n - k, m - i) / math.comb(n, m)
-                 for i in range(lo, hi + 1)]
-        assert np.abs(p - np.asarray(exact)).max() < 1e-15
+def test_dicke_rows_match_the_per_k_oracle_bit_for_bit():
+    for n, m, k in _SINGLE_ROWS:
+        # the oracle's spectrum is normalized, and exact where it is short
+        p = dicke_spectrum_per_k(n, m, k)
+        assert abs(p.sum() - 1.0) < 1e-12 and (p >= 0).all(), (n, m, k)
+        if (n, m, k) in _EXACT_ROWS:
+            lo, hi = max(0, m - (n - k)), min(k, m)
+            exact = [math.comb(k, i) * math.comb(n - k, m - i) / math.comb(n, m)
+                     for i in range(lo, hi + 1)]
+            assert np.abs(p - np.asarray(exact)).max() < 1e-15
+        want = dicke_entropy_per_k(n, m, k).hex()
+        assert dicke_block_entropies(n, m, [k])[0].hex() == want, (n, m, k)
+    # the same rows taken together, one call per (n, m)
+    for n, m in sorted({(n, m) for n, m, _ in _SINGLE_ROWS}):
+        ks = [k for n2, m2, k in _SINGLE_ROWS if (n2, m2) == (n, m)]
+        assert [h.hex() for h in dicke_block_entropies(n, m, ks).tolist()] == [
+            dicke_entropy_per_k(n, m, k).hex() for k in ks], (n, m)
 
 
 def test_dicke_marginal_entropy_matches_matrix():
@@ -128,9 +131,7 @@ def test_batched_dicke_entropies_match_the_per_k_oracle_bit_for_bit():
         assert got[-1] == 0.0 and math.copysign(1.0, got[-1]) == 1.0  # h(n) = +0.0
     # half-filled rows whose tails underflow to 0 are on the grid
     for n in (1500, 2048):
-        p = hypergeometric_spectrum(n, n // 2, n // 2)
-        assert p.tobytes() == dicke_spectrum_per_k(n, n // 2, n // 2).tobytes()
-        assert (p == 0).any(), n
+        assert (dicke_spectrum_per_k(n, n // 2, n // 2) == 0).any(), n
 
 
 def test_dicke_terms_past_the_first_tile_have_the_same_bits():

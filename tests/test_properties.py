@@ -1,5 +1,7 @@
+import pytest
+
 import corrweave.correlations as correlations
-from corrweave import run_property_suite
+from corrweave import ArgumentError, run_property_suite
 
 EXPECTED_NAMES = [
     "faithfulness-0S", "monotonicity-1S", "monotonicity-2S",
@@ -14,6 +16,13 @@ def test_suite_passes_and_names():
     assert all(r.passed for r in results)
     assert all(r.trials == 25 for r in results)
     assert all(r.worst_margin <= r.tolerance for r in results)
+
+
+
+def test_negative_seed_is_an_argument_error():
+    with pytest.raises(ArgumentError, match=r"need a seed >= 0, got -1"):
+        run_property_suite(-1, 1)
+    assert issubclass(ArgumentError, ValueError)  # callers catching ValueError still work
 
 
 def test_suite_deterministic():
