@@ -52,22 +52,36 @@ def test_binary_entropy():
 
 # (n, m, k) rows: half-filled ones up to n = 4096, edge fillings, and short
 # spectra whose terms are checked against exact combinatorics
-_EXACT_ROWS = {(6, 3, 2), (9, 4, 5), (12, 6, 7), (30, 15, 11)}
+_EXACT_ROWS = ((6, 3, 2), (9, 4, 5), (12, 6, 7), (30, 15, 11))
 _SINGLE_ROWS = sorted({(n, n // 2, k) for n in (4, 16, 256, 4096)
                        for k in (1, 2, n // 3 or 1, n // 2, n - 1, n)}
-                      | {(8, 1, 5), (4097, 2048, 17), (4096, 1, 2048)} | _EXACT_ROWS)
+                      | {(8, 1, 5), (4097, 2048, 17), (4096, 1, 2048)}
+                      | set(_EXACT_ROWS))
+
+
+def test_hypergeometric_spectrum_normalized():
+    # the k-site Dicke spectrum whose entropies dicke_block_entropies must
+    # reproduce stays normalized to 1e-12 at any k, n in the thousands too
+    for n, m, k in _SINGLE_ROWS:
+        p = dicke_spectrum_per_k(n, m, k)
+        assert abs(p.sum() - 1.0) < 1e-12, (n, m, k)
+        assert (p >= 0).all(), (n, m, k)
+    assert dicke_spectrum_per_k(4, 2, 4).tolist() == [1.0]
+
+
+def test_hypergeometric_spectrum_matches_exact_combinatorics():
+    for n, m, k in _EXACT_ROWS:
+        p = dicke_spectrum_per_k(n, m, k)
+        lo, hi = max(0, m - (n - k)), min(k, m)
+        exact = [math.comb(k, i) * math.comb(n - k, m - i) / math.comb(n, m)
+                 for i in range(lo, hi + 1)]
+        assert np.abs(p - np.asarray(exact)).max() < 1e-15
+        assert (dicke_block_entropies(n, m, [k])[0].hex()
+                == dicke_entropy_per_k(n, m, k).hex()), (n, m, k)
 
 
 def test_dicke_rows_match_the_per_k_oracle_bit_for_bit():
     for n, m, k in _SINGLE_ROWS:
-        # the oracle's spectrum is normalized, and exact where it is short
-        p = dicke_spectrum_per_k(n, m, k)
-        assert abs(p.sum() - 1.0) < 1e-12 and (p >= 0).all(), (n, m, k)
-        if (n, m, k) in _EXACT_ROWS:
-            lo, hi = max(0, m - (n - k)), min(k, m)
-            exact = [math.comb(k, i) * math.comb(n - k, m - i) / math.comb(n, m)
-                     for i in range(lo, hi + 1)]
-            assert np.abs(p - np.asarray(exact)).max() < 1e-15
         want = dicke_entropy_per_k(n, m, k).hex()
         assert dicke_block_entropies(n, m, [k])[0].hex() == want, (n, m, k)
     # the same rows taken together, one call per (n, m)
