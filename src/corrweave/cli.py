@@ -96,37 +96,40 @@ class _IntText(dict):
         return text
 
 
-class _FloatText(dict):
-    """The text of each float rounded by :func:`_round12`, formatted on
-    first lookup; a NaN or an infinity raises a NumericError.  Zeros are
-    not kept, since 0.0 and -0.0 are one key but print apart."""
+def _float_texts(xs) -> list[str]:
+    """The text of each float in ``xs`` rounded by :func:`_round12`, as
+    ``repr`` prints it; a NaN or an infinity raises a NumericError.
 
-    def __missing__(self, x):
-        rounded = _round12(x)
-        if not math.isfinite(rounded):
-            raise NumericError(f"cannot write JSON: {x} is not a finite number")
-        text = float.__repr__(rounded)
-        if x:
-            self[x] = text
-        return text
+    One ``%.12g`` pass prints the digits of every rounding, and no other
+    decimal of at most 15 digits parses to the same double, so they are the
+    digits ``repr`` prints.  Only the layout can differ: ``%.12g`` leaves
+    the ``.0`` off an integral value, and uses an exponent from 1e12 where
+    ``repr`` waits until 1e16, so exponent texts are reprinted.
+    """
+    if not all(map(math.isfinite, xs)):
+        bad = next(x for x in xs if not math.isfinite(x))
+        raise NumericError(f"cannot write JSON: {bad} is not a finite number")
+    return [float.__repr__(float(t)) if "e" in t else t if "." in t else t + ".0"
+            for t in ("%.12g " * len(xs) % tuple(xs)).split()]
+
+
+def _json_chunks(doc) -> list[str]:
+    """The chunks of ``doc`` as ``json.dumps(doc, indent=2)`` writes it,
+    every float first rounded by :func:`_round12`; a NaN or an infinity
+    raises a NumericError.  A list of ints or of floats is one chunk: the
+    N^2 argmin indices come from a table that formats each distinct int
+    once per report, a float list from one :func:`_float_texts` pass."""
+    out: list[str] = []
+    _write_json(doc, "", out.append, _IntText())
+    return out
 
 
 def _json_text(doc) -> str:
-    """``doc`` as ``json.dumps(doc, indent=2)`` writes it, with every float
-    first rounded by :func:`_round12`; a NaN or an infinity raises a
-    NumericError.
-
-    A list of ints, or of floats, is written by one ``join`` from a table
-    that formats each distinct number once: an invariant state's
-    ``argmin`` lists N^2 party indices, a profile's ``dist`` N floats.
-    The tables live for one report.
-    """
-    out: list[str] = []
-    _write_json(doc, "", out.append, _IntText(), _FloatText())
-    return "".join(out)
+    """The text of :func:`_json_chunks`."""
+    return "".join(_json_chunks(doc))
 
 
-def _write_json(obj, pad: str, write, ints: _IntText, floats: _FloatText) -> None:
+def _write_json(obj, pad: str, write, ints: _IntText) -> None:
     """Pass the text of ``obj``, indented by ``pad``, to ``write``."""
     if isinstance(obj, str):
         write(encode_basestring_ascii(obj))
@@ -139,21 +142,21 @@ def _write_json(obj, pad: str, write, ints: _IntText, floats: _FloatText) -> Non
     elif isinstance(obj, int):
         write(int.__repr__(obj))
     elif isinstance(obj, float):
-        write(floats[obj])
+        write(_float_texts((obj,))[0])
     elif isinstance(obj, (list, tuple)):
         inner = pad + "  "
         types = set(map(type, obj))
         if not obj:
             write("[]")
         elif types == {int} or types == {float}:
-            texts = ints if int in types else floats
+            texts = map(ints.__getitem__, obj) if int in types else _float_texts(obj)
             sep = ",\n" + inner
-            write(f"[\n{inner}{sep.join(map(texts.__getitem__, obj))}\n{pad}]")
+            write(f"[\n{inner}{sep.join(texts)}\n{pad}]")
         else:
             sep = "[\n" + inner
             for item in obj:
                 write(sep)
-                _write_json(item, inner, write, ints, floats)
+                _write_json(item, inner, write, ints)
                 sep = ",\n" + inner
             write(f"\n{pad}]")
     elif isinstance(obj, dict):
@@ -164,7 +167,7 @@ def _write_json(obj, pad: str, write, ints: _IntText, floats: _FloatText) -> Non
             sep = "{\n" + inner
             for key, item in obj.items():
                 write(f"{sep}{encode_basestring_ascii(key)}: ")
-                _write_json(item, inner, write, ints, floats)
+                _write_json(item, inner, write, ints)
                 sep = ",\n" + inner
             write(f"\n{pad}}}")
     else:
@@ -206,9 +209,14 @@ def _is_number(value) -> bool:
 
 def _emit(doc, rows, output):
     """Print the report: ``doc`` as JSON, or ``rows`` as CSV with the
-    first row's keys as the header."""
+    first row's keys as the header.  The JSON chunks are written as they
+    are, never joined into a copy of the report, and all are made before
+    the first is written, so a report refused for a NaN or an infinity
+    writes nothing."""
     if output == "json":
-        click.echo(_json_text(doc), file=sys.stdout)
+        sys.stdout.writelines(_json_chunks(doc))
+        sys.stdout.write("\n")
+        sys.stdout.flush()
         return
     fields = list(rows[0])
     buf = io.StringIO()
@@ -226,12 +234,14 @@ def _read_json(path: str, what: str, error: type[CorrweaveError]):
     """The document in the UTF-8 JSON file at ``path``.  A file that cannot
     be read or parsed raises ``error``, naming it a ``what`` file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise error(f"cannot read {what} file {path}: {exc}") from None
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise error(f"{what} file {path} is not valid UTF-8 "
                     f"({exc.reason} at byte {exc.start})") from None
+    except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
+        raise error(f"cannot read {what} file {path}: {exc}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise error(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON ({exc.msg})") from None
     except RecursionError:

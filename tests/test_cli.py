@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 import corrweave
 from corrweave import closed_forms
-from corrweave import (DensityState, NumericError, StateFileError,
+from corrweave import (ArgumentError, DensityState, NumericError, StateFileError,
                        compact_partition, make_bell_product, make_classical,
                        make_ghz, tensor_product)
 from corrweave.closed_forms import CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N
-from corrweave.cli import (_cell, _emit, _handle_errors, _json_text, _round12,
-                           load_state_file, main, save_state_file)
+from corrweave.cli import (_cell, _emit, _float_texts, _handle_errors, _json_text,
+                           _round12, _scheme, load_state_file, main, save_state_file)
 from corrweave.random_states import haar_state, random_classical, random_density
 from oracles import oracle_round_floats
 
@@ -495,6 +495,16 @@ def test_unreadable_json_files_are_argument_errors(tmp_path, what, case):
     result = run("profile", *args)
     assert result.exit_code == 2, (errtext(result), result.exception)
     assert result.stderr == f"error: {message.format(what=what, path=path, isdir=isdir)}\n"
+
+
+def test_a_path_holding_a_nul_cannot_be_read():
+    # open() raises ValueError for it, which is not a JSON digit-limit error
+    with pytest.raises(StateFileError) as state_error:
+        load_state_file("a\x00b")
+    assert str(state_error.value) == "cannot read state file a\x00b: embedded null byte"
+    with pytest.raises(ArgumentError) as weights_error:
+        _scheme("file:a\x00b", 3)
+    assert str(weights_error.value) == "cannot read weights file a\x00b: embedded null byte"
 
 
 @pytest.mark.parametrize("key", ["\u00b2", "\u0661", "0\u00b9", "\uff11"])
@@ -974,13 +984,36 @@ def test_json_writer_rejects_non_finite_numbers(bad):
     with pytest.raises(NumericError):
         _json_text({"dist": [0.5, (1, 2), [bad]]})
 
-    @click.command()
-    @_handle_errors
-    def report():
-        _emit({"argmin": [((0,),)], "weaving": bad}, [], "json")
+    # a bad scalar, or a bad value in a float list, after another key is formatted
+    for doc in ({"argmin": [((0,),)], "weaving": bad},
+                {"argmin": [((0,),)], "dist": [0.5, bad]}):
+        @click.command()
+        @_handle_errors
+        def report():
+            _emit(doc, [], "json")
 
-    result = runner.invoke(report, [])
-    assert result.exit_code == 4 and not result.stdout
+        result = runner.invoke(report, [])
+        assert result.exit_code == 4 and not result.stdout
+        assert "is not a finite number" in result.stderr
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(xs=st.lists(_FLOATS, max_size=20))
+def test_float_texts_are_the_reprs_of_the_rounded_floats(xs):
+    assert _float_texts(xs) == [float.__repr__(_round12(x)) for x in xs]
+
+
+def test_float_texts_at_layout_and_range_boundaries():
+    xs = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+          1e-5, 1e-4, 999999999999.5, -999999999999.5]
+    for e in range(-20, 21):
+        x = 10.0 ** e
+        xs += [np.nextafter(x, 0.0), x, np.nextafter(x, math.inf)]
+    xs += [float(10 ** e) for e in range(11, 18)]
+    xs = [float(x) for x in xs]
+    assert _float_texts(xs) == [float.__repr__(_round12(x)) for x in xs]
+    assert _float_texts([999999999999.5, 1e-5, 1e-4, -0.0, 3.0]) == [
+        "1000000000000.0", "1e-05", "0.0001", "-0.0", "3.0"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
