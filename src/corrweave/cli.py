@@ -124,11 +124,6 @@ def _json_chunks(doc) -> list[str]:
     return out
 
 
-def _json_text(doc) -> str:
-    """The text of :func:`_json_chunks`."""
-    return "".join(_json_chunks(doc))
-
-
 def _write_json(obj, pad: str, write, ints: _IntText) -> None:
     """Pass the text of ``obj``, indented by ``pad``, to ``write``."""
     if isinstance(obj, str):

@@ -22,6 +22,7 @@ from .errors import ArgumentError, CapacityError
 from .partitions import compact_sum
 from .states import (make_a_family, make_bell_product, make_classical,
                      make_classical_pair_product, make_dicke, make_ghz)
+from .tensor import _segment_sums
 
 #: Largest N a closed form is evaluated at, the largest ``classical:N``
 #: the classical table cap admits.  Weight schemes and profiles hold O(N)
@@ -288,18 +289,6 @@ def _beyond_mode(out: np.ndarray, n: int, m: int, k: np.ndarray,
         if not r[:, -1].any():
             return c + r.shape[1]
     return width
-
-
-def _segment_sums(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(a[start:stop])`` for each segment.  A pairwise sum's
-    bits depend on its slice, so each longer segment is reduced alone;
-    segments of one or two terms (at most one rounding) are summed at once."""
-    first = a[starts]
-    out = np.where(stops - starts > 1, first + a[np.minimum(starts + 1, a.size - 1)], first)
-    long = np.flatnonzero(stops - starts > 2)
-    out[long] = [np.add.reduce(a[i:j])
-                 for i, j in zip(starts[long].tolist(), stops[long].tolist())]
-    return out
 
 
 def _dist_array(fam: ClosedFormFamily) -> np.ndarray:

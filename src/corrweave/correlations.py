@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from functools import lru_cache
+from itertools import accumulate, repeat
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -26,9 +27,9 @@ from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
 # enumerate_partitions is not called here; it stays importable for callers that patch it.
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition,  # noqa: F401
                          compact_partitions, compact_sum, enumerate_partitions)
-from .tensor import (REP_DENSE, DensityState, _normalize_keep,
-                     is_permutation_invariant, marginal_entropy, partial_trace,
-                     permute_subsystems, tensor_product)
+from .tensor import (REP_CLASSICAL, REP_DENSE, DensityState, _classical_entropies,
+                     _normalize_keep, is_permutation_invariant, marginal_entropy,
+                     partial_trace, permute_subsystems, tensor_product)
 
 #: dist/genuine values may dip this far below zero (or above the previous
 #: order) before a consistency error is raised instead of clamping.
@@ -52,11 +53,12 @@ def subset_entropies(state: DensityState) -> list[float]:
     bitmask; entry 0, the empty set, is 0.0.  ``N`` is capped at
     ``DEFAULT_ENUM_CAP``, and the entropies are computed once per state.
 
-    Every entropy is computed by :func:`marginal_entropy` and has the bits
-    of ``marginal_entropy(state, subset)``.  Dense marginals are traced
-    from their parent, the subset plus its lowest missing party, by one
-    ``np.trace`` (see :func:`_descend`); pure and classical ones come from
-    the whole state.
+    Every entropy has the bits of ``marginal_entropy(state, subset)``.
+    A classical state's entropies come from one batched pass over its
+    table (:func:`corrweave.tensor._classical_entropies`); the others are
+    computed by :func:`marginal_entropy`, dense marginals traced from
+    their parent, the subset plus its lowest missing party, by one
+    ``np.trace`` (see :func:`_descend`), pure ones from the whole state.
     """
     n = state.n_parties
     if n > DEFAULT_ENUM_CAP:
@@ -65,10 +67,13 @@ def subset_entropies(state: DensityState) -> list[float]:
     table = state._entropies
     full = (1 << n) - 1
     if len(table) < full:
-        if state.rep == REP_DENSE:
-            _descend(table, state, full)
-        for mask in range(1, full + 1):
-            _entropy(state, mask, [i for i in range(n) if mask >> i & 1])
+        if state.rep == REP_CLASSICAL:
+            table.update(zip(range(1, full + 1), _classical_entropies(state)[1:].tolist()))
+        else:
+            if state.rep == REP_DENSE:
+                _descend(table, state, full)
+            for mask in range(1, full + 1):
+                _entropy(state, mask, [i for i in range(n) if mask >> i & 1])
     return [0.0] + [table[mask] for mask in range(1, full + 1)]
 
 
@@ -287,7 +292,8 @@ def dist_to_pk(state: DensityState, k: int, mode: str = MODE_AUTO) -> PartitionM
 
     ``brute`` minimizes over every partition with an O(3^N) dynamic
     program over the :func:`subset_entropies` table (N is capped at
-    ``DEFAULT_ENUM_CAP``, 14).
+    ``DEFAULT_ENUM_CAP``, 14), :func:`_partition_minima` for the one order
+    ``k``; :func:`profile` runs it once for all orders.
     ``auto`` goes brute unless :func:`is_permutation_invariant` measures
     the state invariant; then (route ``symmetric-fast``) the compact
     partition, q blocks of k and one of r, is ``q h(k) + h(r) - h(N)``
@@ -301,7 +307,7 @@ def dist_to_pk(state: DensityState, k: int, mode: str = MODE_AUTO) -> PartitionM
         raise ArgumentError(f"order k={k} out of range 1..{n}")
     if _resolve_mode(state, mode) == MODE_FAST:
         return _compact_minima(state, [k])[0]
-    return _clamped(k, *_partition_minimum(subset_entropies(state), n, k))
+    return _clamped(k, *_partition_minima(subset_entropies(state), n, [k])[0])
 
 
 def _compact_minima(state: DensityState, ks: Sequence[int]) -> list[PartitionMinimum]:
@@ -337,34 +343,91 @@ def _blocks(s: int, k: int):
         sub = (sub - 1) & rest
 
 
-def _partition_minimum(h: list[float], n: int, k: int) -> PartitionMinimum:
-    """The minimum of ``sum_blocks h[block] - h[full]`` over partitions of
-    ``{0..n-1}`` into blocks of at most ``k`` parties (``h`` indexed by
-    mask), with the partition that a scan of :func:`enumerate_partitions`
-    keeps under the ``TIE_TOL`` rule.
+#: (block, rest) pairs the layered dynamic program gathers at a time, for
+#: each order: a few MB at N = 14.
+_DP_BLOCK = 1 << 15
 
-    ``f[S]``, the minimum of ``h[B] + f[S - B]`` over the blocks ``B`` of
-    :func:`_blocks`, is the minimum over partitions of ``S``; it is needed
-    for the full set and the sets without party 0.  Every partition whose
-    sum can come within ``window`` of ``f[full]`` is then listed, with
-    ``f`` bounding each partial sum, and valued as the scan values it
+
+@lru_cache(maxsize=None)
+def _dp_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """The sets whose partition minimum :func:`_partition_minima` needs --
+    those without party 0, and the full set -- in layers of equal size
+    ``c``, each layer as ``(sets, blocks, sizes)``: row ``i`` of
+    ``blocks`` lists the blocks of ``sets[i]`` (its submasks that hold its
+    lowest party), and column ``j`` of every row has ``sizes[j]``
+    parties.  Built once per ``n`` (at most ``DEFAULT_ENUM_CAP``), on
+    first use: about 2 MB at N = 14."""
+    full = (1 << n) - 1
+    popcount = np.zeros(full + 1, np.uint8)
+    for i in range(n):
+        popcount[1 << i:2 << i] = popcount[:1 << i] + 1
+
+    def layer(sets, c):
+        # the parties of each set, lowest first; a block holds the lowest
+        # and any choice of the others
+        parties = np.nonzero(sets[:, None] >> np.arange(n) & 1)[1].reshape(len(sets), c)
+        choice = np.arange(1 << (c - 1))[:, None] >> np.arange(c - 1) & 1
+        blocks = 1 << parties[:, :1] | (1 << parties[:, 1:]) @ choice.T
+        dtype = np.min_scalar_type(full)
+        arrays = sets.astype(dtype), blocks.astype(dtype), choice.sum(axis=1) + 1
+        for a in arrays:  # shared by every call at this n
+            a.setflags(write=False)
+        return arrays
+
+    even = np.arange(0, full + 1, 2)
+    return (*(layer(even[popcount[::2] == c], c) for c in range(1, n)),
+            layer(np.array([full]), n))
+
+
+def _partition_minima(h: list[float], n: int, ks: Sequence[int]) -> list[PartitionMinimum]:
+    """For each order ``k`` in ``ks``, the minimum of ``sum_blocks h[block]
+    - h[full]`` over partitions of ``{0..n-1}`` into blocks of at most
+    ``k`` parties (``h`` indexed by mask), with the partition that a scan
+    of :func:`enumerate_partitions` keeps under the ``TIE_TOL`` rule.
+
+    ``f[k, S]``, the minimum of ``h[B] + f[k, S - B]`` over the blocks
+    ``B`` of ``S`` that hold its lowest party and at most ``k`` parties, is
+    the minimum over partitions of ``S``; it is needed for the full set
+    and the sets without party 0 (:func:`_dp_layers`).  It is computed
+    for every order at once, one array pass per layer of equal-size sets.
+    Then, per order, every partition whose sum can come within ``window``
+    of ``f[k, full]`` is listed, with ``f`` bounding each partial sum
+    (:func:`_blocks` walks the blocks), and valued as the scan values it
     (blocks summed in canonical order).  Cut at the first gap wider than
     1e-12, the values below the cut beat all others by more than
     ``TIE_TOL``, so replaying the rule over them in canonical order ends
     where the scan of all partitions ends.
     """
     full = (1 << n) - 1
-    f = [0.0] * (full + 1)
-    for s in chain(range(2, full, 2), (full,)):
-        f[s] = min(h[b] + f[s ^ b] for b in _blocks(s, k))
-    if not math.isfinite(f[full]):
-        raise NumericError(f"partition minimum for k={k} is {f[full]}")
+    orders = np.asarray(ks)
+    hs = np.asarray(h)
+    f = np.zeros((len(orders), full + 1))
+    for sets, blocks, sizes in _dp_layers(n):
+        allowed = sizes <= orders[:, None, None]
+        step = max(1, _DP_BLOCK // blocks.shape[1])
+        for i in range(0, len(sets), step):
+            s, b = sets[i:i + step], blocks[i:i + step]
+            values = f[:, b ^ s[:, None]]
+            values += hs[b]
+            f[:, s] = values.min(axis=2, initial=math.inf, where=allowed)
     # A partition's key is its restricted-growth string (party i -> index
     # of its block) read as a base-n number: keys sort in canonical order.
     place = [n ** (n - 1 - i) for i in range(n)]
     digits = [0] * (full + 1)
     for b in range(1, full + 1):
         digits[b] = digits[b & (b - 1)] + place[(b & -b).bit_length() - 1]
+    return [_minimum_of_order(h, f_k.tolist(), n, k, place, digits)
+            for k, f_k in zip(ks, f)]
+
+
+def _minimum_of_order(h: list[float], f: list[float], n: int, k: int,
+                      place: list[int], digits: list[int]) -> PartitionMinimum:
+    """The value and tie-break partition of :func:`_partition_minima` for
+    order ``k``, from its row ``f`` of set minima and the key table
+    ``digits`` (a block's key digits at ``place``)."""
+    full = (1 << n) - 1
+    if not math.isfinite(f[full]):
+        raise NumericError(f"partition minimum for k={k} is {f[full]}")
 
     def walk(s, partial, key, index, limit, out):
         for b in _blocks(s, k):
@@ -400,8 +463,11 @@ def profile(state: DensityState, mode: str = MODE_AUTO) -> CorrelationProfile:
     :meth:`CorrelationProfile.from_dist`."""
     resolved = _resolve_mode(state, mode)
     ks = range(1, state.n_parties + 1)
-    minima = (_compact_minima(state, ks) if resolved == MODE_FAST
-              else [dist_to_pk(state, k, MODE_BRUTE) for k in ks])
+    if resolved == MODE_FAST:
+        minima = _compact_minima(state, ks)
+    else:
+        minima = [_clamped(k, *m) for k, m in zip(ks, _partition_minima(
+            subset_entropies(state), state.n_parties, ks))]
     return CorrelationProfile.from_dist([m.value for m in minima],
                                         [m.argmin for m in minima], resolved)
 

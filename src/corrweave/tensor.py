@@ -525,6 +525,18 @@ def _shannon_bits(p: np.ndarray) -> float:
     return h if h > 0 else 0.0  # the spectrum [1.0] gives -0.0
 
 
+def _segment_sums(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a[start:stop])`` for each segment.  A pairwise sum's
+    bits depend on its slice, so each longer segment is reduced alone;
+    segments of one or two terms (at most one rounding) are summed at once."""
+    first = a[starts]
+    out = np.where(stops - starts > 1, first + a[np.minimum(starts + 1, a.size - 1)], first)
+    long = np.flatnonzero(stops - starts > 2)
+    out[long] = [np.add.reduce(a[i:j])
+                 for i, j in zip(starts[long].tolist(), stops[long].tolist())]
+    return out
+
+
 def vn_entropy(state: DensityState) -> float:
     """Von Neumann entropy in bits; exactly 0.0 for pure representations."""
     if state.rep == REP_PURE:
@@ -543,7 +555,9 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
     Pure states use the singular values of the reshaped amplitude tensor,
     so the cost scales with the smaller of the kept/discarded dimensions.
     Classical states sum the marginal's probabilities with numpy
-    (:func:`_classical_marginal`) and never build its table.  Dense states
+    (:func:`_classical_marginal`) and never build its table;
+    :func:`_classical_entropies` gives every subset's value with the same
+    bits in one batched pass.  Dense states
     diagonalize the marginal from :func:`partial_trace`.  The marginal on
     a subset A has the same bits whether it is traced from the whole
     state or from the marginal on A plus A's lowest missing subsystem
@@ -565,6 +579,110 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
     if state.rep == REP_CLASSICAL:
         return _shannon_bits(_classical_marginal(state, keep)[1])
     return vn_entropy(partial_trace(state, keep))
+
+
+#: Row labels held at a time when a classical state's subset entropies are
+#: tabulated: a few MB of keys and sort indices.
+_LABEL_BLOCK = 1 << 14
+
+
+def _classical_entropies(state: DensityState) -> np.ndarray:
+    """The entropy of every subset of a classical state's parties, indexed
+    by bitmask (entry 0, the empty set, is 0.0), each with the bits of
+    :func:`marginal_entropy`.
+
+    A subset labels the table's rows by their kept digit strings, counting
+    the strings in order of first appearance.  The labels of a subset
+    with one more party rank ``label * d + digit``, d being the number of
+    that party's labels, so they stay below the row count and nothing
+    overflows at any local dimension (:func:`_refine`).  The subsets of
+    parties ``0..m-1`` are labelled one highest party at a time, with
+    ``m`` as large as keeps them within ``_LABEL_BLOCK`` labels; then each
+    subset ``H`` of the other parties, walked depth first, labels ``H``
+    plus every one of those subsets in one block.  A block's strings are
+    summed by one ``np.bincount`` and valued as :func:`_shannon_bits`
+    values a spectrum (:func:`_block_entropies`).
+    """
+    digits, probs = state._digit_rows()
+    rows, n = digits.shape
+    h = np.zeros(1 << n)
+    if not rows:  # an unvalidated empty table
+        return h
+    parties = [_first_appearance(column[None]) for column in digits.T]
+    m = n
+    while m > 1 and rows << m > _LABEL_BLOCK:
+        m -= 1
+    low = np.zeros((1 << m, rows), np.min_scalar_type(rows))
+    counts = np.ones(1 << m, np.int64)
+    for t in range(m):
+        low[1 << t:2 << t], counts[1 << t:2 << t] = _refine(low[:1 << t], *parties[t])
+    h[1:1 << m] = _block_entropies(low[1:], counts[1:], probs)
+
+    def walk(labels, count, mask, top):
+        h[mask:mask + (1 << m)] = _block_entropies(*_refine(low, labels, count), probs)
+        for t in range(top + 1, n):
+            walk(*_refine(labels, *parties[t]), mask | 1 << t, t)
+
+    for t in range(m, n):
+        walk(*parties[t], 1 << t, t)
+    return h
+
+
+def _refine(labels: np.ndarray, by: np.ndarray,
+            count: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_first_appearance` of the pairs (``labels``, ``by``) in each
+    row of ``labels``, ``by`` being one row of ``count`` labels."""
+    count = int(count[0])
+    keys = labels.astype(np.min_scalar_type(labels.shape[1] * count))
+    keys *= count
+    keys += by
+    return _first_appearance(keys)
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of ``keys`` with every entry replaced by the index of its
+    value among the row's distinct values, listed in order of first
+    appearance; and the number of distinct values per row."""
+    blocks, rows = keys.shape
+    # the stable sort lists each row's equal keys from their first entry
+    order = np.argsort(keys, axis=1, kind="stable")
+    order += np.arange(0, blocks * rows, rows)[:, None]
+    order = order.ravel()
+    ranked = keys.ravel()[order]
+    new = np.empty(order.size, bool)
+    np.not_equal(ranked[1:], ranked[:-1], out=new[1:])
+    new[::rows] = True
+    first = order[new]
+    is_first = np.zeros(order.size, bool)
+    is_first[first] = True
+    ids = np.cumsum(is_first)
+    ids -= 1
+    group = np.cumsum(new)
+    group -= 1
+    label = np.empty(order.size, np.int64)
+    label[order] = ids[first][group]
+    starts = ids[::rows]
+    label = label.reshape(blocks, rows)
+    label -= starts[:, None]
+    return label.astype(np.min_scalar_type(rows)), np.diff(starts, append=ids[-1] + 1)
+
+
+def _block_entropies(labels: np.ndarray, counts: np.ndarray,
+                     probs: np.ndarray) -> np.ndarray:
+    """For each row of ``labels``, with ``counts`` labels, the entropy of
+    ``probs`` summed per label: the sums of all rows come from one
+    ``np.bincount``, each in table order from 0.0, and each row's are
+    valued in label order as :func:`_shannon_bits` values a spectrum."""
+    ends = np.cumsum(counts)
+    ids = labels + (ends - counts)[:, None]
+    sums = np.bincount(ids.ravel(), weights=np.tile(probs, len(labels)))
+    kept = sums > EIG_CLIP
+    stops = np.concatenate(([0], np.cumsum(kept)))[ends]
+    starts = np.concatenate(([0], stops[:-1]))
+    p = sums[kept]
+    # the trailing 0.0 keeps a row with no term inside the array
+    h = -_segment_sums(np.append(p * np.log2(p), 0.0), starts, stops)
+    return np.where((stops > starts) & (h > 0), h, 0.0)  # the spectrum [1.0] gives -0.0
 
 
 def relative_entropy(rho: DensityState, sigma: DensityState) -> float:

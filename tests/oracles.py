@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 
+from corrweave import NumericError, SetPartition
 from corrweave.cli import _round12
 from corrweave.closed_forms import FAMILIES
+from corrweave.correlations import TIE_TOL, PartitionMinimum
 from corrweave.tensor import EIG_CLIP, _dense_partial_trace
 
 
@@ -117,3 +119,65 @@ def cf_dist_per_k(fam, k: int) -> float:
         return (blocks - 1) * h if row.mixed else blocks * h
     q, r = divmod(n, k)
     return q * float(h[k]) + (float(h[r]) if r else 0.0)
+
+
+def _blocks(s: int, k: int):
+    """Submasks of ``s`` that hold its lowest bit and at most ``k`` bits."""
+    low = s & -s
+    rest = sub = s ^ low
+    while True:
+        b = sub | low
+        if b.bit_count() <= k:
+            yield b
+        if not sub:
+            return
+        sub = (sub - 1) & rest
+
+
+def partition_minimum(h, n: int, k: int) -> PartitionMinimum:
+    """The brute minimum of order ``k`` one order at a time, by a scalar
+    dynamic program: ``f[S] = min(h[B] + f[S - B])`` over the blocks ``B``
+    of :func:`_blocks`, for the full set and the sets without party 0.
+    Every partition whose sum can come within ``window`` of ``f[full]`` is
+    then listed (``f`` bounding each partial sum) and valued with its
+    blocks summed in canonical order; cut at the first gap wider than
+    1e-12, the rule "keep a partition only when it beats the best so far
+    by more than ``TIE_TOL``" is replayed over them in canonical order."""
+    full = (1 << n) - 1
+    f = [0.0] * (full + 1)
+    for s in [*range(2, full, 2), full]:
+        f[s] = min(h[b] + f[s ^ b] for b in _blocks(s, k))
+    if not math.isfinite(f[full]):
+        raise NumericError(f"partition minimum for k={k} is {f[full]}")
+    # a partition's key is its restricted-growth string read in base n
+    place = [n ** (n - 1 - i) for i in range(n)]
+    digits = [0] * (full + 1)
+    for b in range(1, full + 1):
+        digits[b] = digits[b & (b - 1)] + place[(b & -b).bit_length() - 1]
+
+    def walk(s, partial, key, index, limit, out):
+        for b in _blocks(s, k):
+            p, r = partial + h[b], s ^ b
+            if p + f[r] <= limit:
+                if r:
+                    walk(r, p, key + index * digits[b], index + 1, limit, out)
+                else:
+                    out.append((key + index * digits[b], p - h[full]))
+
+    window = 1e-9
+    while True:
+        candidates = []
+        walk(full, 0.0, 0, 0, f[full] + window, candidates)
+        values = sorted(v for _, v in candidates)
+        cut = next((a for a, b in zip(values, values[1:]) if b - a > 1e-12), values[-1])
+        if cut - values[0] < window / 2:
+            break
+        window *= 1e3
+    best, best_key = math.inf, 0
+    for key, value in sorted(c for c in candidates if c[1] <= cut):
+        if value < best - TIE_TOL:
+            best, best_key = value, key
+    blocks = [[] for _ in range(n)]
+    for i in range(n):
+        blocks[best_key // place[i] % n].append(i)
+    return PartitionMinimum(best, SetPartition(b for b in blocks if b))

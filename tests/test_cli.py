@@ -26,7 +26,7 @@ from corrweave import (ArgumentError, DensityState, NumericError, StateFileError
                        compact_partition, make_bell_product, make_classical,
                        make_ghz, tensor_product)
 from corrweave.closed_forms import CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N
-from corrweave.cli import (_cell, _emit, _float_texts, _handle_errors, _json_text,
+from corrweave.cli import (_cell, _emit, _float_texts, _handle_errors, _json_chunks,
                            _round12, _scheme, load_state_file, main, save_state_file)
 from corrweave.random_states import haar_state, random_classical, random_density
 from oracles import oracle_round_floats
@@ -964,7 +964,7 @@ _DOCS = st.recursive(
               "d\u00e9j\u00e0 \u2713": {}, "mixed": [1, 2.5, -0.0, True, None]})
 def test_json_writer_matches_json_dumps_of_the_rounded_doc(doc):
     want = json.dumps(oracle_round_floats(doc), indent=2, allow_nan=False)
-    assert _json_text(doc) == want
+    assert "".join(_json_chunks(doc)) == want
 
 
 def test_json_writer_leaves_no_reference_cycles():
@@ -973,7 +973,7 @@ def test_json_writer_leaves_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        _json_text(doc)
+        "".join(_json_chunks(doc))
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -982,7 +982,7 @@ def test_json_writer_leaves_no_reference_cycles():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_json_writer_rejects_non_finite_numbers(bad):
     with pytest.raises(NumericError):
-        _json_text({"dist": [0.5, (1, 2), [bad]]})
+        "".join(_json_chunks({"dist": [0.5, (1, 2), [bad]]}))
 
     # a bad scalar, or a bad value in a float list, after another key is formatted
     for doc in ({"argmin": [((0,),)], "weaving": bad},

@@ -4,17 +4,23 @@ The oracle scans :func:`enumerate_partitions` in canonical order, sums
 each partition's block entropies in block order, and keeps a partition
 only when it beats the best so far by more than 1e-15.  The program must
 return the same value (``==``) and the same partition for every order k,
-also on states where many partitions tie to within rounding.
+also on states where many partitions tie to within rounding.  The
+layered program that serves every order in one pass must match the
+scalar one-order-at-a-time program of ``oracles.partition_minimum``.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import partition_minimum
 
 from corrweave import (dist_to_pk, enumerate_partitions, make_bell_product,
                        make_dicke, make_ghz, subset_entropies)
+from corrweave.correlations import _partition_minima
 from corrweave.random_states import (haar_state, random_classical,
                                      random_density, random_product_state)
 
@@ -59,3 +65,63 @@ def test_dynamic_program_matches_enumeration(kind, n, seed):
         expected_value, expected_part = _enumeration_minimum(subset_entropies(state), n, k)
         assert value == expected_value, (k, value, expected_value)
         assert part.blocks == expected_part.blocks, (k, part, expected_part)
+
+
+def _sqrt_table(w):
+    """``h[S] = sqrt(sum of w_i over S)``: strictly subadditive, so no two
+    partitions tie and every order's minimum is positive but the last."""
+    sums = np.zeros(1 << len(w))
+    for i, wi in enumerate(w):
+        sums[1 << i:2 << i] = sums[:1 << i] + wi
+    return np.sqrt(sums).tolist()
+
+
+def _table(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "sqrt":
+        return _sqrt_table(rng.uniform(0.1, 2.0, n))
+    if kind == "uniform":
+        h = rng.uniform(0.0, n, 1 << n)
+    else:  # quarter-bit steps: many exact ties
+        h = rng.integers(0, 4 * n, 1 << n) / 4
+    h[0] = 0.0
+    return h.tolist()
+
+
+def _assert_matches_the_scalar_program(h, n):
+    ks = range(1, n + 1)
+    for k, got in zip(ks, _partition_minima(h, n, ks)):
+        want = partition_minimum(h, n, k)
+        assert got.value == want.value, (k, got, want)
+        assert got.argmin.blocks == want.argmin.blocks, (k, got, want)
+        assert _partition_minima(h, n, [k]) == [got]
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(("sqrt", "uniform", "quantized")), n=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_layered_program_matches_the_scalar_program(kind, n, seed):
+    _assert_matches_the_scalar_program(_table(kind, n, seed), n)
+
+
+@pytest.mark.parametrize("kind, n", [("ghz", 9), ("product", 8), ("pure-product", 8),
+                                     ("bell-product", 8), ("dicke", 9), ("classical", 9)])
+def test_layered_program_matches_the_scalar_program_on_states(kind, n):
+    state = _state(kind, n, 9)
+    _assert_matches_the_scalar_program(subset_entropies(state), state.n_parties)
+
+
+def test_layered_program_stays_small_at_the_cap():
+    n = 14
+    h = _sqrt_table(np.random.default_rng(14).uniform(0.5, 1.5, n))
+    tracemalloc.start()
+    try:
+        minima = _partition_minima(h, n, range(1, n + 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+    for k, (value, part) in enumerate(minima, start=1):
+        assert max(map(len, part.blocks)) <= k
+        assert value == sum(h[sum(1 << i for i in b)] for b in part.blocks) - h[-1]
+        assert value > 0.0 if k < n else value == 0.0

@@ -3,14 +3,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrweave import (ArgumentError, CapacityError, DensityState, KrausChannel,
                        apply_channel, is_permutation_invariant, make_bell_product,
                        make_classical, make_dicke, make_ghz, marginal_entropy,
                        max_entry_distance, partial_trace, permute_subsystems,
-                       relative_entropy, tensor_product, vn_entropy)
+                       relative_entropy, subset_entropies, tensor_product,
+                       vn_entropy)
 from corrweave.random_states import (haar_state, haar_unitary, random_channel,
                                      random_classical, random_density)
+from corrweave.tensor import EIG_CLIP, _classical_entropies
 
 RNG = np.random.default_rng(90210)
 
@@ -428,3 +432,75 @@ def test_range_keep_sets_give_the_bits_and_errors_of_lists():
             with pytest.raises(ArgumentError) as exc:
                 marginal_entropy(state, form)
             assert str(exc.value) == message, form
+
+
+# -- the classical subset-entropy table ------------------------------------
+
+@st.composite
+def _sparse_tables(draw):
+    """A classical state with up to 9 parties of local dimension 2..10
+    (one of them, at times, beyond 2^64), 1..300 rows, some parties fixed
+    to one digit so that many rows share their kept digits, and some
+    probabilities just above or below ``EIG_CLIP``."""
+    n = draw(st.integers(1, 9))
+    dims = draw(st.lists(st.integers(2, 10), min_size=n, max_size=n))
+    rows = draw(st.integers(1, 300))
+    fixed = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    huge = draw(st.sampled_from([None, *range(n)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    digits = rng.integers(0, dims, size=(rows, n))
+    digits[:, fixed] = 0
+    keys = list(dict.fromkeys(map(tuple, digits.tolist())))
+    p = rng.exponential(size=len(keys))
+    tiny = rng.random(len(keys)) < draw(st.sampled_from([0.0, 0.3, 0.9]))
+    p[tiny] = EIG_CLIP * rng.uniform(0.3, 3.0, size=tiny.sum()) * p.sum()
+    p /= p.sum()
+    if huge is not None:  # digits 0..9 spread over a dimension beyond 2^64
+        dims[huge] = 2 ** 70
+        keys = [k[:huge] + (k[huge] * 2 ** 66 + 5,) + k[huge + 1:] for k in keys]
+    return DensityState.from_probabilities(dict(zip(keys, p.tolist())), dims,
+                                           validate=False)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=_sparse_tables())
+def test_classical_table_matches_each_marginal_entropy_bit_for_bit(state):
+    n = state.n_parties
+    table = _classical_entropies(state).tolist()
+    assert table[0] == 0.0
+    for mask in range(1, 1 << n):
+        keep = [i for i in range(n) if mask >> i & 1]
+        assert table[mask].hex() == marginal_entropy(state, keep).hex(), (mask, state)
+
+
+@pytest.mark.parametrize("table, dims", [
+    ({(1, 2, 3): 1.0}, (2, 3, 4)),
+    ({(0, 2 ** 70, 1): 0.5, (1, 3, 1): 0.25, (0, 3, 0): 0.25}, (2, 2 ** 71, 2)),
+    ({(0, 2 ** 64 - 1, 1): 0.5, (1, 2 ** 63, 1): 0.25, (0, 3, 0): 0.25}, (2, 2 ** 64, 2)),
+    ({(i % 2, 0, 0, i % 3): 1 / 12 for i in range(12)} | {(0, 1, 1, 3): 0.0}, (2, 2, 2, 4)),
+], ids=["one-row", "beyond-2^64", "uint64-digits", "shared-digits"])
+def test_classical_table_edge_cases(table, dims):
+    state = DensityState.from_probabilities(table, dims, validate=False)
+    n = len(dims)
+    assert [v.hex() for v in _classical_entropies(state).tolist()] == [0.0.hex()] + [
+        marginal_entropy(state, [i for i in range(n) if m >> i & 1]).hex()
+        for m in range(1, 1 << n)]
+
+
+def test_classical_subset_entropies_stay_small_at_the_cap():
+    # 14 parties, 64 rows: 16383 entropies, labelled a block at a time
+    rng = np.random.default_rng(14)
+    keys = list(dict.fromkeys(map(tuple, rng.integers(0, 2, size=(64, 14)).tolist())))
+    p = rng.exponential(size=len(keys))
+    state = DensityState.from_probabilities(dict(zip(keys, (p / p.sum()).tolist())),
+                                            (2,) * 14)
+    state._digit_rows()
+    tracemalloc.start()
+    try:
+        h = subset_entropies(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6, peak
+    assert h[-1] == vn_entropy(state)
+    assert h[0b10010000000001] == marginal_entropy(state, [0, 10, 13])
