@@ -278,56 +278,57 @@ def _running_sum(big: Sequence[float]) -> tuple[float, ...]:
     return tuple(accumulate(big, initial=0.0))[1:]
 
 
-def _resolve_mode(state: DensityState, mode: str) -> str:
-    if mode not in (MODE_AUTO, MODE_BRUTE):
-        raise ArgumentError(f"mode must be auto or brute, got {mode!r}")
-    if mode == MODE_AUTO and is_permutation_invariant(state):
-        return MODE_FAST
-    return MODE_BRUTE
-
-
 def dist_to_pk(state: DensityState, k: int, mode: str = MODE_AUTO) -> PartitionMinimum:
     """Distance (bits) from ``state`` to products over partitions with
-    blocks of at most ``k`` parties, with an achieving partition.
+    blocks of at most ``k`` parties, with an achieving partition: the
+    one-order call of :func:`_minima`, whose all-orders call is :func:`profile`.
 
-    ``brute`` minimizes over every partition with an O(3^N) dynamic
-    program over the :func:`subset_entropies` table (N is capped at
-    ``DEFAULT_ENUM_CAP``, 14), :func:`_partition_minima` for the one order
-    ``k``; :func:`profile` runs it once for all orders.
-    ``auto`` goes brute unless :func:`is_permutation_invariant` measures
-    the state invariant; then (route ``symmetric-fast``) the compact
-    partition, q blocks of k and one of r, is ``q h(k) + h(r) - h(N)``
-    with h(s) the entropy of the first s parties.  Brute returns the
-    partition a scan of :func:`enumerate_partitions` would end on, keeping
-    the earliest one in canonical order unless a later one is lower by
-    more than ``TIE_TOL``.
+    ``brute`` minimizes over every partition of the :func:`subset_entropies`
+    table (N at most ``DEFAULT_ENUM_CAP``, 14) and keeps the partition a
+    scan of :func:`enumerate_partitions` ends on: the earliest in canonical
+    order unless a later one is lower by more than ``TIE_TOL``.  ``auto``
+    goes brute unless :func:`is_permutation_invariant` measures the state
+    invariant; then (route ``symmetric-fast``) the compact partition, q
+    blocks of k and one of r, gives ``q h(k) + h(r) - h(N)``, h(s) the
+    entropy of the first s parties.
     """
     n = state.n_parties
     if not 1 <= k <= n:
         raise ArgumentError(f"order k={k} out of range 1..{n}")
-    if _resolve_mode(state, mode) == MODE_FAST:
-        return _compact_minima(state, [k])[0]
-    return _clamped(k, *_partition_minima(subset_entropies(state), n, [k])[0])
+    return _minima(state, [k], mode)[1][0]
 
 
-def _compact_minima(state: DensityState, ks: Sequence[int]) -> list[PartitionMinimum]:
-    """:func:`dist_to_pk` of a state measured invariant for each order in
-    ``ks``, in one array pass over the prefix entropies it needs."""
+def _minima(state: DensityState, ks: Sequence[int],
+            mode: str) -> tuple[str, list[PartitionMinimum]]:
+    """The route (``symmetric-fast`` or ``brute``) that ``mode`` takes for
+    ``state``, and the minimum of each order in ``ks`` on it, computed in
+    one pass and clamped at 0 within the clamp window."""
+    if mode not in (MODE_AUTO, MODE_BRUTE):
+        raise ArgumentError(f"mode must be auto or brute, got {mode!r}")
+    if mode == MODE_AUTO and is_permutation_invariant(state):
+        route, raw = MODE_FAST, _compact_minima(state, ks)
+    else:
+        route, raw = MODE_BRUTE, _partition_minima(subset_entropies(state),
+                                                   state.n_parties, ks)
+    for k, (best, _) in zip(ks, raw):
+        if best < -CLAMP_TOL:
+            raise ConsistencyError(
+                f"dist({k}) evaluated to {best}, below the -1e-9 clamp window")
+    return route, [PartitionMinimum(max(best, 0.0), part) for best, part in raw]
+
+
+def _compact_minima(state: DensityState,
+                    ks: Sequence[int]) -> list[tuple[float, SetPartition]]:
+    """The unclamped minimum and compact partition of each order in ``ks``
+    for a state measured invariant, in one array pass over the prefix
+    entropies it needs."""
     n = state.n_parties
     orders = np.asarray(ks)
     h = np.zeros(n + 1)
     for s in sorted({n, *orders.tolist(), *(n % orders).tolist()} - {0}):
         h[s] = _prefix_entropy(state, s)
     values = (compact_sum(n, orders, h) - h[n]).tolist()
-    return list(map(_clamped, ks, values, compact_partitions(n, ks)))
-
-
-def _clamped(k: int, best: float, part: SetPartition) -> PartitionMinimum:
-    """The minimum of order ``k``, clamped at 0 within the clamp window."""
-    if best < -CLAMP_TOL:
-        raise ConsistencyError(
-            f"dist({k}) evaluated to {best}, below the -1e-9 clamp window")
-    return PartitionMinimum(max(best, 0.0), part)
+    return list(zip(values, compact_partitions(n, ks)))
 
 
 def _blocks(s: int, k: int):
@@ -429,19 +430,20 @@ def _minimum_of_order(h: list[float], f: list[float], n: int, k: int,
     if not math.isfinite(f[full]):
         raise NumericError(f"partition minimum for k={k} is {f[full]}")
 
-    def walk(s, partial, key, index, limit, out):
-        for b in _blocks(s, k):
-            p, r = partial + h[b], s ^ b
-            if p + f[r] <= limit:
-                if r:
-                    walk(r, p, key + index * digits[b], index + 1, limit, out)
-                else:
-                    out.append((key + index * digits[b], p - h[full]))
-
     window = 1e-9
     while True:
+        limit = f[full] + window
         candidates: list[tuple[int, float]] = []
-        walk(full, 0.0, 0, 0, f[full] + window, candidates)
+        stack = [(full, 0.0, 0, 0)]  # (set left, partial sum, key so far, block index)
+        while stack:
+            s, partial, key, index = stack.pop()
+            for b in _blocks(s, k):
+                p, r = partial + h[b], s ^ b
+                if p + f[r] <= limit:
+                    if r:
+                        stack.append((r, p, key + index * digits[b], index + 1))
+                    else:
+                        candidates.append((key + index * digits[b], p - h[full]))
         values = sorted(v for _, v in candidates)
         cut = next((a for a, b in zip(values, values[1:]) if b - a > 1e-12), values[-1])
         if cut - values[0] < window / 2:  # unlisted partitions lie about window above
@@ -458,18 +460,12 @@ def _minimum_of_order(h: list[float], f: list[float], n: int, k: int,
 
 
 def profile(state: DensityState, mode: str = MODE_AUTO) -> CorrelationProfile:
-    """Full correlation profile: dist(k) for every order (clamped at 0
-    within 1e-9 by :func:`dist_to_pk`), checked and differenced by
-    :meth:`CorrelationProfile.from_dist`."""
-    resolved = _resolve_mode(state, mode)
-    ks = range(1, state.n_parties + 1)
-    if resolved == MODE_FAST:
-        minima = _compact_minima(state, ks)
-    else:
-        minima = [_clamped(k, *m) for k, m in zip(ks, _partition_minima(
-            subset_entropies(state), state.n_parties, ks))]
+    """Full correlation profile: the all-orders call of :func:`_minima`,
+    whose one-order call is :func:`dist_to_pk`, checked and differenced
+    by :meth:`CorrelationProfile.from_dist`."""
+    route, minima = _minima(state, range(1, state.n_parties + 1), mode)
     return CorrelationProfile.from_dist([m.value for m in minima],
-                                        [m.argmin for m in minima], resolved)
+                                        [m.argmin for m in minima], route)
 
 
 def weaving(prof: CorrelationProfile, weights: WeightScheme) -> float:

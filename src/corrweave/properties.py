@@ -6,7 +6,8 @@ local channels and discarding, superadditivity of multi-information,
 additivity on products, equality of the two weaving summation forms, and
 contractivity of weaving under local channels.  The suite samples small
 random states (up to 4 qubits) with a fixed seed and reports the worst
-violation per property.
+violation per property.  Each sampled state is valued once, in one pass
+of the brute minimizer for all the orders a property compares.
 
 ``perturb_dist`` injects a fault into every distance evaluation (used by
 the tests to prove the suite actually detects violations); leave it None
@@ -21,8 +22,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .correlations import (DUAL_FORM_TOL, WeightScheme, closest_product,
-                           dist_to_pk, multi_information)
+from .correlations import (DUAL_FORM_TOL, MODE_BRUTE, PartitionMinimum, WeightScheme,
+                           _minima, closest_product, multi_information)
 from .errors import ArgumentError
 from .random_states import (haar_state, random_channel, random_density,
                             random_product_state)
@@ -40,16 +41,10 @@ class PropertyResult:
     passed: bool
 
 
-def _dist(state, k, perturb):
-    value, part = dist_to_pk(state, k, mode="brute")
-    if perturb is not None:
-        value = perturb(value)
-    return value, part
-
-
 def _dists(state, orders, perturb):
-    """dist(k) of one state for each k in ``orders``."""
-    return [_dist(state, k, perturb)[0] for k in orders]
+    """dist(k) of one state, with its argmin, for each k in ``orders``."""
+    return [PartitionMinimum(v if perturb is None else perturb(v), part)
+            for v, part in _minima(state, orders, MODE_BRUTE)[1]]
 
 
 def run_property_suite(seed: int = 1234, trials: int = 200, *,
@@ -78,14 +73,14 @@ def _faithfulness(rng, trials, perturb):
             k = int(rng.integers(1, 4))
             blocks = structures[k][int(rng.integers(len(structures[k])))]
             s = random_product_state(blocks, rng, pure=bool(rng.integers(2)))
-            value, part = _dist(s, k, perturb)
+            [(value, part)] = _dists(s, [k], perturb)
             worst = max(worst, abs(value))
             recon = closest_product(s, part)
             worst = max(worst, max_entry_distance(s, recon))
         else:
             s = haar_state((2,) * 4, rng)
             k = int(rng.integers(1, 4))
-            value, part = _dist(s, k, perturb)
+            [(value, part)] = _dists(s, [k], perturb)
             err = max_entry_distance(s, closest_product(s, part))
             if err <= 1e-10:  # reconstruction matches => distance must vanish
                 worst = max(worst, abs(value))
@@ -100,7 +95,7 @@ def _extension_monotonicity(rng, trials, perturb):
         joint = tensor_product(s, random_density((2,), rng))
         for after, before in zip(_dists(joint, range(1, 4), perturb),
                                  _dists(s, range(1, 4), perturb)):
-            worst = max(worst, after - before)
+            worst = max(worst, after.value - before.value)
     return _result("monotonicity-1S", trials, worst)
 
 
@@ -114,7 +109,7 @@ def _channel_monotonicity(rng, trials, perturb):
         out = apply_channel(s, ch)
         for after, before in zip(_dists(out, range(1, 4), perturb),
                                  _dists(s, range(1, 4), perturb)):
-            worst = max(worst, after - before)
+            worst = max(worst, after.value - before.value)
     return _result("monotonicity-2S", trials, worst)
 
 
@@ -127,7 +122,7 @@ def _discard_monotonicity(rng, trials, perturb):
         marg = partial_trace(s, keep)
         for after, before in zip(_dists(marg, range(1, 4), perturb),
                                  _dists(s, range(1, 4), perturb)):
-            worst = max(worst, after - before)
+            worst = max(worst, after.value - before.value)
     return _result("monotonicity-3D", trials, worst)
 
 
@@ -170,7 +165,7 @@ def _product_additivity(rng, trials, perturb):
         dist_a, dist_b = _dists(a, (1, 2), perturb), _dists(b, (1, 2), perturb)
         for k, lhs in enumerate(_dists(joint, range(1, 5), perturb), start=1):
             j = min(k, 2) - 1
-            worst = max(worst, abs(lhs - (dist_a[j] + dist_b[j])))
+            worst = max(worst, abs(lhs.value - (dist_a[j].value + dist_b[j].value)))
     return _result("product-additivity", trials, worst)
 
 
@@ -181,7 +176,7 @@ def _dual_form(rng, trials, perturb):
         n = int(rng.integers(3, 5))
         s = random_density((2,) * n, rng)
         scheme = WeightScheme.from_big_omega(rng.uniform(0.0, 2.0, size=n - 1))
-        dist = _dists(s, range(1, n + 1), perturb)
+        dist = [m.value for m in _dists(s, range(1, n + 1), perturb)]
         genuine = [max(dist[k - 2] - dist[k - 1], 0.0) for k in range(2, n + 1)]
         omega_form = sum(w * g for w, g in zip(scheme.omega, genuine))
         big_form = sum(w * v for w, v in zip(scheme.big_omega, dist[:-1]))
@@ -200,9 +195,9 @@ def _contractivity(rng, trials, perturb):
                             targets=(int(rng.integers(n)),))
         out = apply_channel(s, ch)
         scheme = WeightScheme.from_big_omega(rng.uniform(0.0, 2.0, size=n - 1))
-        w_in = sum(w * v for w, v in zip(scheme.big_omega,
-                                         _dists(s, range(1, n), perturb)))
-        w_out = sum(w * v for w, v in zip(scheme.big_omega,
-                                          _dists(out, range(1, n), perturb)))
+        w_in = sum(w * v for w, (v, _) in zip(scheme.big_omega,
+                                              _dists(s, range(1, n), perturb)))
+        w_out = sum(w * v for w, (v, _) in zip(scheme.big_omega,
+                                               _dists(out, range(1, n), perturb)))
         worst = max(worst, w_out - w_in)
     return _result("weaving-contractivity", trials, worst)

@@ -23,7 +23,8 @@ def _check_table(base: int, n: int, power: int = 1) -> None:
     """Raise a CapacityError, before anything is built, when a table of
     ``base ** power`` digit strings of ``n`` digits exceeds the cap."""
     if _power_within(base, power, MAX_CLASSICAL_DIGITS // n) is None:
-        entries = _power_within(base, power, 1 << 64) or f"{base}^{power}"
+        entries = (_power_within(base, power, 1 << 64)
+                   or (base if power == 1 else f"{base}^{power}"))
         raise CapacityError(
             f"classical table of {entries} entries x {n} digits exceeds the "
             f"capacity limit of {MAX_CLASSICAL_DIGITS} digits")

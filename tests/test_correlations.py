@@ -170,6 +170,22 @@ def test_dist_auto_mode_resolution():
             dist_to_pk(crossed, 2, mode=forced)
 
 
+@pytest.mark.parametrize("mode, route", [("auto", "_compact_minima"),
+                                         ("brute", "_partition_minima")])
+def test_each_route_is_clamped_at_zero_within_the_window(monkeypatch, mode, route):
+    real, shift = getattr(correlations, route), [-5e-10]
+    monkeypatch.setattr(correlations, route,
+                        lambda *args: [(shift[0], part) for _, part in real(*args)])
+    state = make_ghz(3)
+    assert profile(state, mode).dist == (0.0, 0.0, 0.0)
+    assert dist_to_pk(state, 2, mode).value == 0.0
+    shift[0] = -2e-9
+    with pytest.raises(ConsistencyError, match=r"dist\(1\) evaluated to -2e-09, below"):
+        profile(state, mode)
+    with pytest.raises(ConsistencyError, match=r"dist\(3\) evaluated to -2e-09, below"):
+        dist_to_pk(state, 3, mode)
+
+
 def test_dist_argmin_canonical_tie_break():
     value, part = dist_to_pk(make_classical(5), 2, mode="brute")
     assert value == 2.0

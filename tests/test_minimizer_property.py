@@ -9,6 +9,7 @@ layered program that serves every order in one pass must match the
 scalar one-order-at-a-time program of ``oracles.partition_minimum``.
 """
 
+import gc
 import math
 import tracemalloc
 
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from oracles import partition_minimum
 
 from corrweave import (dist_to_pk, enumerate_partitions, make_bell_product,
-                       make_dicke, make_ghz, subset_entropies)
-from corrweave.correlations import _partition_minima
+                       make_classical, make_dicke, make_ghz, profile,
+                       subset_entropies)
+from corrweave.correlations import _dp_layers, _partition_minima
 from corrweave.random_states import (haar_state, random_classical,
                                      random_density, random_product_state)
 
@@ -125,3 +127,39 @@ def test_layered_program_stays_small_at_the_cap():
         assert max(map(len, part.blocks)) <= k
         assert value == sum(h[sum(1 << i for i in b)] for b in part.blocks) - h[-1]
         assert value > 0.0 if k < n else value == 0.0
+
+
+def test_layered_program_frees_each_order_at_return():
+    """Nothing of a pass outlives it without the cyclic collector: every
+    order's row of set minima (2^14 floats at the cap) is freed at return."""
+    n = 14
+    h = _sqrt_table(np.random.default_rng(14).uniform(0.5, 1.5, n))
+    _dp_layers(n)  # cached once per n, so not part of what must be freed
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        _partition_minima(h, n, range(1, n + 1))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert held < 1e6, held
+
+
+#: States measured invariant, which ``auto`` sends to the symmetric-fast route.
+INVARIANT = {"ghz": make_ghz, "dicke-half": lambda n: make_dicke(n, n // 2),
+             "classical-table": make_classical}
+
+
+@pytest.mark.parametrize("kind, mode", [(kind, "auto") for kind in INVARIANT]
+                         + [(kind, "brute") for kind in ("dense", "pure", "classical")])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_one_order_call_is_the_all_orders_call_order_by_order(kind, mode, n):
+    state = INVARIANT[kind](n) if mode == "auto" else _state(kind, n, n)
+    prof = profile(state, mode)
+    assert prof.mode == ("symmetric-fast" if mode == "auto" else "brute")
+    for k in range(1, n + 1):
+        value, part = dist_to_pk(state, k, mode)
+        assert value == prof.dist[k - 1], k
+        assert part.blocks == prof.argmin[k - 1].blocks, k

@@ -1,7 +1,8 @@
 import pytest
 
 import corrweave.correlations as correlations
-from corrweave import ArgumentError, run_property_suite
+import corrweave.properties as properties
+from corrweave import ArgumentError, PartitionMinimum, dist_to_pk, run_property_suite
 
 EXPECTED_NAMES = [
     "faithfulness-0S", "monotonicity-1S", "monotonicity-2S",
@@ -57,3 +58,17 @@ def test_each_entropy_is_computed_once_per_state(monkeypatch):
     monkeypatch.setattr(correlations, "marginal_entropy", counting)
     assert all(r.passed for r in run_property_suite(1234, trials=3))
     assert seen
+
+
+@pytest.mark.parametrize("perturb", [None, lambda v: v - 1e-3], ids=["honest", "perturbed"])
+@pytest.mark.parametrize("seed", [0, 1, 1234])
+def test_one_pass_per_state_gives_the_per_order_results(monkeypatch, seed, perturb):
+    got = run_property_suite(seed, 10, perturb_dist=perturb)
+
+    def per_order(state, orders, perturb):
+        minima = [dist_to_pk(state, k, "brute") for k in orders]
+        return [PartitionMinimum(v if perturb is None else perturb(v), part)
+                for v, part in minima]
+
+    monkeypatch.setattr(properties, "_dists", per_order)
+    assert got == run_property_suite(seed, 10, perturb_dist=perturb)

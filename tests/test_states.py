@@ -34,6 +34,11 @@ def test_classical_table():
     assert make_classical(65536).n_parties == 65536
     with pytest.raises(CapacityError, match="2 entries x 65537 digits"):
         make_classical(65537)
+    # past 2^64 entries the count is shown as base^power, or as the base alone at power 1
+    with pytest.raises(CapacityError, match=r"table of 100000000000000000000 entries x 4 d"):
+        make_classical(4, 10 ** 20)
+    with pytest.raises(CapacityError, match=r"table of 2\^500 entries x 1000 d"):
+        make_classical_pair_product(1000)
 
 
 def test_dicke_lexicographic_amplitudes():
