@@ -80,6 +80,34 @@ def _capacity_advice(advice: str):
         raise CapacityError(f"{exc}; {advice}") from None
 
 
+def _closed_form_advice(family: StateFamily) -> str:
+    """The closed-form commands that print ``family``'s instance: those of
+    the :data:`FAMILIES` rows that build it (its own row and its aliases,
+    or the Dicke row of its excitation count), ``scaling`` for the first
+    such row and ``table`` if one is a table row at its ``d``."""
+    n, d, a = family.n, family.d, family.a
+    if n > MAX_CLOSED_FORM_N:
+        return f"closed forms run only to N = {MAX_CLOSED_FORM_N}"
+    if family.m is None:
+        names = (family.family, *FAMILIES[family.family].aliases)
+    else:
+        names = [name for name, m in (("dicke-1", 1), ("dicke-half", n // 2))
+                 if family.m == m]
+    rows = [FAMILIES[name] for name in names if name in CF_FAMILIES
+            and not (FAMILIES[name].even_only and n % 2)]
+    qudit = f" --d {d}" if d != 2 else ""
+    steps = []
+    if rows:
+        amplitude = "" if a is None else f" --a {a!r}"
+        steps.append(f"`corrweave scaling --family {rows[0].name}{qudit}{amplitude} "
+                     f"--n-min {n} --n-max {n}`")
+    if any(row.table is not None and (row.qudit or d == 2) for row in rows):
+        steps.append(f"`corrweave table --n {n}{qudit} --closed-form-only`")
+    if not steps:
+        return f"no closed form covers {family.label()}"
+    return f"closed forms run to N = {MAX_CLOSED_FORM_N}: use {' or '.join(steps)}"
+
+
 # -- numeric formatting --------------------------------------------------
 
 
@@ -480,10 +508,7 @@ def cmd_profile(state_spec, weights, mode, output):
         label_key = "family"
         family = StateFamily.parse(state_spec)
         label = family.label()
-        scaling = (f"`corrweave scaling --family {family.family}` or "
-                   if family.family in CF_FAMILIES else "")
-        with _capacity_advice(f"closed forms run to N = {MAX_CLOSED_FORM_N}: use "
-                              f"{scaling}`corrweave table --n {family.n} --closed-form-only`"):
+        with _capacity_advice(_closed_form_advice(family)):
             state = family.build()
     n = state.n_parties
     prof = profile(state, mode=mode)

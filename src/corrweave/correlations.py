@@ -331,53 +331,56 @@ def _compact_minima(state: DensityState,
     return list(zip(values, compact_partitions(n, ks)))
 
 
-def _blocks(s: int, k: int):
-    """Submasks of ``s`` that hold its lowest bit and at most ``k`` bits."""
-    low = s & -s
-    rest = sub = s ^ low
-    while True:
-        b = sub | low
-        if b.bit_count() <= k:
-            yield b
-        if not sub:
-            return
-        sub = (sub - 1) & rest
-
-
 #: (block, rest) pairs the layered dynamic program gathers at a time, for
 #: each order: a few MB at N = 14.
 _DP_BLOCK = 1 << 15
 
 
 @lru_cache(maxsize=None)
-def _dp_layers(n: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """The sets whose partition minimum :func:`_partition_minima` needs --
-    those without party 0, and the full set -- in layers of equal size
-    ``c``, each layer as ``(sets, blocks, sizes)``: row ``i`` of
-    ``blocks`` lists the blocks of ``sets[i]`` (its submasks that hold its
-    lowest party), and column ``j`` of every row has ``sizes[j]``
-    parties.  Built once per ``n`` (at most ``DEFAULT_ENUM_CAP``), on
-    first use: about 2 MB at N = 14."""
+def _dp_layers(n: int) -> tuple[tuple, memoryview, tuple[int, ...], tuple[int, ...]]:
+    """``(layers, row, place, digits)``, the tables of :func:`_partition_minima`,
+    built once per ``n`` (at most ``DEFAULT_ENUM_CAP``) on first use: about
+    2.2 MB at N = 14.  ``layers[c - 1]`` holds the sets of ``c`` parties
+    whose minimum is needed -- those without party 0, and the full set --
+    as ``(sets, blocks, sizes)``: row ``row[s]`` of ``blocks`` lists the
+    blocks of set ``s`` (its submasks that hold its lowest party), and
+    column ``j`` has ``sizes[j]`` parties, non-decreasing, so the blocks
+    of at most ``k`` parties are a leading slice.  A partition's key is
+    its restricted-growth string (party i -> index of its block) read as
+    a base-n number, so keys sort in canonical order; block ``b`` at index
+    ``j`` adds ``j * digits[b]``, ``digits[b]`` the sum of ``place[i]``
+    over its parties."""
     full = (1 << n) - 1
+    place = [n ** (n - 1 - i) for i in range(n)]
+    digits = [0] * (full + 1)
+    for b in range(1, full + 1):
+        digits[b] = digits[b & (b - 1)] + place[(b & -b).bit_length() - 1]
     popcount = np.zeros(full + 1, np.uint8)
     for i in range(n):
         popcount[1 << i:2 << i] = popcount[:1 << i] + 1
+    dtype = np.min_scalar_type(full)
+    row = np.zeros(full + 1, dtype)
 
     def layer(sets, c):
         # the parties of each set, lowest first; a block holds the lowest
-        # and any choice of the others
+        # and any choice of the others, fewest first (grouped by count: a
+        # stable argsort would map 0.2 MB more of numpy into the process)
         parties = np.nonzero(sets[:, None] >> np.arange(n) & 1)[1].reshape(len(sets), c)
         choice = np.arange(1 << (c - 1))[:, None] >> np.arange(c - 1) & 1
+        choice = choice[np.concatenate([np.flatnonzero(choice.sum(axis=1) == j)
+                                        for j in range(c)])]
         blocks = 1 << parties[:, :1] | (1 << parties[:, 1:]) @ choice.T
-        dtype = np.min_scalar_type(full)
         arrays = sets.astype(dtype), blocks.astype(dtype), choice.sum(axis=1) + 1
         for a in arrays:  # shared by every call at this n
             a.setflags(write=False)
+        row[sets] = np.arange(len(sets))
         return arrays
 
     even = np.arange(0, full + 1, 2)
-    return (*(layer(even[popcount[::2] == c], c) for c in range(1, n)),
-            layer(np.array([full]), n))
+    layers = (*(layer(even[popcount[::2] == c], c) for c in range(1, n)),
+              layer(np.array([full]), n))
+    row.setflags(write=False)
+    return layers, memoryview(row), tuple(place), tuple(digits)
 
 
 def _partition_minima(h: list[float], n: int, ks: Sequence[int]) -> list[PartitionMinimum]:
@@ -391,19 +394,13 @@ def _partition_minima(h: list[float], n: int, ks: Sequence[int]) -> list[Partiti
     the minimum over partitions of ``S``; it is needed for the full set
     and the sets without party 0 (:func:`_dp_layers`).  It is computed
     for every order at once, one array pass per layer of equal-size sets.
-    Then, per order, every partition whose sum can come within ``window``
-    of ``f[k, full]`` is listed, with ``f`` bounding each partial sum
-    (:func:`_blocks` walks the blocks), and valued as the scan values it
-    (blocks summed in canonical order).  Cut at the first gap wider than
-    1e-12, the values below the cut beat all others by more than
-    ``TIE_TOL``, so replaying the rule over them in canonical order ends
-    where the scan of all partitions ends.
+    Then :func:`_minimum_of_order` finds each order's partition.
     """
     full = (1 << n) - 1
     orders = np.asarray(ks)
     hs = np.asarray(h)
     f = np.zeros((len(orders), full + 1))
-    for sets, blocks, sizes in _dp_layers(n):
+    for sets, blocks, sizes in _dp_layers(n)[0]:
         allowed = sizes <= orders[:, None, None]
         step = max(1, _DP_BLOCK // blocks.shape[1])
         for i in range(0, len(sets), step):
@@ -411,24 +408,25 @@ def _partition_minima(h: list[float], n: int, ks: Sequence[int]) -> list[Partiti
             values = f[:, b ^ s[:, None]]
             values += hs[b]
             f[:, s] = values.min(axis=2, initial=math.inf, where=allowed)
-    # A partition's key is its restricted-growth string (party i -> index
-    # of its block) read as a base-n number: keys sort in canonical order.
-    place = [n ** (n - 1 - i) for i in range(n)]
-    digits = [0] * (full + 1)
-    for b in range(1, full + 1):
-        digits[b] = digits[b & (b - 1)] + place[(b & -b).bit_length() - 1]
-    return [_minimum_of_order(h, f_k.tolist(), n, k, place, digits)
-            for k, f_k in zip(ks, f)]
+    return [_minimum_of_order(h, f_k.tolist(), n, k) for k, f_k in zip(ks, f)]
 
 
-def _minimum_of_order(h: list[float], f: list[float], n: int, k: int,
-                      place: list[int], digits: list[int]) -> PartitionMinimum:
+def _minimum_of_order(h: list[float], f: list[float], n: int, k: int) -> PartitionMinimum:
     """The value and tie-break partition of :func:`_partition_minima` for
-    order ``k``, from its row ``f`` of set minima and the key table
-    ``digits`` (a block's key digits at ``place``)."""
+    order ``k``, from its row ``f`` of set minima: every partition whose
+    sum can come within ``window`` of ``f[full]`` is listed, ``f``
+    bounding each partial sum and the :func:`_dp_layers` tables giving
+    each set's blocks and keys, and valued as the scan values it (blocks
+    summed in canonical order).  Cut at the first gap wider than 1e-12,
+    the values below the cut beat all others by more than ``TIE_TOL``, so
+    replaying the rule over them in canonical order ends where the scan
+    of all partitions ends."""
     full = (1 << n) - 1
     if not math.isfinite(f[full]):
         raise NumericError(f"partition minimum for k={k} is {f[full]}")
+    layers, row, place, digits = _dp_layers(n)
+    # each layer's blocks of at most k parties, as views
+    reach = [blocks[:, :np.count_nonzero(sizes <= k)] for _, blocks, sizes in layers]
 
     window = 1e-9
     while True:
@@ -437,7 +435,7 @@ def _minimum_of_order(h: list[float], f: list[float], n: int, k: int,
         stack = [(full, 0.0, 0, 0)]  # (set left, partial sum, key so far, block index)
         while stack:
             s, partial, key, index = stack.pop()
-            for b in _blocks(s, k):
+            for b in reach[s.bit_count() - 1][row[s]].tolist():
                 p, r = partial + h[b], s ^ b
                 if p + f[r] <= limit:
                     if r:

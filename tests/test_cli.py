@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -22,10 +23,11 @@ from hypothesis import strategies as st
 
 import corrweave
 from corrweave import closed_forms
-from corrweave import (ArgumentError, DensityState, NumericError, StateFileError,
-                       compact_partition, make_bell_product, make_classical,
-                       make_ghz, tensor_product)
-from corrweave.closed_forms import CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N
+from corrweave import (ArgumentError, DensityState, NumericError, StateFamily,
+                       StateFileError, WeightScheme, compact_partition,
+                       make_bell_product, make_classical, make_ghz, tensor_product)
+from corrweave.closed_forms import (CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N,
+                                    ClosedFormFamily, cf_weaving)
 from corrweave.cli import (_cell, _emit, _float_texts, _handle_errors, _json_chunks,
                            _round12, _scheme, load_state_file, main, save_state_file)
 from corrweave.random_states import haar_state, random_classical, random_density
@@ -1034,15 +1036,45 @@ def test_classical_256_report_bytes_are_pinned(output, digest):
 
 @pytest.mark.parametrize("args, advice", [
     (["table", "--n", "4", "--d", "11"], "pass --closed-form-only"),
-    (["profile", "--state", "ghz:13"], "`corrweave scaling --family ghz`"),
-    (["profile", "--state", "a-family:13:0.6"], "`corrweave scaling --family a-family`"),
-    (["profile", "--state", "dicke:100:7"], "`corrweave table --n 100 --closed-form-only`"),
-    (["profile", "--state", "classical-pair-product:26"], "--family classical-pair-product`")])
+    (["profile", "--state", "ghz:13"], "`corrweave scaling --family ghz --n-min 13 --n-max 13`"),
+    (["profile", "--state", "a-family:13:0.6"],
+     "`corrweave scaling --family a-family --a 0.6 --n-min 13 --n-max 13`"),
+    (["profile", "--state", "dicke:100:7"], "no closed form covers dicke:100:7"),
+    (["profile", "--state", "classical-pair-product:26"],
+     "--family classical-pair-product --n-min 26 --n-max 26`")])
 def test_capacity_errors_name_a_command_line_step(args, advice):
     result = run(*args)
     assert result.exit_code == 3, errtext(result)
     assert advice in errtext(result)
     assert "max_dim" not in errtext(result)
+
+
+@pytest.mark.parametrize("spec, families", [
+    ("a-family:13:0.6", {"a-family"}), ("ghz:8:3", {"ghz"}), ("ghz:13", {"ghz"}),
+    ("dicke:100:7", set()), ("ghz:70000", set()), ("dicke:1000000000000:1", set()),
+    ("dicke:44:1", {"dicke-1"}), ("dicke:44:22", {"dicke-half"}),
+    ("classical-pair-product:26", {"classical-pair-product"}),
+    ("classical:4:1000000", {"classical", "qudit-classical"}),
+    ("bell-product:44:3", {"bell-product", "qudit-bell-product"})])
+def test_capacity_advice_names_only_commands_that_print_the_state(spec, families):
+    """Every command the advice names prints a row of the spec's family at
+    its N, d and a; with no closed form for it, or N above the cap, the
+    advice names none."""
+    result = run("profile", "--state", spec)
+    assert result.exit_code == 3, errtext(result)
+    commands = re.findall(r"`corrweave ([^`]*)`", errtext(result))
+    assert bool(commands) == bool(families), errtext(result)
+    fam = StateFamily.parse(spec)
+    for command in commands:
+        done = run(*command.split())
+        assert done.exit_code == 0, (command, errtext(done))
+        rows = [row for row in json.loads(done.stdout) if row["family"] in families
+                and row["N"] == fam.n and row.get("d", fam.d) == fam.d]
+        assert rows, command
+        for row in rows:
+            instance = ClosedFormFamily(row["family"], fam.n, d=fam.d, a=fam.a)
+            want = cf_weaving(instance, WeightScheme.order_weighted(fam.n))
+            assert row["weaving"] == _round12(want), command
 
 
 def test_version_flag():

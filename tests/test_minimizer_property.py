@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import partition_minimum
+from oracles import _blocks, partition_minimum
 
 from corrweave import (dist_to_pk, enumerate_partitions, make_bell_product,
                        make_classical, make_dicke, make_ghz, profile,
@@ -111,6 +111,21 @@ def test_layered_program_matches_the_scalar_program(kind, n, seed):
 def test_layered_program_matches_the_scalar_program_on_states(kind, n):
     state = _state(kind, n, 9)
     _assert_matches_the_scalar_program(subset_entropies(state), state.n_parties)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walk_reads_the_blocks_of_each_set_from_the_layer_tables(n):
+    """For every set the tie walk can visit -- the full set and the sets
+    without party 0 -- and every order k, the leading columns of its row
+    that the walk reads are its blocks of at most k parties, each once."""
+    layers, row, _, _ = _dp_layers(n)
+    full = (1 << n) - 1
+    for s in [*range(2, full, 2), full]:
+        sets, blocks, sizes = layers[s.bit_count() - 1]
+        assert sets[row[s]] == s
+        for k in range(1, n + 1):
+            got = blocks[row[s], :np.count_nonzero(sizes <= k)].tolist()
+            assert len(got) == len(set(got)) and set(got) == set(_blocks(s, k)), (s, k)
 
 
 def test_layered_program_stays_small_at_the_cap():
