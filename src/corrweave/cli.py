@@ -83,16 +83,16 @@ def _capacity_advice(advice: str):
 def _closed_form_advice(family: StateFamily) -> str:
     """The closed-form commands that print ``family``'s instance: those of
     the :data:`FAMILIES` rows that build it (its own row and its aliases,
-    or the Dicke row of its excitation count), ``scaling`` for the first
-    such row and ``table`` if one is a table row at its ``d``."""
+    or the Dicke rows whose ``excitations(N)`` is its ``m``), ``scaling``
+    for the first such row and ``table`` if one is a table row at its ``d``."""
     n, d, a = family.n, family.d, family.a
     if n > MAX_CLOSED_FORM_N:
         return f"closed forms run only to N = {MAX_CLOSED_FORM_N}"
     if family.m is None:
         names = (family.family, *FAMILIES[family.family].aliases)
     else:
-        names = [name for name, m in (("dicke-1", 1), ("dicke-half", n // 2))
-                 if family.m == m]
+        names = [row.name for row in FAMILIES.values()
+                 if row.excitations and row.excitations(n) == family.m]
     rows = [FAMILIES[name] for name in names if name in CF_FAMILIES
             and not (FAMILIES[name].even_only and n % 2)]
     qudit = f" --d {d}" if d != 2 else ""

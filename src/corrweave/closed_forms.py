@@ -49,10 +49,11 @@ class Family:
     The closed form is ``h(fam)``, the entropy of a block of sites: one
     float, the same for every size ``s < N`` if ``uniform``, or that of
     one site of a pair if ``pairs``; else an array of h(s) for every
-    ``s`` from 0 to N, with h(0) = h(N) = 0.0 (a Dicke row computes
-    h(s) for s <= N/2 and mirrors the rest, see :func:`_dicke_h`).  The
-    whole state (or pair) is pure, or, if ``mixed``, has the entropy of
-    its blocks, as a mixture of correlated strings does.
+    ``s`` from 0 to N, with h(0) = h(N) = 0.0 (a Dicke row, whose
+    ``excitations(N)`` is its excitation count at N, computes h(s) for
+    s <= N/2 and mirrors the rest, see :func:`_dicke_h`).  The whole
+    state (or pair) is pure, or, if ``mixed``, has the entropy of its
+    blocks, as a mixture of correlated strings does.
     """
 
     name: str
@@ -68,32 +69,31 @@ class Family:
     mixed: bool = False
     uniform: bool = False
     pairs: bool = False
+    excitations: Optional[Callable[[int], int]] = None
 
 
 def _log2_d(fam) -> float:
     return math.log2(fam.d)
 
 
-def _dicke_h(excitations: Callable[[int], int]) -> Callable:
-    """h(fam) of the Dicke state with ``excitations(N)`` excitations: the
-    array of h(0..N).  The first call on an instance fills its ``_h`` memo
-    with it from one :func:`dicke_block_entropies` pass.
+def _dicke_h(fam) -> np.ndarray:
+    """h(fam) of a Dicke row, at the excitation count it reads from the
+    row's ``excitations(N)``: the array of h(0..N).  The first call on an
+    instance fills its ``_h`` memo from one :func:`dicke_block_entropies` pass.
 
     The state is pure, so complementary blocks share a spectrum and
     h(s) = h(N - s): the pass computes h(s) for s <= N/2 and mirrors the
     rest.  The mirror is bit-exact because the two Dicke rows hold one
     excitation or N/2, where rows s and N - s sum the same terms.
     """
-    def h(fam) -> np.ndarray:
-        if fam._h is None:
-            n, half = fam.n, fam.n // 2
-            table = np.zeros(n + 1)
-            table[1:half + 1] = dicke_block_entropies(
-                n, excitations(n), range(1, half + 1))
-            table[half + 1:n] = table[1:n - half][::-1]
-            object.__setattr__(fam, "_h", table)
-        return fam._h
-    return h
+    if fam._h is None:
+        n, half = fam.n, fam.n // 2
+        table = np.zeros(n + 1)
+        table[1:half + 1] = dicke_block_entropies(
+            n, FAMILIES[fam.family].excitations(n), range(1, half + 1))
+        table[half + 1:n] = table[1:n - half][::-1]
+        object.__setattr__(fam, "_h", table)
+    return fam._h
 
 
 FAMILIES = {f.name: f for f in (
@@ -110,10 +110,10 @@ FAMILIES = {f.name: f for f in (
            param=None, even_only=True, table=0, h=lambda f: 1.0,
            mixed=True, pairs=True),
     Family("dicke-1", lambda f: make_dicke(f.n, 1), param=None, spec=False,
-           table=4, h=_dicke_h(lambda n: 1)),
+           table=4, h=_dicke_h, excitations=lambda n: 1),
     Family("dicke-half", lambda f: make_dicke(f.n, f.n // 2), param=None,
            spec=False, even_only=True, table=5, normalization=_BY_N_SQUARED,
-           h=_dicke_h(lambda n: n // 2)),
+           h=_dicke_h, excitations=lambda n: n // 2),
     Family("qudit-classical", lambda f: make_classical(f.n, f.d), spec=False,
            table=6, qudit=True, normalization=_BY_N_LOG_N, h=_log2_d,
            mixed=True, uniform=True),

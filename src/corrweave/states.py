@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, CapacityError
-from .tensor import DensityState, _check_capacity, _power_within, tensor_product
+from .tensor import DensityState, _dense_dim, _power_within, tensor_product
 
 #: Largest classical table a family builder makes, counted in digits
 #: (entries times parties).  ``classical:N`` has 2N digits and
@@ -38,7 +38,7 @@ def make_ghz(n: int, d: int = 2) -> DensityState:
     """
     if n < 1 or d < 2:
         raise ArgumentError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
-    dim = _check_capacity(d, n)
+    dim = _dense_dim({d: n})
     amps = np.zeros(dim, dtype=complex)
     amps[0] = 1 / math.sqrt(2)
     amps[(dim - 1) // (d - 1)] = 1 / math.sqrt(2)  # the repdigit 1..1 in base d
@@ -63,7 +63,7 @@ def make_dicke(n: int, m: int) -> DensityState:
     """N-qubit Dicke state: equal superposition of all strings with ``m`` ones."""
     if n < 1 or not 0 <= m <= n:
         raise ArgumentError(f"need 0 <= m <= n with n >= 1, got n={n}, m={m}")
-    amps = np.zeros(_check_capacity(2, n), dtype=complex)
+    amps = np.zeros(_dense_dim({2: n}), dtype=complex)
     coef = 1 / math.sqrt(math.comb(n, m))
     for ones in combinations(range(n), m):
         idx = sum(1 << (n - 1 - i) for i in ones)
@@ -78,7 +78,7 @@ def make_bell_product(n: int, d: int = 2) -> DensityState:
     """
     if n < 2 or n % 2 or d < 2:
         raise ArgumentError(f"need even n >= 2 and d >= 2, got n={n}, d={d}")
-    _check_capacity(d, n)
+    _dense_dim({d: n})
     pair = np.zeros(d * d, dtype=complex)
     for i in range(d):
         pair[i * d + i] = 1 / math.sqrt(d)
@@ -115,7 +115,7 @@ def make_a_family(k: int, a: float) -> DensityState:
         raise ArgumentError(f"need k >= 1, got {k}")
     if not 0.0 <= a <= 1.0:
         raise ArgumentError(f"need 0 <= a <= 1, got {a}")
-    amps = np.zeros(_check_capacity(2, k), dtype=complex)
+    amps = np.zeros(_dense_dim({2: k}), dtype=complex)
     amps[0] = a
     amps[-1] = math.sqrt(max(1.0 - a * a, 0.0))
     return DensityState.from_amplitudes(amps, (2,) * k, validate=False)
@@ -192,5 +192,4 @@ class StateFamily:
         value = getattr(self, param) if param else None
         if value is None or value == _PARAMS[param][2]:
             return f"{self.family}:{self.n}"
-        extra = f"{value:g}" if isinstance(value, float) else value
-        return f"{self.family}:{self.n}:{extra}"
+        return f"{self.family}:{self.n}:{value!r}"

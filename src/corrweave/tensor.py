@@ -54,30 +54,21 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     return dims
 
 
-def _check_capacity(dim: int, power: int) -> int:
-    """``dim ** power``, or a CapacityError, raised before any larger
-    number is formed, when that exceeds the dense capacity limit."""
-    total = _power_within(dim, power, DEFAULT_MAX_DENSE_DIM)
-    if total is None:
-        shown = dim if power == 1 else f"{dim}^{power}"
-        raise CapacityError(f"total dimension {shown} exceeds the dense "
-                            f"capacity limit {DEFAULT_MAX_DENSE_DIM}")
-    return total
-
-
-def _dense_dim(dims: Sequence[int]) -> int:
-    """The product of ``dims``, or a CapacityError, raised before any
-    larger number is formed, when that exceeds the dense capacity limit.
-    The message gives the product as powers (``2^15000``), which prints
-    at any N where the decimal number would not."""
+def _dense_dim(dims: Sequence[int] | Mapping[int, int]) -> int:
+    """The product of the local dimensions, a sequence or a ``{dimension:
+    count}`` mapping, or a CapacityError, raised before any larger number
+    is formed, when that exceeds the dense capacity limit.  The message
+    gives the product as powers (``2^15000``), which prints at any N where
+    the decimal number would not."""
+    powers = dims if isinstance(dims, Mapping) else Counter(dims)
     total = 1
-    for d in dims:
-        total *= d
-        if total > DEFAULT_MAX_DENSE_DIM:
-            shown = " x ".join(f"{base}^{count}" if count > 1 else f"{base}"
-                               for base, count in Counter(dims).items())
+    for base, count in powers.items():
+        part = _power_within(base, count, DEFAULT_MAX_DENSE_DIM // total)
+        if part is None:
+            shown = " x ".join(f"{b}^{c}" if c > 1 else f"{b}" for b, c in powers.items())
             raise CapacityError(f"total dimension {shown} exceeds the dense "
                                 f"capacity limit {DEFAULT_MAX_DENSE_DIM}")
+        total *= part
     return total
 
 

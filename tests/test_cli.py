@@ -1041,7 +1041,8 @@ def test_classical_256_report_bytes_are_pinned(output, digest):
      "`corrweave scaling --family a-family --a 0.6 --n-min 13 --n-max 13`"),
     (["profile", "--state", "dicke:100:7"], "no closed form covers dicke:100:7"),
     (["profile", "--state", "classical-pair-product:26"],
-     "--family classical-pair-product --n-min 26 --n-max 26`")])
+     "--family classical-pair-product --n-min 26 --n-max 26`"),
+    (["profile", "--state", "dicke:13:6"], "no closed form covers dicke:13:6")])
 def test_capacity_errors_name_a_command_line_step(args, advice):
     result = run(*args)
     assert result.exit_code == 3, errtext(result)
@@ -1055,7 +1056,8 @@ def test_capacity_errors_name_a_command_line_step(args, advice):
     ("dicke:44:1", {"dicke-1"}), ("dicke:44:22", {"dicke-half"}),
     ("classical-pair-product:26", {"classical-pair-product"}),
     ("classical:4:1000000", {"classical", "qudit-classical"}),
-    ("bell-product:44:3", {"bell-product", "qudit-bell-product"})])
+    ("bell-product:44:3", {"bell-product", "qudit-bell-product"}),
+    ("dicke:13:1", {"dicke-1"}), ("dicke:14:7", {"dicke-half"}), ("dicke:13:6", set())])
 def test_capacity_advice_names_only_commands_that_print_the_state(spec, families):
     """Every command the advice names prints a row of the spec's family at
     its N, d and a; with no closed form for it, or N above the cap, the

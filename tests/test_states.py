@@ -115,6 +115,10 @@ def test_state_family_parsing():
     assert StateFamily.parse("classical-correlated:4").family == "classical"
     assert StateFamily.parse("bell-product:4").label() == "bell-product:4"
     assert StateFamily.parse("ghz:4:3").label() == "ghz:4:3"
+    # the label names the amplitude that was computed, to its last digit
+    for a in (0.123456789, 1 / math.sqrt(2), 1e-7, 0.0, 1.0):
+        f = StateFamily("a-family", 3, a=a)
+        assert StateFamily.parse(f.label()) == f, f.label()
 
     for bad in ("nosuch:3", "ghz", "dicke:4", "a-family:3", "ghz:x",
                 "ghz:4:2:9", "classical-pair-product:4:2", "dicke:4:x",

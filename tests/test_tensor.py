@@ -14,7 +14,7 @@ from corrweave import (ArgumentError, CapacityError, DensityState, KrausChannel,
                        vn_entropy)
 from corrweave.random_states import (haar_state, haar_unitary, random_channel,
                                      random_classical, random_density)
-from corrweave.tensor import EIG_CLIP, _classical_entropies
+from corrweave.tensor import EIG_CLIP, _classical_entropies, _dense_dim
 
 RNG = np.random.default_rng(90210)
 
@@ -145,6 +145,26 @@ def test_capacity_errors_give_the_dimension_as_powers():
         make_classical(15000).to_matrix()
     with pytest.raises(CapacityError, match=r"total dimension 2\^6 x 3\^4 x 5 exceeds"):
         DensityState.from_matrix(np.eye(2), (2,) * 6 + (3,) * 4 + (5,))
+    # family builders refuse at once, before any number near d^N is formed
+    for refuse, d in ((lambda: make_ghz(10 ** 12), 2), (lambda: make_dicke(10 ** 12, 1), 2),
+                      (lambda: make_bell_product(10 ** 12, 3), 3)):
+        with pytest.raises(CapacityError, match=rf"total dimension {d}\^1000000000000 exceeds"):
+            refuse()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 64, 65, 4096, 4097])
+def test_dense_dim_of_a_mapping_matches_the_sequence(d):
+    for n in range(1, 14):
+        outcomes = []
+        for dims in ({d: n}, (d,) * n):
+            try:
+                outcomes.append(_dense_dim(dims))
+            except CapacityError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1], (d, n)
+        assert outcomes[0] == (d ** n if d ** n <= 4096 else
+                               f"total dimension {d if n == 1 else f'{d}^{n}'} "
+                               "exceeds the dense capacity limit 4096"), (d, n)
 
 
 def test_matrix_materialization_routes():
