@@ -96,6 +96,12 @@ def _dicke_h(fam) -> np.ndarray:
     return fam._h
 
 
+def _dicke_state(fam):
+    """The state of a Dicke row, at the excitation count of its
+    ``excitations(N)``."""
+    return make_dicke(fam.n, FAMILIES[fam.family].excitations(fam.n))
+
+
 FAMILIES = {f.name: f for f in (
     Family("ghz", lambda f: make_ghz(f.n, f.d), table=3,
            normalization=_BY_N_LOG_N, h=lambda f: 1.0, uniform=True),
@@ -109,9 +115,9 @@ FAMILIES = {f.name: f for f in (
     Family("classical-pair-product", lambda f: make_classical_pair_product(f.n),
            param=None, even_only=True, table=0, h=lambda f: 1.0,
            mixed=True, pairs=True),
-    Family("dicke-1", lambda f: make_dicke(f.n, 1), param=None, spec=False,
+    Family("dicke-1", _dicke_state, param=None, spec=False,
            table=4, h=_dicke_h, excitations=lambda n: 1),
-    Family("dicke-half", lambda f: make_dicke(f.n, f.n // 2), param=None,
+    Family("dicke-half", _dicke_state, param=None,
            spec=False, even_only=True, table=5, normalization=_BY_N_SQUARED,
            h=_dicke_h, excitations=lambda n: n // 2),
     Family("qudit-classical", lambda f: make_classical(f.n, f.d), spec=False,

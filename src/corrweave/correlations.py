@@ -27,8 +27,8 @@ from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
 # enumerate_partitions is not called here; it stays importable for callers that patch it.
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition,  # noqa: F401
                          compact_partitions, compact_sum, enumerate_partitions)
-from .tensor import (REP_CLASSICAL, REP_DENSE, DensityState, _classical_entropies,
-                     _normalize_keep, is_permutation_invariant, marginal_entropy,
+from .tensor import (REP_CLASSICAL, DensityState, _classical_entropies, _normalize_keep,
+                     _spectral_entropies, is_permutation_invariant, marginal_entropy,
                      partial_trace, permute_subsystems, tensor_product)
 
 #: dist/genuine values may dip this far below zero (or above the previous
@@ -54,11 +54,11 @@ def subset_entropies(state: DensityState) -> list[float]:
     ``DEFAULT_ENUM_CAP``, and the entropies are computed once per state.
 
     Every entropy has the bits of ``marginal_entropy(state, subset)``.
-    A classical state's entropies come from one batched pass over its
-    table (:func:`corrweave.tensor._classical_entropies`); the others are
-    computed by :func:`marginal_entropy`, dense marginals traced from
-    their parent, the subset plus its lowest missing party, by one
-    ``np.trace`` (see :func:`_descend`), pure ones from the whole state.
+    They come from one batched pass: over the table of a classical state
+    (:func:`corrweave.tensor._classical_entropies`), and over stacks of
+    equal-shape amplitude matrices or traced marginals, one LAPACK call
+    per stack, for a pure or dense state
+    (:func:`corrweave.tensor._spectral_entropies`).
     """
     n = state.n_parties
     if n > DEFAULT_ENUM_CAP:
@@ -67,13 +67,8 @@ def subset_entropies(state: DensityState) -> list[float]:
     table = state._entropies
     full = (1 << n) - 1
     if len(table) < full:
-        if state.rep == REP_CLASSICAL:
-            table.update(zip(range(1, full + 1), _classical_entropies(state)[1:].tolist()))
-        else:
-            if state.rep == REP_DENSE:
-                _descend(table, state, full)
-            for mask in range(1, full + 1):
-                _entropy(state, mask, [i for i in range(n) if mask >> i & 1])
+        fill = _classical_entropies if state.rep == REP_CLASSICAL else _spectral_entropies
+        table.update(zip(range(1, full + 1), fill(state)[1:].tolist()))
     return [0.0] + [table[mask] for mask in range(1, full + 1)]
 
 
@@ -100,30 +95,6 @@ def _prefix_entropy(state: DensityState, s: int) -> float:
     """Entropy of parties ``0..s-1`` (``s >= 1``): of any ``s`` parties
     when the state is permutation invariant."""
     return _entropy(state, (1 << s) - 1, range(s))
-
-
-def _descend(table: dict[int, float], parent: DensityState, mask: int) -> None:
-    """Fill in the subsets below ``mask``, whose marginal state is ``parent``.
-
-    The children of ``mask`` lack one party ``b`` below its lowest missing
-    party; ``b`` sits at position ``b`` of ``parent``, and a child's own
-    children lack a party below ``b``.  Tracing ``b`` out of ``parent`` is
-    the last step of tracing the child from the whole state (highest index
-    first), so it gives the same bits.  Only the chain of parents from the
-    whole state down is alive at a time.
-    """
-    k = mask.bit_count()
-    low = (~mask & (mask + 1)).bit_length() - 1
-    for b in range(low if k > 1 else 0):
-        child = mask ^ (1 << b)
-        keep = [i for i in range(k) if i != b]
-        if b and k > 2:  # the child has children
-            marginal = partial_trace(parent, keep)
-            if child not in table:
-                table[child] = marginal_entropy(marginal, range(k - 1))
-            _descend(table, marginal, child)
-        elif child not in table:
-            table[child] = marginal_entropy(parent, keep)
 
 
 def _mask_dim(mask: int, dims: Sequence[int]) -> int:

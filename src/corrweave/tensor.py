@@ -263,7 +263,10 @@ class DensityState:
 
 
 def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
+    """``(m + m^dagger) / 2`` entry by entry, for a matrix or a stack of them."""
+    out = m + m.conj().swapaxes(-1, -2)
+    out /= 2.0
+    return out
 
 
 def _ravel_digits(key: Sequence[int], dims: Sequence[int]) -> int:
@@ -546,14 +549,11 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
     Pure states use the singular values of the reshaped amplitude tensor,
     so the cost scales with the smaller of the kept/discarded dimensions.
     Classical states sum the marginal's probabilities with numpy
-    (:func:`_classical_marginal`) and never build its table;
-    :func:`_classical_entropies` gives every subset's value with the same
-    bits in one batched pass.  Dense states
-    diagonalize the marginal from :func:`partial_trace`.  The marginal on
-    a subset A has the same bits whether it is traced from the whole
-    state or from the marginal on A plus A's lowest missing subsystem
-    (``keep`` then being A's positions in it), which
-    :func:`corrweave.subset_entropies` relies on.
+    (:func:`_classical_marginal`) and never build its table.  Dense states
+    diagonalize the marginal from :func:`partial_trace`.  Every subset's
+    value, with the same bits, comes from one batched pass:
+    :func:`_classical_entropies` for a classical state,
+    :func:`_spectral_entropies` for the others.
     """
     n = state.n_parties
     keep = _normalize_keep(keep, n)
@@ -667,13 +667,132 @@ def _block_entropies(labels: np.ndarray, counts: np.ndarray,
     ends = np.cumsum(counts)
     ids = labels + (ends - counts)[:, None]
     sums = np.bincount(ids.ravel(), weights=np.tile(probs, len(labels)))
-    kept = sums > EIG_CLIP
+    return _spectra_bits(sums, ends)
+
+
+def _spectra_bits(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """:func:`_shannon_bits` of each spectrum ``values[ends[i - 1]:ends[i]]``
+    (the first from 0), with the same bits: the entries above ``EIG_CLIP``
+    in spectrum order, their ``p log2 p`` summed by :func:`_segment_sums`."""
+    kept = values > EIG_CLIP
     stops = np.concatenate(([0], np.cumsum(kept)))[ends]
     starts = np.concatenate(([0], stops[:-1]))
-    p = sums[kept]
-    # the trailing 0.0 keeps a row with no term inside the array
+    p = values[kept]
+    # the trailing 0.0 keeps a spectrum with no term inside the array
     h = -_segment_sums(np.append(p * np.log2(p), 0.0), starts, stops)
     return np.where((stops > starts) & (h > 0), h, 0.0)  # the spectrum [1.0] gives -0.0
+
+
+#: Bytes of gathered amplitudes, or of traced marginals, held at a time
+#: over all shapes when a pure or dense state's subset entropies are
+#: tabulated: 64 qubit matrices at N = 8, a few at N = 12.
+_STACK_BYTES = 1 << 18
+
+
+def _spectral_entropies(state: DensityState) -> np.ndarray:
+    """The entropy of every subset of a pure or dense state's parties,
+    indexed by bitmask (entry 0, the empty set, is 0.0), each with the
+    bits of :func:`marginal_entropy`.
+
+    Matrices of one shape are stacked, ``_STACK_BYTES`` at most in all,
+    and each stack is one ``np.linalg.svd`` or ``eigvalsh`` call.  numpy
+    copies each matrix of a stack into the Fortran-ordered buffer a lone
+    matrix gets, so a spectrum does not depend on its stack, and
+    :func:`_spectra_bits` values it as :func:`_shannon_bits` would.
+
+    A pure state's subset is computed when its dimension ``dk`` is at most
+    its complement's, from the (``dk``, traced) amplitude matrix
+    :func:`marginal_entropy` takes.  The subsets of one ``dk`` form a
+    group, whatever their parties: integer products of digits give where
+    each amplitude goes in each matrix of a chunk.  An unbalanced cut's
+    complement takes its bits, as the transpose of the same matrix; a
+    balanced cut is computed on both sides.  A dense state's marginal is
+    traced from its parent, the subset plus its lowest missing party, by
+    one ``np.trace``: tracing from the whole state removes parties highest
+    index first (:func:`partial_trace`), so that is its last step.  The
+    parents are walked depth first, one chain alive at a time, and the
+    full-set entropy :meth:`DensityState.from_matrix` stored is reused.
+    """
+    n = state.n_parties
+    full = (1 << n) - 1
+    h = np.zeros(full + 1)
+    found = []  # (subsets, their spectra as rows)
+    if state.rep == REP_PURE:
+        dims, dim = np.array(state.dims), state.dim
+        masks = np.arange(1, full)
+        kept = (masks[:, None] >> np.arange(n) & 1).astype(bool)
+        dk = np.where(kept, dims, 1).prod(axis=1)
+        small = dk * dk <= dim
+
+        def places(factors):  # the product of the factors of the later parties
+            return np.cumprod(factors[:, ::-1], axis=1)[:, ::-1] // factors
+
+        def digits(factors):  # of every index over these parties, a row per party
+            size = factors.prod()
+            return (np.arange(size)[:, None] // (size // np.cumprod(factors)) % factors).T
+
+        # amplitude x goes to weights @ (digits of x) in a subset's (dk,
+        # dim/dk) matrix, its kept digits giving the row and its traced ones
+        # the column; the digits of the first n // 2 parties and of the rest
+        # are taken apart, and their two products added
+        weights = np.where(kept, places(np.where(kept, dims, 1)) * (dim // dk)[:, None],
+                           places(np.where(kept, 1, dims)))
+        half = n // 2
+        first, rest = digits(dims[:half]), digits(dims[half:])
+        step = max(1, _STACK_BYTES // (16 * dim))
+        for d in sorted(set(dk[small].tolist())):
+            group = np.flatnonzero(small & (dk == d))
+            for i in range(0, len(group), step):
+                rows = group[i:i + step]
+                w = weights[rows]
+                at = w[:, :half] @ first
+                at += np.arange(0, len(w) * dim, dim)[:, None]
+                at = at[:, :, None] + (w[:, half:] @ rest)[:, None, :]
+                stack = np.empty(at.size, complex)
+                stack[at.reshape(len(w), dim)] = state._amps
+                s = np.linalg.svd(stack.reshape(len(w), d, -1), compute_uv=False)
+                found.append((masks[rows], s * s))
+    else:
+        stored = state._entropies.get(full)
+        h[full] = vn_entropy(state) if stored is None else stored
+        pending: dict[int, list] = {}  # marginal dimension -> [(subset, marginal)]
+        held = 0
+
+        def flush():
+            nonlocal held
+            for items in pending.values():
+                subsets, marginals = zip(*items)
+                found.append((subsets, np.linalg.eigvalsh(_hermitize(np.stack(marginals)))))
+            pending.clear()
+            held = 0
+
+        def walk(parent, dims, mask):
+            # the children of mask lack one party b below its lowest missing party
+            nonlocal held
+            k = len(dims)
+            low = (~mask & (mask + 1)).bit_length() - 1
+            t = parent.reshape(dims * 2)
+            for b in range(low if k > 1 else 0):
+                sub = dims[:b] + dims[b + 1:]
+                d = math.prod(sub)
+                marginal = np.trace(t, axis1=b, axis2=k + b).reshape(d, d)
+                if held + marginal.nbytes > _STACK_BYTES:
+                    flush()
+                pending.setdefault(d, []).append((mask ^ 1 << b, marginal))
+                held += marginal.nbytes
+                if b and k > 2:  # the child has children
+                    walk(marginal, sub, mask ^ 1 << b)
+
+        walk(state._matrix, state.dims, full)
+        flush()
+    if found:
+        subsets, spectra = zip(*found)
+        ends = np.cumsum(np.repeat([p.shape[1] for p in spectra], [len(p) for p in spectra]))
+        h[np.concatenate(subsets)] = _spectra_bits(np.concatenate([p.ravel() for p in spectra]),
+                                                   ends)
+    if state.rep == REP_PURE:  # an unbalanced cut's complement has its bits
+        h[masks[~small]] = h[full ^ masks[~small]]
+    return h
 
 
 def relative_entropy(rho: DensityState, sigma: DensityState) -> float:

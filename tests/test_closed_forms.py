@@ -8,8 +8,8 @@ import pytest
 from corrweave import (ArgumentError, CapacityError, ClosedFormFamily,
                        NumericError, WeightScheme, binary_entropy, cf_dist,
                        cf_genuine, cf_profile, cf_scaling_sweep, cf_weaving,
-                       dicke_marginal_entropy, make_dicke, partial_trace,
-                       profile, vn_entropy, weaving)
+                       StateFamily, dicke_marginal_entropy, make_dicke,
+                       partial_trace, profile, vn_entropy, weaving)
 from corrweave.closed_forms import (CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N,
                                     _beyond_mode, _dist_array,
                                     dicke_block_entropies)
@@ -334,6 +334,15 @@ def test_mirrored_block_entropies_match_the_full_pass_bit_for_bit(
         full = dicke_block_entropies(n, excitations(n), range(1, n))
         assert [h.hex() for h in table.tolist()] == [
             "0x0.0p+0", *(h.hex() for h in full.tolist()), "0x0.0p+0"], n
+
+
+@pytest.mark.parametrize("family", [f.name for f in FAMILIES.values() if f.excitations])
+def test_dicke_rows_build_the_state_of_their_excitation_count(family):
+    row = FAMILIES[family]
+    for n in (2, 4, 6, 10):
+        state = StateFamily(family, n).build()
+        assert np.array_equal(state.amplitudes(),
+                              make_dicke(n, row.excitations(n)).amplitudes()), n
 
 
 @pytest.mark.parametrize("family, n", [("ghz", 3), ("dicke-1", 3), ("dicke-half", 4)])

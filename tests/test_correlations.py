@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ from corrweave import (ArgumentError, CapacityError, ConsistencyError,
                        closest_product, dist_to_pk, is_permutation_invariant,
                        make_a_family, make_bell_product, make_classical,
                        make_classical_pair_product, make_dicke, make_ghz,
-                       max_entry_distance, multi_information,
+                       marginal_entropy, max_entry_distance, multi_information,
                        neural_complexity, partial_trace, permute_subsystems,
                        profile, subset_entropies, tensor_product, vn_entropy,
                        weaving)
-from corrweave.random_states import haar_state, random_classical, random_density
+from corrweave.random_states import (haar_state, random_classical, random_density,
+                                     random_product_state)
 
 RNG = np.random.default_rng(417)
 
@@ -80,6 +82,84 @@ def test_all_entropies_match_the_per_subset_reference_bit_for_bit(name):
     assert _hex(subset_entropies(state)) == _hex(_reference(state))
 
 
+def _as_dense(state):
+    """The state written as a validated dense matrix."""
+    return DensityState.from_matrix(state.to_matrix(), state.dims)
+
+
+#: Pure and dense states over local dimensions 2, 3 and 4, N = 1..8: Haar
+#: and random mixed states, low-rank mixtures, products (whose marginal
+#: spectra hold exact and ulp-noise zeros), GHZ and Dicke states as dense.
+SPECTRAL_STATES = {
+    "pure-2^8": lambda: haar_state((2,) * 8, np.random.default_rng(11)),
+    "pure-4": lambda: haar_state((4,), np.random.default_rng(12)),
+    "pure-3x2": lambda: haar_state((3, 2), np.random.default_rng(13)),
+    "pure-243": lambda: haar_state((2, 4, 3), np.random.default_rng(27)),
+    "pure-4324": lambda: haar_state((4, 3, 2, 4), np.random.default_rng(14)),
+    "pure-3^6": lambda: haar_state((3,) * 6, np.random.default_rng(15)),
+    "pure-2342232": lambda: haar_state((2, 3, 4, 2, 2, 3, 2), np.random.default_rng(16)),
+    "pure-product": lambda: random_product_state((2, 1, 3), np.random.default_rng(17),
+                                                 pure=True),
+    "pure-product-d3": lambda: random_product_state((1, 2, 1), np.random.default_rng(18), 3,
+                                                    pure=True),
+    "dense-2^8": lambda: random_density((2,) * 8, np.random.default_rng(19)),
+    "dense-3": lambda: random_density((3,), np.random.default_rng(20)),
+    "dense-2x4": lambda: random_density((2, 4), np.random.default_rng(21)),
+    "dense-423": lambda: random_density((4, 2, 3), np.random.default_rng(28)),
+    "dense-33332": lambda: random_density((3, 3, 3, 3, 2), np.random.default_rng(22)),
+    "dense-rank2-2^7": lambda: random_density((2,) * 7, np.random.default_rng(23), rank=2),
+    "dense-rank3-4232": lambda: random_density((4, 2, 3, 2), np.random.default_rng(24), rank=3),
+    "dense-product": lambda: random_product_state((2, 1, 2), np.random.default_rng(25)),
+    "dense-ghz-8": lambda: _as_dense(make_ghz(8)),
+    "dense-ghz-d3": lambda: _as_dense(make_ghz(4, 3)),
+    "dense-dicke-6": lambda: _as_dense(make_dicke(6, 3)),
+}
+
+
+@pytest.mark.parametrize("name", SPECTRAL_STATES)
+def test_batched_pure_and_dense_entropies_have_the_bits_of_marginal_entropy(name):
+    state, fresh = SPECTRAL_STATES[name](), SPECTRAL_STATES[name]()
+    n = state.n_parties
+    want = [0.0] + [marginal_entropy(fresh, [i for i in range(n) if mask >> i & 1])
+                    for mask in range(1, 1 << n)]
+    assert _hex(subset_entropies(state)) == _hex(want)
+
+
+@pytest.mark.parametrize("make", [lambda: _as_dense(make_ghz(6)), lambda: make_dicke(6, 2),
+                                  lambda: _as_dense(make_dicke(5, 2))],
+                         ids=["dense-ghz-6", "pure-dicke-6", "dense-dicke-5"])
+def test_brute_profile_after_the_prefix_route_matches_a_fresh_one(make):
+    state = make()
+    assert profile(state, "auto").mode == "symmetric-fast"
+    full = (1 << state.n_parties) - 1
+    assert full in state._entropies and len(state._entropies) < full  # prefixes only
+    after, fresh = profile(state, "brute"), profile(make(), "brute")
+    assert _hex(after.dist) == _hex(fresh.dist) and after.argmin == fresh.argmin
+    assert _hex(subset_entropies(state)) == _hex(subset_entropies(make()))
+
+
+def test_dense_pass_holds_a_bounded_stack_and_reuses_the_stored_full_set(monkeypatch):
+    state = _as_dense(random_density((2,) * 8, np.random.default_rng(26)))
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sizes.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    tracemalloc.start()
+    try:
+        subset_entropies(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every marginal held at once would take 5.2 MB; the 256x256 matrix is not
+    # diagonalized again
+    assert peak < 2 * 2 ** 20, peak
+    assert max(sizes) == 128
+
+
 def test_prefix_entropies_of_classical_256_match_the_reference():
     state = make_classical(256)
     assert (_hex(correlations._prefix_entropy(state, s) for s in range(1, 257))
@@ -88,24 +168,41 @@ def test_prefix_entropies_of_classical_256_match_the_reference():
 
 def test_engine_traces_dense_marginals_from_parents_and_reuses_pure_complements(
         monkeypatch):
-    calls = []
-    real = correlations.marginal_entropy
+    traces, spectra, svds = [], [], []
+    trace, eigvalsh, svd = np.trace, np.linalg.eigvalsh, np.linalg.svd
 
-    def counting(state, keep):
-        calls.append((state.n_parties, len(tuple(keep))))
-        return real(state, keep)
+    def counting_trace(a, *args, **kwargs):
+        out = trace(a, *args, **kwargs)
+        traces.append((a.ndim // 2, out.ndim // 2))  # (parent, child) parties
+        return out
 
-    monkeypatch.setattr(correlations, "marginal_entropy", counting)
+    def counting_eigvalsh(a, *args, **kwargs):
+        spectra.append(len(a) if a.ndim == 3 else 1)
+        return eigvalsh(a, *args, **kwargs)
+
+    def counting_svd(a, *args, **kwargs):
+        svds.append(a.shape)
+        return svd(a, *args, **kwargs)
+
     dense = ENGINE_STATES["dense-2^6"]()
+    monkeypatch.setattr(np, "trace", counting_trace)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
     for k in range(1, 7):
         dist_to_pk(dense, k, mode="brute")
-    # 63 subsets, each diagonalized once, from its parent or itself
-    assert len(calls) == 63
-    assert all(parties - kept <= 1 for parties, kept in calls)
-    calls.clear()
-    subset_entropies(ENGINE_STATES["pure-2^6"]())
-    # one of each of the 21 unbalanced pairs, the 20 balanced subsets, the full set
-    assert len(calls) == 42
+    # 63 subsets, each diagonalized once; 62 marginals, each traced from a
+    # parent with one more party
+    assert sum(spectra) == 63
+    assert len(traces) == 62 and set(traces) == {(k, k - 1) for k in range(2, 7)}
+    assert svds == []
+    pure = subset_entropies(ENGINE_STATES["pure-2^6"]())
+    # the 21 unbalanced pairs on their smaller side, the 20 balanced subsets
+    # on both; the full set is 0.0 with no SVD
+    rows = {}
+    for count, kept, traced in svds:
+        rows[kept, traced] = rows.get((kept, traced), 0) + count
+    assert rows == {(2, 32): 6, (4, 16): 15, (8, 8): 20}
+    assert pure[-1] == 0.0 and sum(spectra) == 63
 
 
 @pytest.mark.parametrize("sites, message", [([0, 5], "out of range"),
