@@ -504,14 +504,15 @@ def cmd_profile(state_spec, weights, mode, output):
     if os.path.exists(state_spec):
         label_key, label = "file", state_spec
         state = load_state_file(state_spec)
+        prof = profile(state, mode=mode)
     else:
         label_key = "family"
         family = StateFamily.parse(state_spec)
         label = family.label()
         with _capacity_advice(_closed_form_advice(family)):
             state = family.build()
+            prof = profile(state, mode=mode)
     n = state.n_parties
-    prof = profile(state, mode=mode)
     scheme = _scheme(weights, n)
     weave = weaving(prof, scheme)
     neural = neural_complexity(state)

@@ -42,6 +42,11 @@ PROFILE_SUM_TOL = 1e-8
 #: when its value is lower by more than this.
 TIE_TOL = 1e-15
 
+#: Largest N that :func:`profile` takes: it holds one partition per
+#: order, N^2 party indices in all.  :func:`dist_to_pk` and
+#: :func:`neural_complexity` are not capped.
+MAX_PROFILE_N = 4096
+
 MODE_BRUTE = "brute"
 MODE_FAST = "symmetric-fast"
 MODE_CLOSED_FORM = "closed-form"
@@ -51,10 +56,11 @@ MODE_AUTO = "auto"
 def subset_entropies(state: DensityState) -> list[float]:
     """The entropy of every subset of the state's parties, indexed by
     bitmask; entry 0, the empty set, is 0.0.  ``N`` is capped at
-    ``DEFAULT_ENUM_CAP``, and the entropies are computed once per state.
+    ``DEFAULT_ENUM_CAP``.
 
     Every entropy has the bits of ``marginal_entropy(state, subset)``.
-    They come from one batched pass: over the table of a classical state
+    The first call fills the state's memo, the empty set included, from
+    one batched pass: over the table of a classical state
     (:func:`corrweave.tensor._classical_entropies`), and over stacks of
     equal-shape amplitude matrices or traced marginals, one LAPACK call
     per stack, for a pure or dense state
@@ -65,40 +71,30 @@ def subset_entropies(state: DensityState) -> list[float]:
         raise CapacityError(
             f"the 2^{n} subset entropies for n={n} exceed the cap {DEFAULT_ENUM_CAP}")
     table = state._entropies
-    full = (1 << n) - 1
-    if len(table) < full:
+    masks = range(1 << n)
+    if len(table) < len(masks):  # the memo holds the empty set once the pass ran
         fill = _classical_entropies if state.rep == REP_CLASSICAL else _spectral_entropies
-        table.update(zip(range(1, full + 1), fill(state)[1:].tolist()))
-    return [0.0] + [table[mask] for mask in range(1, full + 1)]
+        table.update(enumerate(fill(state).tolist()))
+    return [table[mask] for mask in masks]
 
 
 def _entropy(state: DensityState, mask: int, keep: Iterable[int]) -> float:
-    """Entropy of the parties ``keep``, whose bitmask is ``mask``, memoized
-    on the state.  A pure state's entropy of A is reused for its
-    complement when the two dimensions differ: then both are the singular
-    values of the same matrix.  (When they are equal the matrices are
-    transposes, whose singular values can differ in the last bit, so both
-    are computed.)"""
+    """Entropy of the parties ``keep``, whose bitmask is ``mask``: read from
+    the state's memo, or computed by :func:`marginal_entropy` and stored."""
     table = state._entropies
     if mask not in table:
-        dims = state.dims
-        rest = mask ^ ((1 << len(dims)) - 1)
-        if (state.is_pure and rest in table
-                and _mask_dim(mask, dims) != _mask_dim(rest, dims)):
-            table[mask] = table[rest]
-        else:
-            table[mask] = marginal_entropy(state, keep)
+        table[mask] = marginal_entropy(state, keep)
     return table[mask]
 
 
-def _prefix_entropy(state: DensityState, s: int) -> float:
-    """Entropy of parties ``0..s-1`` (``s >= 1``): of any ``s`` parties
-    when the state is permutation invariant."""
-    return _entropy(state, (1 << s) - 1, range(s))
-
-
-def _mask_dim(mask: int, dims: Sequence[int]) -> int:
-    return math.prod(d for i, d in enumerate(dims) if mask >> i & 1)
+def _prefix_entropies(state: DensityState, sizes: Iterable[int]) -> np.ndarray:
+    """``h[s]``, the entropy of parties ``0..s-1`` (of any ``s`` parties
+    when the state is permutation invariant), for each ``s`` in ``sizes``;
+    ``h`` runs over ``0..N`` and is 0.0 at every other ``s``."""
+    h = np.zeros(state.n_parties + 1)
+    for s in sorted(set(sizes) - {0}):
+        h[s] = _entropy(state, (1 << s) - 1, range(s))
+    return h
 
 
 class PartitionMinimum(NamedTuple):
@@ -295,9 +291,7 @@ def _compact_minima(state: DensityState,
     entropies it needs."""
     n = state.n_parties
     orders = np.asarray(ks)
-    h = np.zeros(n + 1)
-    for s in sorted({n, *orders.tolist(), *(n % orders).tolist()} - {0}):
-        h[s] = _prefix_entropy(state, s)
+    h = _prefix_entropies(state, {n, *orders.tolist(), *(n % orders).tolist()})
     values = (compact_sum(n, orders, h) - h[n]).tolist()
     return list(zip(values, compact_partitions(n, ks)))
 
@@ -431,8 +425,13 @@ def _minimum_of_order(h: list[float], f: list[float], n: int, k: int) -> Partiti
 def profile(state: DensityState, mode: str = MODE_AUTO) -> CorrelationProfile:
     """Full correlation profile: the all-orders call of :func:`_minima`,
     whose one-order call is :func:`dist_to_pk`, checked and differenced
-    by :meth:`CorrelationProfile.from_dist`."""
-    route, minima = _minima(state, range(1, state.n_parties + 1), mode)
+    by :meth:`CorrelationProfile.from_dist`.  A CapacityError, before any
+    other work, when N exceeds ``MAX_PROFILE_N``."""
+    n = state.n_parties
+    if n > MAX_PROFILE_N:
+        raise CapacityError(f"a profile of N={n} parties lists N^2 argmin indices; "
+                            f"profiles are capped at N={MAX_PROFILE_N}")
+    route, minima = _minima(state, range(1, n + 1), mode)
     return CorrelationProfile.from_dist([m.value for m in minima],
                                         [m.argmin for m in minima], route)
 
@@ -501,7 +500,7 @@ def neural_complexity(state: DensityState) -> float:
     """
     n = state.n_parties
     if is_permutation_invariant(state):
-        h = [0.0] + [_prefix_entropy(state, s) for s in range(1, n + 1)]
+        h = _prefix_entropies(state, range(n + 1)).tolist()
     else:
         by_size = [0.0] * (n + 1)
         for mask, value in enumerate(subset_entropies(state)):

@@ -137,12 +137,15 @@ class DensityState:
         if validate:
             if not np.isfinite(m).all():
                 raise ArgumentError("matrix has a NaN or infinite entry")
-            if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
-                raise ArgumentError("matrix is not Hermitian within 1e-10")
-            if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
-                raise ArgumentError("matrix trace differs from 1 beyond 1e-10")
-            evals = np.linalg.eigvalsh(_hermitize(m))
-            if evals.min() < -PSD_TOL:
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails a check
+                if np.abs(m - m.conj().T).max() > HERMITICITY_TOL:
+                    raise ArgumentError("matrix is not Hermitian within 1e-10")
+                if abs(np.trace(m).real - 1.0) > TRACE_TOL or abs(np.trace(m).imag) > TRACE_TOL:
+                    raise ArgumentError("matrix trace differs from 1 beyond 1e-10")
+                evals = np.linalg.eigvalsh(_hermitize(m))
+            # an entry past half the float range gives a NaN spectrum; a
+            # Hermitian unit-trace matrix with such an entry is not PSD
+            if not evals.min() >= -PSD_TOL:
                 raise ArgumentError("matrix has an eigenvalue below -1e-10")
         m = m.copy()
         m.setflags(write=False)
@@ -161,8 +164,9 @@ class DensityState:
             raise ArgumentError(f"amplitude length {a.shape[0]} does not match dims {dims}")
         if validate and not np.isfinite(a).all():
             raise ArgumentError("amplitude vector has a NaN or infinite entry")
-        if validate and abs(np.linalg.norm(a) - 1.0) > PURE_NORM_TOL:
-            raise ArgumentError("amplitude vector norm differs from 1 beyond 1e-12")
+        with np.errstate(over="ignore"):  # an overflowed norm is inf, which fails the check
+            if validate and abs(np.linalg.norm(a) - 1.0) > PURE_NORM_TOL:
+                raise ArgumentError("amplitude vector norm differs from 1 beyond 1e-12")
         a = a.copy()
         a.setflags(write=False)
         return cls(dims, REP_PURE, _amps=a)
@@ -550,7 +554,8 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
     so the cost scales with the smaller of the kept/discarded dimensions.
     Classical states sum the marginal's probabilities with numpy
     (:func:`_classical_marginal`) and never build its table.  Dense states
-    diagonalize the marginal from :func:`partial_trace`.  Every subset's
+    diagonalize the marginal from :func:`partial_trace`.  On the full set
+    these give :func:`vn_entropy`'s bits.  Every subset's
     value, with the same bits, comes from one batched pass:
     :func:`_classical_entropies` for a classical state,
     :func:`_spectral_entropies` for the others.
@@ -565,8 +570,6 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
             a = a.T
         s = np.linalg.svd(a, compute_uv=False)
         return _shannon_bits(s * s)
-    if len(keep) == n:
-        return vn_entropy(state)
     if state.rep == REP_CLASSICAL:
         return _shannon_bits(_classical_marginal(state, keep)[1])
     return vn_entropy(partial_trace(state, keep))

@@ -327,6 +327,31 @@ def test_malformed_payload_names_its_first_bad_entry(tmp_path, name):
     assert f"error: {path}: {message}" in errtext(result)
 
 
+OVERFLOWING_PAYLOADS = {
+    "pure-norm": ({"dims": [2], "kind": "pure", "payload": [[1e200, 0], [1e200, 0]]},
+                  "amplitude vector norm differs from 1 beyond 1e-12"),
+    "mixed-trace": ({"dims": [2], "kind": "mixed", "payload": [[[1e308, 0]] * 2] * 2},
+                    "matrix trace differs from 1 beyond 1e-10"),
+    # Hermitian with unit trace; its spectrum overflows to NaN
+    "mixed-off-diagonal": ({"dims": [2], "kind": "mixed",
+                            "payload": [[[0.5, 0], [1e308, 0]], [[1e308, 0], [0.5, 0]]]},
+                           "matrix has an eigenvalue below -1e-10"),
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_PAYLOADS)
+def test_overflowing_payload_prints_one_error_line(tmp_path, name):
+    doc, message = OVERFLOWING_PAYLOADS[name]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    env = dict(os.environ, PYTHONPATH=str(Path(corrweave.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-W", "default", "-m", "corrweave.cli",
+                           "profile", "--state", str(path)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == f"error: {path}: field 'payload': {message}\n"
+
+
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 2),
                      st.integers(10 ** 300, 10 ** 400), st.floats(), st.text(max_size=2))
 _PAYLOADS = st.one_of(
@@ -1042,7 +1067,10 @@ def test_classical_256_report_bytes_are_pinned(output, digest):
     (["profile", "--state", "dicke:100:7"], "no closed form covers dicke:100:7"),
     (["profile", "--state", "classical-pair-product:26"],
      "--family classical-pair-product --n-min 26 --n-max 26`"),
-    (["profile", "--state", "dicke:13:6"], "no closed form covers dicke:13:6")])
+    (["profile", "--state", "dicke:13:6"], "no closed form covers dicke:13:6"),
+    (["profile", "--state", "classical:4097"],
+     "profiles are capped at N=4096; closed forms run to N = 65536: use "
+     "`corrweave scaling --family classical --n-min 4097 --n-max 4097`")])
 def test_capacity_errors_name_a_command_line_step(args, advice):
     result = run(*args)
     assert result.exit_code == 3, errtext(result)

@@ -162,7 +162,7 @@ def test_dense_pass_holds_a_bounded_stack_and_reuses_the_stored_full_set(monkeyp
 
 def test_prefix_entropies_of_classical_256_match_the_reference():
     state = make_classical(256)
-    assert (_hex(correlations._prefix_entropy(state, s) for s in range(1, 257))
+    assert (_hex(correlations._prefix_entropies(state, range(257)).tolist()[1:])
             == _hex(subset_entropy(state, (1 << s) - 1) for s in range(1, 257)))
 
 
@@ -512,6 +512,43 @@ def test_invariant_states_need_n_entropies():
     ghz = make_ghz(4)
     profile(ghz, mode="brute")
     assert neural_complexity(ghz) == 3.0
+
+
+@pytest.mark.parametrize("make", [lambda: make_classical(40), lambda: make_ghz(8),
+                                  lambda: _depolarized_ghz(6, 0.3)],
+                         ids=["classical-40", "ghz-8", "dense-depolarized-ghz-6"])
+def test_invariant_route_computes_each_prefix_entropy_once(monkeypatch, make):
+    state = make()
+    n = state.n_parties
+    stored = set(state._entropies)  # the full set of a validated dense state
+    calls = []
+    real = correlations.marginal_entropy
+
+    def counting(state, keep):
+        calls.append(tuple(keep))
+        return real(state, keep)
+
+    monkeypatch.setattr(correlations, "marginal_entropy", counting)
+    assert profile(state).mode == "symmetric-fast"
+    neural_complexity(state)
+    assert sorted(calls) == [tuple(range(s)) for s in range(1, n + 1)
+                             if (1 << s) - 1 not in stored]
+
+
+def test_profile_beyond_its_cap_is_refused_before_any_work():
+    state = make_classical(correlations.MAX_PROFILE_N + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match=r"lists N\^2 argmin indices; "
+                                                r"profiles are capped at N=4096"):
+            profile(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, peak
+    assert state.permutation_invariant is None and state._entropies == {}
+    # a single order is not capped
+    assert dist_to_pk(state, 2).value == 2048.0
 
 
 def test_closest_product_reconstruction():
