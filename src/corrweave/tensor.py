@@ -345,9 +345,10 @@ def partial_trace(state: DensityState, keep: Iterable[int]) -> DensityState:
                  for r, p in zip(first.tolist(), probs.tolist())}
         return DensityState.from_probabilities(table, out_dims, validate=False)
     if state.rep == REP_PURE:
-        block = _pure_marginal_matrix(state, keep)
-        return DensityState.from_matrix(block, out_dims, validate=False)
-    m = _dense_partial_trace(state._matrix, state.dims, keep)
+        a = _pure_amp_matrix(state, keep)
+        m = a @ a.conj().T
+    else:
+        m = _dense_partial_trace(state._matrix, state.dims, keep)
     return DensityState.from_matrix(m, out_dims, validate=False)
 
 
@@ -381,22 +382,13 @@ def _pure_amp_matrix(state: DensityState, keep: Sequence[int]) -> np.ndarray:
     return t.reshape(dk, -1)
 
 
-def _pure_marginal_matrix(state: DensityState, keep: Sequence[int]) -> np.ndarray:
-    a = _pure_amp_matrix(state, keep)
-    return a @ a.conj().T
-
-
 def _dense_partial_trace(matrix: np.ndarray, dims: Sequence[int],
                          keep: Sequence[int]) -> np.ndarray:
-    n = len(dims)
     t = matrix.reshape(tuple(dims) * 2)
     # Trace out discarded subsystems one at a time, highest index first so
     # earlier axis positions stay valid.
-    traced = 0
-    for i in sorted((j for j in range(n) if j not in keep), reverse=True):
-        m = n - traced
-        t = np.trace(t, axis1=i, axis2=m + i)
-        traced += 1
+    for i in sorted((j for j in range(len(dims)) if j not in keep), reverse=True):
+        t = np.trace(t, axis1=i, axis2=t.ndim // 2 + i)
     dk = math.prod(dims[i] for i in keep)
     return t.reshape(dk, dk)
 
@@ -535,28 +527,18 @@ def _segment_sums(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.nd
     return out
 
 
-def vn_entropy(state: DensityState) -> float:
-    """Von Neumann entropy in bits; exactly 0.0 for pure representations."""
-    if state.rep == REP_PURE:
-        return 0.0
-    if state.rep == REP_CLASSICAL:
-        return _shannon_bits(np.fromiter(state._table.values(), dtype=float,
-                                         count=len(state._table)))
-    evals = np.linalg.eigvalsh(_hermitize(state._matrix))
-    return _shannon_bits(evals)
-
-
 def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
     """Entropy in bits of the marginal on ``keep``, without materializing
     the marginal when a cheaper route exists.
 
     Pure states use the singular values of the reshaped amplitude tensor,
     so the cost scales with the smaller of the kept/discarded dimensions.
-    Classical states sum the marginal's probabilities with numpy
-    (:func:`_classical_marginal`) and never build its table.  Dense states
-    diagonalize the marginal from :func:`partial_trace`.  On the full set
-    these give :func:`vn_entropy`'s bits.  Every subset's
-    value, with the same bits, comes from one batched pass:
+    The full set of a pure state is 0.0 exactly.  Classical states sum the
+    marginal's probabilities with numpy (:func:`_classical_marginal`) and
+    never build its table.  Dense states diagonalize the matrix
+    :func:`_dense_partial_trace` gives, the state's own on the full set,
+    with no marginal state built.  Every subset's value, with the same
+    bits, comes from one batched pass:
     :func:`_classical_entropies` for a classical state,
     :func:`_spectral_entropies` for the others.
     """
@@ -572,7 +554,14 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
         return _shannon_bits(s * s)
     if state.rep == REP_CLASSICAL:
         return _shannon_bits(_classical_marginal(state, keep)[1])
-    return vn_entropy(partial_trace(state, keep))
+    m = _dense_partial_trace(state._matrix, state.dims, keep)
+    return _shannon_bits(np.linalg.eigvalsh(_hermitize(m)))
+
+
+def vn_entropy(state: DensityState) -> float:
+    """Von Neumann entropy in bits: :func:`marginal_entropy` of every
+    party, so exactly 0.0 for pure representations."""
+    return marginal_entropy(state, range(state.n_parties))
 
 
 #: Row labels held at a time when a classical state's subset entropies are
@@ -686,7 +675,7 @@ def _spectra_bits(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
     return np.where((stops > starts) & (h > 0), h, 0.0)  # the spectrum [1.0] gives -0.0
 
 
-#: Bytes of gathered amplitudes, or of traced marginals, held at a time
+#: Bytes of amplitude matrices, or of traced marginals, held at a time
 #: over all shapes when a pure or dense state's subset entropies are
 #: tabulated: 64 qubit matrices at N = 8, a few at N = 12.
 _STACK_BYTES = 1 << 18
@@ -706,15 +695,16 @@ def _spectral_entropies(state: DensityState) -> np.ndarray:
     A pure state's subset is computed when its dimension ``dk`` is at most
     its complement's, from the (``dk``, traced) amplitude matrix
     :func:`marginal_entropy` takes.  The subsets of one ``dk`` form a
-    group, whatever their parties: integer products of digits give where
-    each amplitude goes in each matrix of a chunk.  An unbalanced cut's
-    complement takes its bits, as the transpose of the same matrix; a
-    balanced cut is computed on both sides.  A dense state's marginal is
-    traced from its parent, the subset plus its lowest missing party, by
-    one ``np.trace``: tracing from the whole state removes parties highest
-    index first (:func:`partial_trace`), so that is its last step.  The
-    parents are walked depth first, one chain alive at a time, and the
-    full-set entropy :meth:`DensityState.from_matrix` stored is reused.
+    group, whatever their parties: each matrix of a chunk is the amplitude
+    tensor transposed to put the subset's parties first, copied into its
+    slot of the stack.  An unbalanced cut's complement takes its bits, as
+    the transpose of the same matrix; a balanced cut is computed on both
+    sides.  A dense state's marginal is traced from its parent, the subset
+    plus its lowest missing party, by one ``np.trace``: tracing from the
+    whole state removes parties highest index first
+    (:func:`_dense_partial_trace`), so that is its last step.  The parents
+    are walked depth first, one chain alive at a time, and the full-set
+    entropy :meth:`DensityState.from_matrix` stored is reused.
     """
     n = state.n_parties
     full = (1 << n) - 1
@@ -726,34 +716,19 @@ def _spectral_entropies(state: DensityState) -> np.ndarray:
         kept = (masks[:, None] >> np.arange(n) & 1).astype(bool)
         dk = np.where(kept, dims, 1).prod(axis=1)
         small = dk * dk <= dim
-
-        def places(factors):  # the product of the factors of the later parties
-            return np.cumprod(factors[:, ::-1], axis=1)[:, ::-1] // factors
-
-        def digits(factors):  # of every index over these parties, a row per party
-            size = factors.prod()
-            return (np.arange(size)[:, None] // (size // np.cumprod(factors)) % factors).T
-
-        # amplitude x goes to weights @ (digits of x) in a subset's (dk,
-        # dim/dk) matrix, its kept digits giving the row and its traced ones
-        # the column; the digits of the first n // 2 parties and of the rest
-        # are taken apart, and their two products added
-        weights = np.where(kept, places(np.where(kept, dims, 1)) * (dim // dk)[:, None],
-                           places(np.where(kept, 1, dims)))
-        half = n // 2
-        first, rest = digits(dims[:half]), digits(dims[half:])
+        # each subset's parties, kept ones first, as _pure_amp_matrix orders them
+        order = np.argsort(~kept, axis=1, kind="stable")
+        t = state._amps.reshape(state.dims)
         step = max(1, _STACK_BYTES // (16 * dim))
         for d in sorted(set(dk[small].tolist())):
             group = np.flatnonzero(small & (dk == d))
             for i in range(0, len(group), step):
                 rows = group[i:i + step]
-                w = weights[rows]
-                at = w[:, :half] @ first
-                at += np.arange(0, len(w) * dim, dim)[:, None]
-                at = at[:, :, None] + (w[:, half:] @ rest)[:, None, :]
-                stack = np.empty(at.size, complex)
-                stack[at.reshape(len(w), dim)] = state._amps
-                s = np.linalg.svd(stack.reshape(len(w), d, -1), compute_uv=False)
+                stack = np.empty((len(rows), d, dim // d), complex)
+                perms = order[rows]  # as lists, which transpose reads faster than arrays
+                for matrix, axes, shape in zip(stack, perms.tolist(), dims[perms].tolist()):
+                    matrix.reshape(shape)[...] = t.transpose(axes)
+                s = np.linalg.svd(stack, compute_uv=False)
                 found.append((masks[rows], s * s))
     else:
         stored = state._entropies.get(full)
@@ -841,7 +816,8 @@ def max_entry_distance(a: DensityState, b: DensityState) -> float:
         raise ArgumentError(f"dims differ: {a.dims} vs {b.dims}")
     if a.rep == REP_CLASSICAL and b.rep == REP_CLASSICAL:
         keys = set(a._table) | set(b._table)
-        return max(abs(a._table.get(k, 0.0) - b._table.get(k, 0.0)) for k in keys)
+        return max((abs(a._table.get(k, 0.0) - b._table.get(k, 0.0)) for k in keys),
+                   default=0.0)
     return float(np.abs(a.to_matrix() - b.to_matrix()).max())
 
 

@@ -76,12 +76,6 @@ def _reference(state):
     return [0.0] + [subset_entropy(state, m) for m in range(1, 1 << state.n_parties)]
 
 
-@pytest.mark.parametrize("name", ENGINE_STATES)
-def test_all_entropies_match_the_per_subset_reference_bit_for_bit(name):
-    state = ENGINE_STATES[name]()
-    assert _hex(subset_entropies(state)) == _hex(_reference(state))
-
-
 def _as_dense(state):
     """The state written as a validated dense matrix."""
     return DensityState.from_matrix(state.to_matrix(), state.dims)
@@ -114,6 +108,17 @@ SPECTRAL_STATES = {
     "dense-ghz-d3": lambda: _as_dense(make_ghz(4, 3)),
     "dense-dicke-6": lambda: _as_dense(make_dicke(6, 3)),
 }
+
+
+@pytest.mark.parametrize("name", ENGINE_STATES | SPECTRAL_STATES)
+def test_all_entropies_match_the_per_subset_reference_bit_for_bit(name):
+    state = (ENGINE_STATES | SPECTRAL_STATES)[name]()
+    n = state.n_parties
+    want = _hex(_reference(state))
+    assert _hex(subset_entropies(state)) == want
+    assert _hex(marginal_entropy(state, [i for i in range(n) if mask >> i & 1])
+                for mask in range(1, 1 << n)) == want[1:]
+    assert vn_entropy(state).hex() == want[-1]
 
 
 @pytest.mark.parametrize("name", SPECTRAL_STATES)
@@ -158,6 +163,18 @@ def test_dense_pass_holds_a_bounded_stack_and_reuses_the_stored_full_set(monkeyp
     # diagonalized again
     assert peak < 2 * 2 ** 20, peak
     assert max(sizes) == 128
+
+
+def test_pure_pass_holds_a_bounded_stack():
+    state = haar_state((2,) * 12, np.random.default_rng(29))
+    tracemalloc.start()
+    try:
+        subset_entropies(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every small-side matrix held at once would take about 160 MB
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_prefix_entropies_of_classical_256_match_the_reference():

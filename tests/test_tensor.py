@@ -498,13 +498,16 @@ def test_classical_table_matches_each_marginal_entropy_bit_for_bit(state):
     ({(0, 2 ** 70, 1): 0.5, (1, 3, 1): 0.25, (0, 3, 0): 0.25}, (2, 2 ** 71, 2)),
     ({(0, 2 ** 64 - 1, 1): 0.5, (1, 2 ** 63, 1): 0.25, (0, 3, 0): 0.25}, (2, 2 ** 64, 2)),
     ({(i % 2, 0, 0, i % 3): 1 / 12 for i in range(12)} | {(0, 1, 1, 3): 0.0}, (2, 2, 2, 4)),
-], ids=["one-row", "beyond-2^64", "uint64-digits", "shared-digits"])
+    ({}, (2, 2)),
+], ids=["one-row", "beyond-2^64", "uint64-digits", "shared-digits", "empty"])
 def test_classical_table_edge_cases(table, dims):
     state = DensityState.from_probabilities(table, dims, validate=False)
     n = len(dims)
     assert [v.hex() for v in _classical_entropies(state).tolist()] == [0.0.hex()] + [
         marginal_entropy(state, [i for i in range(n) if m >> i & 1]).hex()
         for m in range(1, 1 << n)]
+    # an empty table is invariant: every permutation of it is at distance 0.0
+    assert is_permutation_invariant(state) is (len(set(dims)) == 1)
 
 
 def test_classical_subset_entropies_stay_small_at_the_cap():
