@@ -20,8 +20,9 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from csv import writer as csv_writer
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -349,20 +350,22 @@ def _complex_payload(payload, shape, path):
     """A pure (``shape`` = (dim,)) or mixed (dim, dim) payload of [re, im]
     pairs as a complex array.
 
-    The payload is checked as one array: its shape, that every number is
-    an int or a float (so booleans, strings and nulls are not), and that
-    every number is finite.  Only when that fails are the entries walked,
-    to name the first bad one.
+    Each level of lists is checked by type and length, then the numbers,
+    flattened, are checked as one array: that each is an int or a float
+    (so booleans, strings and nulls are not), and that each is finite.
+    Only when that fails are the entries walked, to name the first bad one.
     """
-    values = np.array(payload, dtype=object)
-    if (values.shape == shape + (2,)
-            and set(map(type, values.flat)) <= {int, float}):
-        try:
-            floats = values.astype(float)
-        except OverflowError:  # an integer beyond the float range
-            floats = None
-        if floats is not None and np.isfinite(floats).all():
-            return floats.view(complex).reshape(shape)
+    rows = [payload] if len(shape) == 1 else payload
+    if (isinstance(payload, list) and len(payload) == shape[0]
+            and set(map(type, rows)) == {list} and set(map(len, rows)) == {shape[-1]}):
+        pairs = list(chain.from_iterable(rows))
+        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
+            flat = list(chain.from_iterable(pairs))
+            if set(map(type, flat)) <= {int, float}:
+                with suppress(OverflowError):  # an integer beyond the float range
+                    floats = np.array(flat, dtype=float)
+                    if np.isfinite(floats).all():
+                        return floats.view(complex).reshape(shape)
     dim = shape[0]
     if len(shape) == 1:
         _check_pairs(payload, dim, path)

@@ -27,9 +27,10 @@ from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
 # enumerate_partitions is not called here; it stays importable for callers that patch it.
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition,  # noqa: F401
                          compact_partitions, compact_sum, enumerate_partitions)
-from .tensor import (REP_CLASSICAL, DensityState, _classical_entropies, _normalize_keep,
-                     _spectral_entropies, is_permutation_invariant, marginal_entropy,
-                     partial_trace, permute_subsystems, tensor_product)
+from .tensor import (REP_CLASSICAL, DensityState, _classical_entropies,
+                     _classical_prefix_entropies, _normalize_keep, _spectral_entropies,
+                     is_permutation_invariant, marginal_entropy, partial_trace,
+                     permute_subsystems, tensor_product)
 
 #: dist/genuine values may dip this far below zero (or above the previous
 #: order) before a consistency error is raised instead of clamping.
@@ -90,9 +91,14 @@ def _entropy(state: DensityState, mask: int, keep: Iterable[int]) -> float:
 def _prefix_entropies(state: DensityState, sizes: Iterable[int]) -> np.ndarray:
     """``h[s]``, the entropy of parties ``0..s-1`` (of any ``s`` parties
     when the state is permutation invariant), for each ``s`` in ``sizes``;
-    ``h`` runs over ``0..N`` and is 0.0 at every other ``s``."""
+    ``h`` runs over ``0..N`` and is 0.0 at every other ``s``; a classical
+    state's memo takes every prefix from :func:`_classical_prefix_entropies`."""
+    sizes = sorted(set(sizes) - {0})
+    if state.rep == REP_CLASSICAL and any((1 << s) - 1 not in state._entropies for s in sizes):
+        state._entropies.update(((1 << s) - 1, value) for s, value
+                                in enumerate(_classical_prefix_entropies(state).tolist()) if s)
     h = np.zeros(state.n_parties + 1)
-    for s in sorted(set(sizes) - {0}):
+    for s in sizes:
         h[s] = _entropy(state, (1 << s) - 1, range(s))
     return h
 

@@ -237,7 +237,12 @@ class DensityState:
         keeps which rows share digits."""
         if self._rows is None:
             keys = list(self._table)
-            digits = np.array(keys, dtype=np.min_scalar_type(max(self.dims) - 1))
+            dtype = np.min_scalar_type(max(self.dims) - 1)
+            try:
+                digits = np.array(keys, dtype=dtype)
+            except OverflowError:
+                x, k = next((x, k) for k in keys for x in k if not 0 <= x <= np.iinfo(dtype).max)
+                raise ArgumentError(f"digit {x} of {k} out of range for dims {self.dims}") from None
             digits = digits.reshape(len(keys), self.n_parties)
             if digits.dtype == object:
                 digits = np.stack([np.unique(c, return_inverse=True)[1].reshape(-1)
@@ -569,6 +574,34 @@ def vn_entropy(state: DensityState) -> float:
 _LABEL_BLOCK = 1 << 14
 
 
+def _classical_prefix_entropies(state: DensityState) -> np.ndarray:
+    """``h[s]``, the entropy of the parties ``0..s-1`` of a classical state
+    for ``s = 0..N``, each with the bits of :func:`marginal_entropy`.
+
+    The rows are sorted once by digit string.  The prefix of ``s`` parties
+    starts a group at each sorted row that first differs from the row
+    before at a party below ``s``, so one ``cumsum`` numbers its groups.
+    In table order, the numbers are labelled and valued as a block of
+    :func:`_classical_entropies`, ``_LABEL_BLOCK`` labels at a time.
+    """
+    digits, probs = state._digit_rows()
+    rows, n = digits.shape
+    h = np.zeros(n + 1)
+    if not rows:  # an unvalidated empty table
+        return h
+    order = np.lexsort(digits.T[::-1])
+    differ = np.diff(digits[order], axis=0) != 0
+    # the first party where each sorted row differs from the one before; N for the first
+    split = np.concatenate(([n], np.where(differ.any(axis=1), differ.argmax(axis=1), n)))
+    rank = np.argsort(order)
+    step = max(1, _LABEL_BLOCK // rows)
+    for first in range(1, n + 1, step):
+        sizes = np.arange(first, min(first + step, n + 1))
+        ids = np.cumsum(split < sizes[:, None], axis=1, dtype=np.min_scalar_type(rows))
+        h[sizes] = _block_entropies(*_first_appearance(ids[:, rank]), probs)
+    return h
+
+
 def _classical_entropies(state: DensityState) -> np.ndarray:
     """The entropy of every subset of a classical state's parties, indexed
     by bitmask (entry 0, the empty set, is 0.0), each with the bits of
@@ -846,7 +879,10 @@ def is_permutation_invariant(state: DensityState) -> bool:
     return verdict
 
 
-def _permutation_distance(state: DensityState, perm: Sequence[int]) -> float:
+def _permutation_distance(state: DensityState, perm: tuple[int, ...]) -> float:
+    if state.rep == REP_DENSE:  # the permuted matrix as a view of the state's
+        t = state._matrix.reshape(state.dims * 2)
+        return float(np.abs(t.transpose(perm + tuple(len(perm) + p for p in perm)) - t).max())
     permuted = permute_subsystems(state, perm)
     if state.rep == REP_PURE:
         # rho invariance for pure states <=> unit overlap magnitude

@@ -314,6 +314,19 @@ BAD_PAYLOAD_TEXTS = {
                               "field 'payload[1]' entry 0 must be an [re, im] pair of "
                               "finite numbers"),
     "json-nested-too-deep": ("[" * 100000 + "]" * 100000, "invalid JSON (nested too deeply)"),
+    # shapes with the right number of numbers, or of entries, at some level
+    "pair-as-string": (json.dumps({"dims": [2], "kind": "pure", "payload": [[1, 0], "00"]}),
+                       "field 'payload' entry 1 must be an [re, im] pair of finite numbers"),
+    "pair-as-object": (json.dumps({"dims": [2], "kind": "pure",
+                                   "payload": [[1, 0], {"re": 0, "im": 0}]}),
+                       "field 'payload' entry 1 must be an [re, im] pair of finite numbers"),
+    "pairs-of-3-and-1": (json.dumps({"dims": [2], "kind": "pure", "payload": [[1, 0, 0], [0]]}),
+                         "field 'payload' entry 0 must be an [re, im] pair of finite numbers"),
+    "mixed-rows-of-3-and-1": (json.dumps({"dims": [2], "kind": "mixed",
+                                          "payload": [_M + [[0, 0]], [[0.5, 0]]]}),
+                              "field 'payload[0]' must list 2 [re, im] pairs"),
+    "mixed-row-as-string": (json.dumps({"dims": [2], "kind": "mixed", "payload": [_M, "ab"]}),
+                            "field 'payload[1]' must list 2 [re, im] pairs"),
 }
 
 

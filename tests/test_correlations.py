@@ -538,18 +538,27 @@ def test_invariant_route_computes_each_prefix_entropy_once(monkeypatch, make):
     state = make()
     n = state.n_parties
     stored = set(state._entropies)  # the full set of a validated dense state
-    calls = []
-    real = correlations.marginal_entropy
+    calls, passes = [], []
+    real, real_pass = correlations.marginal_entropy, correlations._classical_prefix_entropies
 
     def counting(state, keep):
         calls.append(tuple(keep))
         return real(state, keep)
 
+    def counting_pass(state):
+        passes.append(state)
+        return real_pass(state)
+
     monkeypatch.setattr(correlations, "marginal_entropy", counting)
+    monkeypatch.setattr(correlations, "_classical_prefix_entropies", counting_pass)
     assert profile(state).mode == "symmetric-fast"
     neural_complexity(state)
-    assert sorted(calls) == [tuple(range(s)) for s in range(1, n + 1)
-                             if (1 << s) - 1 not in stored]
+    if state.is_classical:  # every prefix from one pass over the table
+        assert calls == [] and passes == [state]
+    else:
+        assert passes == []
+        assert sorted(calls) == [tuple(range(s)) for s in range(1, n + 1)
+                                 if (1 << s) - 1 not in stored]
 
 
 def test_profile_beyond_its_cap_is_refused_before_any_work():

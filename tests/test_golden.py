@@ -8,10 +8,13 @@ regenerate the files with::
     PYTHONPATH=src python tests/test_golden.py --write
 """
 
+import json
 import re
 import sys
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -57,9 +60,36 @@ def test_output_matches_golden(args):
     assert render(args) == golden_path(args).read_text(encoding="utf-8")
 
 
+#: The profile of a dense state file, read from a directory of its own.
+DEPOLARIZED = GOLDEN / "profile_file_depolarized_ghz_6_0.3.json"
+
+
+def render_depolarized_ghz(directory, n=6, p=0.3) -> dict:
+    """The profile report of ``(1-p)|GHZ><GHZ| + p I/2^n`` written as a mixed
+    state file, without its ``"file"`` key (the path it was read from)."""
+    dim = 2 ** n
+    m = np.eye(dim) * (p / dim)
+    for i in (0, dim - 1):
+        for j in (0, dim - 1):
+            m[i, j] += (1 - p) / 2
+    path = Path(directory) / "depolarized-ghz.json"
+    path.write_text(json.dumps({"dims": [2] * n, "kind": "mixed",
+                                "payload": [[[float(z), 0.0] for z in row] for row in m]}))
+    doc = json.loads(render(("profile", "--state", str(path))))
+    del doc["file"]
+    return doc
+
+
+def test_dense_file_profile_matches_golden(tmp_path):
+    assert render_depolarized_ghz(tmp_path) == json.loads(DEPOLARIZED.read_text(encoding="utf-8"))
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: python tests/test_golden.py --write")
     GOLDEN.mkdir(exist_ok=True)
     for case in CASES:
         golden_path(case).write_text(render(case), encoding="utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        DEPOLARIZED.write_text(json.dumps(render_depolarized_ghz(tmp), indent=2) + "\n",
+                               encoding="utf-8")

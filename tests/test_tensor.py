@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -6,15 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corrweave import tensor
 from corrweave import (ArgumentError, CapacityError, DensityState, KrausChannel,
-                       apply_channel, is_permutation_invariant, make_bell_product,
+                       StateFamily, apply_channel, is_permutation_invariant, make_bell_product,
                        make_classical, make_dicke, make_ghz, marginal_entropy,
                        max_entry_distance, partial_trace, permute_subsystems,
-                       relative_entropy, subset_entropies, tensor_product,
+                       profile, relative_entropy, subset_entropies, tensor_product,
                        vn_entropy)
 from corrweave.random_states import (haar_state, haar_unitary, random_channel,
                                      random_classical, random_density)
-from corrweave.tensor import EIG_CLIP, _classical_entropies, _dense_dim
+from corrweave.tensor import (EIG_CLIP, _classical_entropies, _classical_prefix_entropies,
+                             _dense_dim)
 
 RNG = np.random.default_rng(90210)
 
@@ -508,6 +511,76 @@ def test_classical_table_edge_cases(table, dims):
         for m in range(1, 1 << n)]
     # an empty table is invariant: every permutation of it is at distance 0.0
     assert is_permutation_invariant(state) is (len(set(dims)) == 1)
+
+
+@pytest.mark.parametrize("digit", [300, -1, 2 ** 70])
+@pytest.mark.parametrize("entropy", [lambda s: marginal_entropy(s, [0]), subset_entropies,
+                                     vn_entropy, profile],
+                         ids=["marginal_entropy", "subset_entropies", "vn_entropy", "profile"])
+def test_unvalidated_digit_beyond_the_digit_array_is_an_argument_error(entropy, digit):
+    # invariant under every permutation, so profile takes the prefix pass
+    state = DensityState.from_probabilities({(digit, digit): 1.0}, (2, 2), validate=False)
+    with pytest.raises(ArgumentError) as exc:
+        entropy(state)
+    assert str(exc.value) == f"digit {digit} of ({digit}, {digit}) out of range for dims (2, 2)"
+
+
+# -- the classical prefix-entropy pass -------------------------------------
+
+@st.composite
+def _exchangeable_tables(draw):
+    """A classical state whose probability depends only on the multiset of
+    its digits: 1..7 parties of one local dimension 2..4, each multiset
+    kept with a drawn chance, rows in a shuffled order."""
+    n = draw(st.integers(1, 7))
+    d = draw(st.integers(2, 4 if n < 6 else 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kept = draw(st.sampled_from([0.2, 0.6, 1.0]))
+    keys = [tuple(k) for k in rng.permutation(list(itertools.product(range(d), repeat=n)))]
+    weight = {}
+    for key in keys:
+        weight.setdefault(tuple(sorted(key)), rng.exponential() * (rng.random() < kept))
+    p = np.array([weight[tuple(sorted(key))] for key in keys])
+    if not p.any():
+        p[:] = 1.0
+    state = DensityState.from_probabilities(dict(zip(keys, (p / p.sum()).tolist())),
+                                            (d,) * n, validate=False)
+    assert is_permutation_invariant(state)
+    return state
+
+
+def _assert_prefixes_have_the_bits_of_marginal_entropy(state):
+    n = state.n_parties
+    h = _classical_prefix_entropies(state).tolist()
+    assert len(h) == n + 1 and h[0].hex() == 0.0.hex()
+    for s in range(1, n + 1):
+        assert h[s].hex() == marginal_entropy(state, range(s)).hex(), (s, state)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=st.one_of(_exchangeable_tables(), _sparse_tables()))
+def test_classical_prefixes_match_each_marginal_entropy_bit_for_bit(state):
+    _assert_prefixes_have_the_bits_of_marginal_entropy(state)
+
+
+@pytest.mark.parametrize("block", [None, 5])
+@pytest.mark.parametrize("state", [
+    DensityState.from_probabilities({}, (2, 3), validate=False),
+    DensityState.from_probabilities({(0,): 0.25, (1,): 0.75}, (2,)),
+    DensityState.from_probabilities({(4,): 1.0}, (7,)),
+    StateFamily.parse("classical:9").build(),
+    StateFamily.parse("classical:40").build(),
+    StateFamily.parse("classical:6:3").build(),
+    StateFamily.parse("classical:12:5").build(),
+    DensityState.from_probabilities({(0, 2 ** 70, 1): 0.5, (1, 3, 1): 0.25, (0, 3, 0): 0.25},
+                                    (2, 2 ** 71, 2), validate=False),
+    random_classical((2, 3, 2, 4, 2, 3), np.random.default_rng(7)),
+], ids=["empty", "one-party", "one-party-one-row", "classical:9", "classical:40",
+        "classical:6:3", "classical:12:5", "beyond-2^64", "random-mixed-dims"])
+def test_classical_prefix_edge_cases(monkeypatch, state, block):
+    if block is not None:  # at most 5 labels per block: one or two prefixes at a time
+        monkeypatch.setattr(tensor, "_LABEL_BLOCK", block)
+    _assert_prefixes_have_the_bits_of_marginal_entropy(state)
 
 
 def test_classical_subset_entropies_stay_small_at_the_cap():
