@@ -22,9 +22,10 @@ import os
 import sys
 from contextlib import contextmanager, suppress
 from csv import writer as csv_writer
-from itertools import chain
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import Iterator
 
 import click
 import numpy as np
@@ -39,6 +40,7 @@ from .correlations import (MODE_BRUTE, MODE_CLOSED_FORM, WeightScheme,
                            neural_complexity, profile, weaving)
 from .errors import (ArgumentError, CapacityError, CorrweaveError,
                      NumericError, StateFileError)
+from .partitions import SetPartition
 from .properties import run_property_suite
 # make_* are not called here; they stay importable for callers that patch them.
 from .states import (StateFamily, make_bell_product, make_classical,  # noqa: F401
@@ -142,19 +144,25 @@ def _float_texts(xs) -> list[str]:
             for t in ("%.12g " * len(xs) % tuple(xs)).split()]
 
 
-def _json_chunks(doc) -> list[str]:
+def _json_chunks(doc) -> Iterator[str]:
     """The chunks of ``doc`` as ``json.dumps(doc, indent=2)`` writes it,
-    every float first rounded by :func:`_round12`; a NaN or an infinity
-    raises a NumericError.  A list of ints or of floats is one chunk: the
-    N^2 argmin indices come from a table that formats each distinct int
-    once per report, a float list from one :func:`_float_texts` pass."""
-    out: list[str] = []
+    every float first rounded by :func:`_round12` and a SetPartition
+    written as its blocks; a NaN or an infinity raises a NumericError.
+
+    Every chunk is made, and every float checked, before this returns,
+    except those of a list of SetPartitions (a profile's argmin, N^2
+    indices): its chunks, one per partition, are made as they are read,
+    and formatting ints cannot fail.  A list of ints or of floats is one
+    chunk, its ints from a table that formats each distinct int once per
+    report, its floats from one :func:`_float_texts` pass."""
+    out: list = []
     _write_json(doc, "", out.append, _IntText())
-    return out
+    return chain.from_iterable([c] if isinstance(c, str) else c for c in out)
 
 
 def _write_json(obj, pad: str, write, ints: _IntText) -> None:
-    """Pass the text of ``obj``, indented by ``pad``, to ``write``."""
+    """Pass the text of ``obj``, indented by ``pad``, to ``write``: a
+    string, or for a list of SetPartitions an iterator of strings."""
     if isinstance(obj, str):
         write(encode_basestring_ascii(obj))
     elif obj is None:
@@ -172,6 +180,8 @@ def _write_json(obj, pad: str, write, ints: _IntText) -> None:
         types = set(map(type, obj))
         if not obj:
             write("[]")
+        elif types == {SetPartition}:
+            write(_partition_chunks(obj, pad, ints))
         elif types == {int} or types == {float}:
             texts = map(ints.__getitem__, obj) if int in types else _float_texts(obj)
             sep = ",\n" + inner
@@ -198,10 +208,36 @@ def _write_json(obj, pad: str, write, ints: _IntText) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _partition_chunks(parts, pad: str, ints: _IntText) -> Iterator[str]:
+    """The text of ``parts``, a nonempty list of SetPartitions indented by
+    ``pad``, one chunk per partition.  A partition's blocks are sorted and
+    disjoint, so a block is a run of consecutive indices exactly when its
+    ends are ``len - 1`` apart; its text is then one slice of the text of
+    the indices 0..N-1, made once.  Any other block is joined from ``ints``."""
+    item, block, index = pad + "  ", pad + "    ", "\n" + pad + "      "
+    pieces = [f"{index}{i}," for i in range(max(p.n for p in parts))]
+    start = [0, *accumulate(map(len, pieces))]
+    text = "".join(pieces)
+
+    def lines(b):  # the lines of block b's indices
+        if b[-1] - b[0] == len(b) - 1:
+            return text[start[b[0]]:start[b[-1] + 1] - 1]
+        return index + f",{index}".join(map(ints.__getitem__, b))
+
+    head, sep, close = f"\n{item}[\n{block}[", f"\n{block}],\n{block}[", f"\n{block}]\n{item}]"
+    lead = "["
+    for part in parts:
+        yield "".join((lead, head, sep.join(map(lines, part.blocks)), close))
+        lead = ","
+    yield f"\n{pad}]"
+
+
 def _cell(value, seps=(";", "|", ",")):
     """``value`` as CSV text; a NaN or an infinity raises a NumericError."""
     if value is None:
         return ""
+    if isinstance(value, SetPartition):
+        value = value.blocks
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -234,9 +270,11 @@ def _is_number(value) -> bool:
 def _emit(doc, rows, output):
     """Print the report: ``doc`` as JSON, or ``rows`` as CSV with the
     first row's keys as the header.  The JSON chunks are written as they
-    are, never joined into a copy of the report, and all are made before
-    the first is written, so a report refused for a NaN or an infinity
-    writes nothing."""
+    are, never joined into a copy of the report.  Every chunk that holds a
+    float is made and checked before the first is written, so a report
+    refused for a NaN or an infinity writes nothing; only the argmin's
+    chunks, which hold ints alone, are made while the report is written,
+    one partition at a time."""
     if output == "json":
         sys.stdout.writelines(_json_chunks(doc))
         sys.stdout.write("\n")
@@ -524,7 +562,7 @@ def cmd_profile(state_spec, weights, mode, output):
            "d": dims[0] if len(set(dims)) == 1 else None, "dims": dims,
            "dist": list(prof.dist), "genuine": list(prof.genuine),
            "total": prof.total, "weaving": weave, "neural_complexity": neural,
-           "argmin": [p.blocks for p in prof.argmin],
+           "argmin": list(prof.argmin),
            "weights": scheme.name, "mode": prof.mode,
            "units": "bits", "version": __version__}
     _emit(row, [row], output)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -64,10 +63,9 @@ def make_dicke(n: int, m: int) -> DensityState:
     if n < 1 or not 0 <= m <= n:
         raise ArgumentError(f"need 0 <= m <= n with n >= 1, got n={n}, m={m}")
     amps = np.zeros(_dense_dim({2: n}), dtype=complex)
-    coef = 1 / math.sqrt(math.comb(n, m))
-    for ones in combinations(range(n), m):
-        idx = sum(1 << (n - 1 - i) for i in ones)
-        amps[idx] = coef
+    index = np.arange(amps.size)
+    ones = sum((index >> i) & 1 for i in range(n))  # popcount of each index
+    amps[ones == m] = 1 / math.sqrt(math.comb(n, m))
     return DensityState.from_amplitudes(amps, (2,) * n, validate=False)
 
 

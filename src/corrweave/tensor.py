@@ -232,18 +232,22 @@ class DensityState:
 
     def _digit_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The classical table as a digit array, one row per entry, and a
-        probability array, both in table order; built on first use.  Local
-        dimensions beyond 2**64 are relabelled column by column, which
-        keeps which rows share digits."""
+        probability array, both in table order; built on first use.  A
+        digit outside ``0..d-1`` raises an ArgumentError.  Local dimensions
+        beyond 2**64 are relabelled column by column, which keeps which rows
+        share digits."""
         if self._rows is None:
             keys = list(self._table)
-            dtype = np.min_scalar_type(max(self.dims) - 1)
             try:
-                digits = np.array(keys, dtype=dtype)
-            except OverflowError:
-                x, k = next((x, k) for k in keys for x in k if not 0 <= x <= np.iinfo(dtype).max)
-                raise ArgumentError(f"digit {x} of {k} out of range for dims {self.dims}") from None
+                digits = np.array(keys, dtype=np.min_scalar_type(max(self.dims) - 1))
+            except OverflowError:  # a digit beyond the array's type, named below
+                digits = np.array(keys, dtype=object)
             digits = digits.reshape(len(keys), self.n_parties)
+            bad = (digits < 0) | (digits >= np.asarray(self.dims))
+            if bad.any():
+                row, col = np.argwhere(bad)[0]
+                raise ArgumentError(f"digit {keys[row][col]} of {keys[row]} "
+                                    f"out of range for dims {self.dims}")
             if digits.dtype == object:
                 digits = np.stack([np.unique(c, return_inverse=True)[1].reshape(-1)
                                    for c in digits.T], axis=1)
@@ -259,10 +263,10 @@ class DensityState:
         if self.rep == REP_PURE:
             m = np.outer(self._amps, self._amps.conj())
         else:
+            digits, probs = self._digit_rows()
+            i = np.ravel_multi_index(digits.T, self.dims)
             m = np.zeros((dim, dim), dtype=complex)
-            for key, p in self._table.items():
-                i = _ravel_digits(key, self.dims)
-                m[i, i] = p
+            m[i, i] = probs
         m.setflags(write=False)
         return m
 
@@ -276,13 +280,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     out = m + m.conj().swapaxes(-1, -2)
     out /= 2.0
     return out
-
-
-def _ravel_digits(key: Sequence[int], dims: Sequence[int]) -> int:
-    i = 0
-    for x, d in zip(key, dims):
-        i = i * d + x
-    return i
 
 
 def _normalize_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:

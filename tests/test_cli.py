@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -22,8 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import corrweave
-from corrweave import closed_forms
-from corrweave import (ArgumentError, DensityState, NumericError, StateFamily,
+from corrweave import cli, closed_forms
+from corrweave import (ArgumentError, DensityState, NumericError, SetPartition, StateFamily,
                        StateFileError, WeightScheme, compact_partition,
                        make_bell_product, make_classical, make_ghz, tensor_product)
 from corrweave.closed_forms import (CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N,
@@ -1026,7 +1027,8 @@ def test_json_writer_rejects_non_finite_numbers(bad):
 
     # a bad scalar, or a bad value in a float list, after another key is formatted
     for doc in ({"argmin": [((0,),)], "weaving": bad},
-                {"argmin": [((0,),)], "dist": [0.5, bad]}):
+                {"argmin": [((0,),)], "dist": [0.5, bad]},
+                {"argmin": [SetPartition([(0, 2), (1,)])], "dist": [0.5, bad]}):
         @click.command()
         @_handle_errors
         def report():
@@ -1035,6 +1037,70 @@ def test_json_writer_rejects_non_finite_numbers(bad):
         result = runner.invoke(report, [])
         assert result.exit_code == 4 and not result.stdout
         assert "is not a finite number" in result.stderr
+
+
+@st.composite
+def _argmin_docs(draw):
+    """A list of SetPartitions of one N, nested 0-2 levels deep: random
+    ones at N <= 40 (blocks seldom contiguous), compact ones at N <= 300,
+    or a mix of the two.  Random blocks are built from numpy ints, so an
+    index above 256 is an int of its own."""
+    kind = draw(st.sampled_from(["random", "compact", "mix"]))
+    n = draw(st.integers(1, 40 if kind == "random" else 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = []
+    for _ in range(draw(st.integers(1, 6))):
+        if kind == "random" or kind == "mix" and rng.random() < 0.5:
+            labels = rng.integers(0, rng.integers(1, n + 1), size=n)
+            parts.append(SetPartition([np.flatnonzero(labels == v) for v in set(labels)]))
+        else:
+            parts.append(compact_partition(n, int(rng.integers(1, n + 1))))
+    doc = {"argmin": parts}
+    for _ in range(draw(st.integers(0, 2))):
+        doc = draw(st.sampled_from([[doc], {"row": doc, "N": n}]))
+    return doc, parts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=_argmin_docs())
+def test_partition_lists_are_written_as_json_dumps_lays_out_their_blocks(case):
+    doc, parts = case
+
+    def blocks(obj):
+        if isinstance(obj, dict):
+            return {key: blocks(item) for key, item in obj.items()}
+        if isinstance(obj, list):
+            return [blocks(item) for item in obj]
+        return obj.blocks if isinstance(obj, SetPartition) else obj
+
+    assert "".join(_json_chunks(doc)) == json.dumps(blocks(doc), indent=2)
+    # '{"argmin": ', one chunk per partition, the list's close, the dict's close
+    assert len(list(_json_chunks({"argmin": parts}))) == len(parts) + 3
+
+
+def test_profile_report_is_written_one_partition_at_a_time(monkeypatch):
+    rows = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, *_: rows.append(doc))
+    assert run("profile", "--state", "classical:1000").exit_code == 0
+
+    class Sink(io.TextIOBase):
+        size = 0
+
+        def write(self, text):
+            self.size += len(text)
+            return len(text)
+
+    sink = Sink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            _emit(rows[0], rows, "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a 13.5 MB report, of which no more than a few partitions are held at once
+    assert sink.size > 13_000_000
+    assert peak < 1_000_000, peak
 
 
 @settings(max_examples=500, deadline=None, derandomize=True)

@@ -121,15 +121,6 @@ def test_all_entropies_match_the_per_subset_reference_bit_for_bit(name):
     assert vn_entropy(state).hex() == want[-1]
 
 
-@pytest.mark.parametrize("name", SPECTRAL_STATES)
-def test_batched_pure_and_dense_entropies_have_the_bits_of_marginal_entropy(name):
-    state, fresh = SPECTRAL_STATES[name](), SPECTRAL_STATES[name]()
-    n = state.n_parties
-    want = [0.0] + [marginal_entropy(fresh, [i for i in range(n) if mask >> i & 1])
-                    for mask in range(1, 1 << n)]
-    assert _hex(subset_entropies(state)) == _hex(want)
-
-
 @pytest.mark.parametrize("make", [lambda: _as_dense(make_ghz(6)), lambda: make_dicke(6, 2),
                                   lambda: _as_dense(make_dicke(5, 2))],
                          ids=["dense-ghz-6", "pure-dicke-6", "dense-dicke-5"])

@@ -57,6 +57,17 @@ def test_dicke_lexicographic_amplitudes():
         make_dicke(4, 5)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_dicke_amplitudes_match_the_combinations_construction(n):
+    for m in range(n + 1):
+        want = np.zeros(2 ** n, dtype=complex)
+        coef = 1 / math.sqrt(math.comb(n, m))
+        for ones in itertools.combinations(range(n), m):
+            want[sum(1 << (n - 1 - i) for i in ones)] = coef
+        got = make_dicke(n, m).amplitudes()
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, m)
+
+
 def test_symmetric_families_bit_exact_under_permutation():
     for s in (make_ghz(4), make_dicke(4, 2), make_dicke(5, 1)):
         n = s.n_parties

@@ -513,16 +513,36 @@ def test_classical_table_edge_cases(table, dims):
     assert is_permutation_invariant(state) is (len(set(dims)) == 1)
 
 
+_DIGIT_USES = {"marginal_entropy": lambda s: marginal_entropy(s, [0]),
+               "subset_entropies": subset_entropies, "vn_entropy": vn_entropy,
+               "profile": profile, "to_matrix": DensityState.to_matrix}
+
+
 @pytest.mark.parametrize("digit", [300, -1, 2 ** 70])
-@pytest.mark.parametrize("entropy", [lambda s: marginal_entropy(s, [0]), subset_entropies,
-                                     vn_entropy, profile],
-                         ids=["marginal_entropy", "subset_entropies", "vn_entropy", "profile"])
+@pytest.mark.parametrize("entropy", _DIGIT_USES.values(), ids=_DIGIT_USES)
 def test_unvalidated_digit_beyond_the_digit_array_is_an_argument_error(entropy, digit):
     # invariant under every permutation, so profile takes the prefix pass
     state = DensityState.from_probabilities({(digit, digit): 1.0}, (2, 2), validate=False)
     with pytest.raises(ArgumentError) as exc:
         entropy(state)
     assert str(exc.value) == f"digit {digit} of ({digit}, {digit}) out of range for dims (2, 2)"
+
+
+@pytest.mark.parametrize("dims, table, bad", [
+    ((2, 2), {(0, 1): 0.25, (5, 0): 0.5, (0, 7): 0.25}, (5, 0)),
+    # a local dimension past 2**64 keeps the digits as Python ints
+    ((2, 2 ** 64 + 1), {(0, 3): 0.5, (1, 2 ** 64 + 1): 0.5}, (1, 2 ** 64 + 1)),
+    ((2, 2 ** 64 + 1), {(0, 3): 0.5, (0, -1): 0.5}, (0, -1)),
+], ids=["5-in-uint8", "object-too-large", "object-negative"])
+@pytest.mark.parametrize("use", _DIGIT_USES.values(), ids=_DIGIT_USES)
+def test_unvalidated_digit_beyond_its_dimension_is_an_argument_error(use, dims, table, bad):
+    state = DensityState.from_probabilities(table, dims, validate=False)
+    error = CapacityError if use is DensityState.to_matrix and dims[1] > 4096 else ArgumentError
+    with pytest.raises(error) as exc:
+        use(state)
+    if error is ArgumentError:
+        x = next(x for x, d in zip(bad, dims) if not 0 <= x < d)
+        assert str(exc.value) == f"digit {x} of {bad} out of range for dims {dims}"
 
 
 # -- the classical prefix-entropy pass -------------------------------------
