@@ -131,11 +131,17 @@ class CorrelationProfile:
     def from_dist(cls, dist: Sequence[float],
                   argmin: Optional[Sequence[SetPartition]] = None,
                   mode: str = MODE_BRUTE) -> "CorrelationProfile":
-        """The profile of ``dist``, dist(k) for k = 1..N.  A ConsistencyError
-        unless no order rises above the one before by more than 1e-9 (a
-        smaller rise gives genuine 0), dist(N) is 0 within 1e-9, and the
-        genuine orders sum back to the total within 1e-8."""
+        """The profile of ``dist``, dist(k) for k = 1..N.  An ArgumentError
+        if ``dist`` is empty, a NumericError if an entry is NaN or infinite,
+        and a ConsistencyError unless no order rises above the one before by
+        more than 1e-9 (a smaller rise gives genuine 0), dist(N) is 0 within
+        1e-9, and the genuine orders sum back to the total within 1e-8."""
         dist = tuple(dist)
+        if not dist:
+            raise ArgumentError("a profile needs dist(k) for at least one order")
+        if not all(map(math.isfinite, dist)):
+            k = next(k for k, v in enumerate(dist, start=1) if not math.isfinite(v))
+            raise NumericError(f"dist({k}) = {dist[k - 1]} is not finite")
         drops = tuple(map(sub, dist, dist[1:]))
         lowest = min(drops, default=0.0)
         if lowest < -CLAMP_TOL:

@@ -423,9 +423,9 @@ class KrausChannel:
     """Completely positive trace-preserving map given by Kraus operators.
 
     ``targets`` are the subsystem indices the operators act on, in the
-    order matching the operators' tensor factorization.  Completeness
-    (sum of K^dagger K equal to the identity within 1e-10) is enforced at
-    construction.
+    order matching the operators' tensor factorization.  Finite entries and
+    completeness (sum of K^dagger K equal to the identity within 1e-10)
+    are enforced at construction.
     """
 
     kraus: tuple[np.ndarray, ...]
@@ -439,6 +439,8 @@ class KrausChannel:
         d = ops[0].shape[0] if ops[0].ndim == 2 else 0
         if any(k.ndim != 2 or k.shape != (d, d) for k in ops) or d < 2:
             raise ArgumentError("Kraus operators must share one square shape")
+        if not all(np.isfinite(k).all() for k in ops):
+            raise ArgumentError("a Kraus operator has a NaN or infinite entry")
         if len(set(targets)) != len(targets) or not targets:
             raise ArgumentError(f"targets {targets} must be distinct and nonempty")
         comp = sum(k.conj().T @ k for k in ops)
@@ -471,41 +473,27 @@ def apply_channel(state: DensityState, channel: KrausChannel) -> DensityState:
             f"channel dimension {channel.dim} does not match joint target "
             f"dimension {math.prod(tdims)}")
     if state.rep == REP_PURE and len(channel.kraus) == 1:
-        amps = _apply_op_to_amps(state._amps, state.dims, channel.kraus[0], targets)
-        return DensityState.from_amplitudes(amps, state.dims)
-    rho = state.to_matrix()
-    out = _apply_kraus_dense(rho, state.dims, channel.kraus, targets)
-    return DensityState.from_matrix(out, state.dims)
-
-
-def _apply_op_to_amps(amps: np.ndarray, dims: Sequence[int], op: np.ndarray,
-                      targets: Sequence[int]) -> np.ndarray:
+        amps = _apply_op(state._amps.reshape(state.dims), channel.kraus[0], targets)
+        return DensityState.from_amplitudes(amps.reshape(-1), state.dims)
     m = len(targets)
-    tdims = tuple(dims[t] for t in targets)
-    kt = op.reshape(tdims * 2)
-    t = amps.reshape(dims)
-    out = np.tensordot(kt, t, axes=(tuple(range(m, 2 * m)), tuple(targets)))
-    out = np.moveaxis(out, tuple(range(m)), tuple(targets))
-    return out.reshape(-1)
-
-
-def _apply_kraus_dense(rho: np.ndarray, dims: Sequence[int],
-                       kraus: Sequence[np.ndarray],
-                       targets: Sequence[int]) -> np.ndarray:
-    n = len(dims)
-    m = len(targets)
-    tdims = tuple(dims[t] for t in targets)
-    rt = rho.reshape(tuple(dims) * 2)
+    rt = state.to_matrix().reshape(state.dims * 2)
     col_axes = tuple(n + t for t in targets)
     out = np.zeros_like(rt)
-    for k in kraus:
-        kt = k.reshape(tdims * 2)
-        a = np.tensordot(kt, rt, axes=(tuple(range(m, 2 * m)), tuple(targets)))
-        a = np.moveaxis(a, tuple(range(m)), tuple(targets))
-        b = np.tensordot(a, kt.conj(), axes=(col_axes, tuple(range(m, 2 * m))))
-        b = np.moveaxis(b, tuple(range(2 * n - m, 2 * n)), col_axes)
-        out += b
-    return out.reshape(rho.shape)
+    for k in channel.kraus:
+        # the state stays the left operand: the output's bits depend on the order
+        b = np.tensordot(_apply_op(rt, k, targets), k.reshape(tdims * 2).conj(),
+                         axes=(col_axes, tuple(range(m, 2 * m))))
+        out += np.moveaxis(b, tuple(range(2 * n - m, 2 * n)), col_axes)
+    return DensityState.from_matrix(out.reshape(state.dim, state.dim), state.dims)
+
+
+def _apply_op(t: np.ndarray, op: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """The operator ``op`` applied from the left to the ``axes`` of the
+    tensor ``t``, whose dimensions there factor its square matrix."""
+    m = len(axes)
+    kt = op.reshape(tuple(t.shape[a] for a in axes) * 2)
+    out = np.tensordot(kt, t, axes=(tuple(range(m, 2 * m)), tuple(axes)))
+    return np.moveaxis(out, tuple(range(m)), tuple(axes))
 
 
 # -- entropies ---------------------------------------------------------

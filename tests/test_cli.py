@@ -929,8 +929,23 @@ def test_check_failure_exits_five(monkeypatch):
     assert any(not p["passed"] for p in doc["properties"])
 
 
+def test_check_with_a_nan_margin_exits_four(monkeypatch):
+    import corrweave.cli as cli_mod
+    from corrweave.properties import run_property_suite as real_suite
+
+    def nan_suite(seed, trials):
+        return real_suite(seed, trials, perturb_dist=lambda v: math.nan)
+
+    monkeypatch.setattr(cli_mod, "run_property_suite", nan_suite)
+    result = run("check", "--seed", "5", "--trials", "3")
+    assert result.exit_code == 4, (errtext(result), result.exception)
+    assert result.stderr == "error: cannot write JSON: nan is not a finite number\n"
+
+
 def test_check_rejects_zero_trials():
-    assert run("check", "--trials", "0").exit_code == 2
+    result = run("check", "--trials", "0")
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert result.stderr == "error: need at least 1 trial, got 0\n"
 
 
 def test_check_rejects_a_negative_seed():

@@ -382,6 +382,22 @@ def test_from_dist_raises_beyond_the_window(dist, message):
         CorrelationProfile.from_dist(dist)
 
 
+def test_from_dist_refuses_an_empty_dist():
+    with pytest.raises(ArgumentError, match="at least one order"):
+        CorrelationProfile.from_dist([])
+
+
+@pytest.mark.parametrize("dist, message", [
+    ([1.0, math.nan, 0.0], r"dist\(2\) = nan is not finite"),
+    ([math.inf, 1.0, 0.0], r"dist\(1\) = inf is not finite"),
+    ([1.0, 0.0, -math.inf], r"dist\(3\) = -inf is not finite"),
+])
+def test_from_dist_refuses_a_non_finite_order(dist, message):
+    with pytest.raises(NumericError, match=message) as caught:
+        CorrelationProfile.from_dist(dist)
+    assert type(caught.value) is NumericError  # not a consistency failure
+
+
 def test_from_dist_genuine_is_each_drop_clamped_at_zero_bit_for_bit():
     for dist in ([1.0, 1.0, 0.0], [1.0, 1.0 + 1e-12, 1.0, 0.0], [3.0, 2.5, 0.5, 0.0]):
         expect = [max(a - b, 0.0).hex() for a, b in zip(dist, dist[1:])]

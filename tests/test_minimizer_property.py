@@ -47,10 +47,15 @@ def _state(kind, n, seed):
     return make_bell_product(n + n % 2)
 
 
-def _enumeration_minimum(h, n, k):
+def _scan(h, n, k):
+    """Each partition's value, its blocks summed in block order, in canonical order."""
+    return [(sum(h[sum(1 << i for i in b)] for b in part.blocks) - h[-1], part)
+            for part in enumerate_partitions(n, k)]
+
+
+def _enumeration_minimum(scan):
     best, best_part = math.inf, None
-    for part in enumerate_partitions(n, k):
-        value = sum(h[sum(1 << i for i in b)] for b in part.blocks) - h[-1]
+    for value, part in scan:
         if value < best - 1e-15:
             best, best_part = value, part
     return max(best, 0.0), best_part
@@ -64,7 +69,7 @@ def test_dynamic_program_matches_enumeration(kind, n, seed):
     n = state.n_parties
     for k in range(1, n + 1):
         value, part = dist_to_pk(state, k, mode="brute")
-        expected_value, expected_part = _enumeration_minimum(subset_entropies(state), n, k)
+        expected_value, expected_part = _enumeration_minimum(_scan(subset_entropies(state), n, k))
         assert value == expected_value, (k, value, expected_value)
         assert part.blocks == expected_part.blocks, (k, part, expected_part)
 
@@ -111,6 +116,32 @@ def test_layered_program_matches_the_scalar_program(kind, n, seed):
 def test_layered_program_matches_the_scalar_program_on_states(kind, n):
     state = _state(kind, n, 9)
     _assert_matches_the_scalar_program(subset_entropies(state), state.n_parties)
+
+
+def _slow_steps_table(n):
+    """``h[B] = |B|`` for the blocks that hold party 0, ``|B| + 9.95e-13 *
+    2^(min B - 1)`` for the others: a partition's value is the sum of its
+    other blocks' excesses, in steps of about 1e-12."""
+    return [0.0] + [b.bit_count() + (0.0 if b & 1 else 9.95e-13 * (b & -b) / 2)  # b & -b = 2^min B
+                    for b in range(1, 1 << n)]
+
+
+@pytest.mark.parametrize("k", [9, 10])
+def test_walk_widens_its_window_when_the_near_ties_run_on(k):
+    """At N = 10 the values within 1e-9 of the order's minimum have no gap
+    wider than 1e-12 until 5e-10 above it, so the walk's first window
+    cannot be cut and is widened; the result is still the scan's."""
+    n = 10
+    h = _slow_steps_table(n)
+    scan = _scan(h, n, k)
+    values = sorted(v for v, _ in scan)
+    near = [v for v in values if v <= values[0] + 1e-9]
+    cut = next((a for a, b in zip(near, near[1:]) if b - a > 1e-12), near[-1])
+    assert cut - values[0] >= 5e-10, cut - values[0]  # else the window is never widened
+    [got] = _partition_minima(h, n, [k])
+    want_value, want_part = _enumeration_minimum(scan)
+    assert got.value == want_value and got.argmin.blocks == want_part.blocks, (got, want_part)
+    assert got == partition_minimum(h, n, k)
 
 
 @pytest.mark.parametrize("n", range(1, 11))

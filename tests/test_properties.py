@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import corrweave.correlations as correlations
@@ -26,6 +28,11 @@ def test_negative_seed_is_an_argument_error():
     assert issubclass(ArgumentError, ValueError)  # callers catching ValueError still work
 
 
+def test_zero_trials_is_an_argument_error():
+    with pytest.raises(ArgumentError, match=r"need at least 1 trial, got 0"):
+        run_property_suite(1234, 0)
+
+
 def test_suite_deterministic():
     a = run_property_suite(77, trials=10)
     b = run_property_suite(77, trials=10)
@@ -42,6 +49,12 @@ def test_injected_fault_is_detected():
     assert "product-additivity" in failed
     # an honest rerun still passes
     assert all(r.passed for r in run_property_suite(1234, trials=6))
+
+
+def test_a_nan_distance_fails_every_property_that_reads_one():
+    results = run_property_suite(1234, 5, perturb_dist=lambda v: math.nan)
+    assert [r.name for r in results if r.passed] == ["superadditivity-5S"]
+    assert all(math.isnan(r.worst_margin) for r in results if not r.passed)
 
 
 def test_each_entropy_is_computed_once_per_state(monkeypatch):

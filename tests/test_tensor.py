@@ -342,6 +342,9 @@ def test_kraus_validation():
         apply_channel(make_ghz(3, 3), ch)  # 4 != 9
     with pytest.raises(ArgumentError):
         apply_channel(make_ghz(2), KrausChannel([np.eye(2)], (5,)))
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):  # a NaN passes the completeness check
+        with pytest.raises(ArgumentError, match="NaN or infinite entry"):
+            KrausChannel([[[1.0, bad], [0.0, 1.0]]], (0,))
 
 
 def test_identity_and_unitary_channels():
