@@ -14,15 +14,16 @@ error, 5 property-suite failure.
 from __future__ import annotations
 
 import functools
-import gc
 import io
 import json
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager, suppress
 from csv import writer as csv_writer
 from itertools import accumulate, chain
+from json.decoder import JSONArray, WHITESPACE
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
@@ -53,6 +54,7 @@ AGREE_TOL = 1e-8
 MATRIX_N_CAP = 8
 
 _EXIT_BY_ERROR = ((CapacityError, 3), (ArgumentError, 2), (CorrweaveError, 4))
+_MATRIX_START = re.compile(r"\[\s*\[\s*\[")  # a state file payload of rows of pairs
 
 
 def _handle_errors(func):
@@ -292,9 +294,9 @@ def _emit(doc, rows, output):
 # -- input files: weight schemes and states ------------------------------
 
 
-def _read_json(path: str, what: str, error: type[CorrweaveError]):
-    """The document in the UTF-8 JSON file at ``path``.  A file that cannot
-    be read or parsed raises ``error``, naming it a ``what`` file."""
+def _read_json(path: str, what: str, error: type[CorrweaveError], scan=json.loads):
+    """The document in the UTF-8 JSON file at ``path``, as ``scan`` reads it; a
+    file that cannot be read or parsed raises ``error``, naming it a ``what`` file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -302,6 +304,8 @@ def _read_json(path: str, what: str, error: type[CorrweaveError]):
                     f"({exc.reason} at byte {exc.start})") from None
     except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
         raise error(f"cannot read {what} file {path}: {exc}") from None
+    with suppress(StopIteration, ValueError, RecursionError):
+        return scan(text)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -339,21 +343,11 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
 def load_state_file(path: str) -> DensityState:
     """Parse a UTF-8 JSON state file: {dims, kind, payload}.
 
-    The cyclic garbage collector is paused while the file is parsed and
-    converted, since the payload's many small lists set off collections
-    that free nothing; the caller's setting is restored after.
+    A matrix payload is read one row at a time (:func:`_scan_state`), never
+    as a tree of N^2 lists, so reading peaks at about twice the file's size:
+    its bytes and its text, alive together while the text is decoded.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _parse_state_file(path)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _parse_state_file(path: str) -> DensityState:
-    doc = _read_json(path, "state", StateFileError)
+    doc = _read_json(path, "state", StateFileError, _scan_state)
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be a JSON object")
     for key in ("dims", "kind", "payload"):
@@ -384,33 +378,79 @@ def _parse_state_file(path: str) -> DensityState:
         raise StateFileError(f"{path}: field 'payload': {exc}") from None
 
 
+def _scan_state(text: str):
+    """``json.loads(text)``, but each row of a top-level ``"payload"`` matrix
+    is :func:`_pair_row` of it as soon as json's own scanner reads it.  Text
+    that is not one JSON document raises StopIteration, ValueError or RecursionError."""
+    scan, ws = json.JSONDecoder().scan_once, WHITESPACE.match
+
+    def row(s, j):
+        value, j = scan(s, j)
+        return _pair_row(value), j
+
+    i = ws(text).end()
+    if not text.startswith("{", i):
+        doc, i = scan(text, i)
+    else:  # the object's members, as json's own object parser reads them
+        doc, i = {}, ws(text, i + 1).end()
+        more = not text.startswith("}", i)
+        while more:  # after a comma, a member must follow
+            key, i = scan(text, i)
+            i = ws(text, i).end() + 1
+            if type(key) is not str or text[i - 1:i] != ":":
+                raise ValueError(f"no property name and ':' before {i}")
+            i = ws(text, i).end()
+            if key == "payload" and _MATRIX_START.match(text, i):
+                doc[key], i = JSONArray((text, i + 1), row)
+            else:  # a repeated key keeps its last value, as in json.loads
+                doc[key], i = scan(text, i)
+            i = ws(text, i).end()
+            more = text.startswith(",", i)
+            i = ws(text, i + more).end()
+        if not text.startswith("}", i):
+            raise ValueError(f"no ',' or '}}' at {i}")
+        i += 1
+    if ws(text, i).end() != len(text):
+        raise ValueError(f"extra data at {i}")
+    return doc
+
+
+def _pair_row(row):
+    """``row`` as a (len, 2) float array if it lists [re, im] pairs of JSON
+    integers or floats (not booleans, strings or nulls), else as is."""
+    with suppress(TypeError, OverflowError):  # an entry with no len(); an int past float range
+        if type(row) is list and set(map(len, row)) == {2}:
+            flat = list(chain.from_iterable(row))  # a string or object entry gives str items
+            if set(map(type, flat)) <= {int, float}:
+                return np.array(flat, dtype=float).reshape(-1, 2)  # numpy reads flat lists fastest
+    return row
+
+
 def _complex_payload(payload, shape, path):
     """A pure (``shape`` = (dim,)) or mixed (dim, dim) payload of [re, im]
     pairs as a complex array.
 
-    Each level of lists is checked by type and length, then the numbers,
-    flattened, are checked as one array: that each is an int or a float
-    (so booleans, strings and nulls are not), and that each is finite.
-    Only when that fails are the entries walked, to name the first bad one.
+    A pure payload is one row and a mixed payload's entries are rows, each
+    a (dim, 2) array of :func:`_pair_row`; they are stacked, checked to be
+    finite, and ``payload`` emptied to free them before the state is built.
+    Only when that fails are the entries walked, as scanned, to name the
+    first bad one.
     """
-    rows = [payload] if len(shape) == 1 else payload
-    if (isinstance(payload, list) and len(payload) == shape[0]
-            and set(map(type, rows)) == {list} and set(map(len, rows)) == {shape[-1]}):
-        pairs = list(chain.from_iterable(rows))
-        if set(map(type, pairs)) == {list} and set(map(len, pairs)) == {2}:
-            flat = list(chain.from_iterable(pairs))
-            if set(map(type, flat)) <= {int, float}:
-                with suppress(OverflowError):  # an integer beyond the float range
-                    floats = np.array(flat, dtype=float)
-                    if np.isfinite(floats).all():
-                        return floats.view(complex).reshape(shape)
     dim = shape[0]
-    if len(shape) == 1:
+    if isinstance(payload, list) and len(payload) == dim:
+        rows = list(map(_pair_row, [payload] if len(shape) == 1 else payload))
+        if all(type(r) is np.ndarray and r.shape == (dim, 2) for r in rows):
+            floats = np.stack(rows)
+            if np.isfinite(floats).all():
+                payload.clear()
+                return floats.view(complex).reshape(shape)
+    if len(shape) == 1:  # an array entry was scanned as a list of pairs: no pair either
         _check_pairs(payload, dim, path)
     elif not isinstance(payload, list) or len(payload) != dim:
         raise StateFileError(f"{path}: field 'payload' must be a {dim}x{dim} matrix")
     else:
         for i, row in enumerate(payload):
+            row = row.tolist() if type(row) is np.ndarray else row  # as scanned
             _check_pairs(row, dim, path, field=f"payload[{i}]")
     raise StateFileError(f"{path}: field 'payload' must hold [re, im] pairs "
                          "of finite numbers")

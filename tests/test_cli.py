@@ -254,31 +254,124 @@ def test_profile_state_file_round_trip_all_kinds(tmp_path):
             assert payload(loaded).tobytes() == payload(state).tobytes(), name
 
 
-@pytest.mark.parametrize("enabled", [True, False])
-def test_state_file_load_pauses_gc_and_restores_the_callers_setting(
-        tmp_path, monkeypatch, enabled):
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    save_state_file(make_ghz(3), str(good))
-    bad.write_text(json.dumps({"dims": [2], "kind": "pure", "payload": [[1, 0]]}))
-    during = []
+def _pairs(values):
+    return [[z.real, z.imag] for z in values]
 
-    def loads(text, original=json.loads):
-        during.append(gc.isenabled())
-        return original(text)
+
+_RHO = random_density((2, 2), np.random.default_rng(3)).to_matrix()
+_ROWS = json.dumps([_pairs(row) for row in _RHO])
+_PSI = json.dumps(_pairs(haar_state((2, 3), np.random.default_rng(4)).amplitudes()))
+_MIXED = {"dims": [2, 2], "kind": "mixed", "payload": json.loads(_ROWS)}
+READER_TEXTS = {  # state files that json.loads reads
+    "indent-2": json.dumps(_MIXED, indent=2),
+    "compact": json.dumps(_MIXED, separators=(",", ":")),
+    "tab-indent-payload-first": json.dumps(dict(reversed(_MIXED.items())), indent="\t"),
+    "pure-payload-first": ' {"payload": %s, "kind": "pure", "dims": [2, 3]}\n' % _PSI,
+    "extra-keys": ('{"note": {"payload": [[[1, 0]]]}, "dims": [2, 2], "payloads": [[[0, 1]]], '
+                   '"kind": "mixed", "payload": %s, "more": [[[1, 2]], 3]}' % _ROWS),
+    "duplicate-payload": ('{"payload": [[[1, 0], true]], "dims": [2, 2], "kind": "mixed", '
+                          '"payload": %s}' % _ROWS),
+    "payload-then-scalar-payload": '{"payload": %s, "dims": [2, 2], "kind": "mixed", '
+                                   '"payload": 0, "payload": %s}' % (_ROWS, _ROWS),
+    "integer-entries": json.dumps({"dims": [2], "kind": "mixed",
+                                   "payload": [[[1, 0], [0, 0]], [[0, 0], [0, -0]]]}),
+    "non-finite-tokens-elsewhere": ('{"dims": [2, 2], "x": [NaN, -Infinity, Infinity], '
+                                    '"kind": "mixed", "payload": %s}' % _ROWS),
+}
+
+
+@pytest.mark.parametrize("name", READER_TEXTS)
+def test_state_file_reader_loads_the_payload_json_loads_reads(tmp_path, monkeypatch, name):
+    text = READER_TEXTS[name]
+    path = tmp_path / "state.json"
+    path.write_text(text, encoding="utf-8")
+    want = np.array(json.loads(text)["payload"], float).view(complex)
+
+    def loads(*args, **kwargs):
+        raise AssertionError("a text json.loads reads must not need a second parse")
 
     monkeypatch.setattr(json, "loads", loads)
-    was = gc.isenabled()
-    (gc.enable if enabled else gc.disable)()
+    state = load_state_file(str(path))
+    got = state.amplitudes() if state.is_pure else state.to_matrix()
+    assert got.tobytes() == want.tobytes()
+
+
+def _matrix_text(n, bad_row):
+    """A mixed state file of the maximally mixed n-qubit state, its row
+    ``bad_row`` replaced by a list that is no row of pairs."""
+    dim = 2 ** n
+    rows = [[[1 / dim if i == j else 0, 0] for j in range(dim)] for i in range(dim)]
+    rows[bad_row] = [True, "x"]
+    return json.dumps({"dims": [2] * n, "kind": "mixed", "payload": rows})
+
+
+NOT_JSON_TEXTS = {  # state files json.loads refuses
+    "trailing-garbage": READER_TEXTS["compact"] + " x",
+    "trailing-brace": READER_TEXTS["indent-2"] + "\n}",
+    "second-document": READER_TEXTS["compact"] * 2,
+    "bad-row-then-no-final-brace": _matrix_text(8, 3)[:-1],
+    "payload-first-cut-in-a-row": READER_TEXTS["tab-indent-payload-first"][:200],
+    "trailing-comma-in-payload": READER_TEXTS["compact"].replace("]]]", "]],]"),
+    "trailing-comma-in-object": READER_TEXTS["compact"][:-1] + ",}",
+    "missing-colon": READER_TEXTS["compact"].replace('"kind":', '"kind"'),
+    "equals-for-colon": READER_TEXTS["compact"].replace('"kind":', '"kind"='),
+    "number-as-key": "{0:0," + READER_TEXTS["compact"][1:],
+    "missing-comma-between-rows": READER_TEXTS["compact"].replace("]],[[", "]][[", 1),
+    "semicolon-for-comma": READER_TEXTS["compact"].replace('"mixed",', '"mixed";'),
+    "unquoted-key": READER_TEXTS["compact"].replace('"dims"', "dims"),
+    "single-quoted-string": READER_TEXTS["compact"].replace('"mixed"', "'mixed'"),
+    "empty-file": "",
+    "byte-order-mark": "\ufeff" + READER_TEXTS["compact"],
+}
+
+
+@pytest.mark.parametrize("name", NOT_JSON_TEXTS)
+def test_state_file_reader_raises_json_loads_own_error(tmp_path, name):
+    text = NOT_JSON_TEXTS[name]
+    path = tmp_path / "state.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as error:
+        json.loads(text)
+    e = error.value
+    result = run("profile", "--state", str(path))
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert result.stderr == f"error: {path}:{e.lineno}:{e.colno}: invalid JSON ({e.msg})\n"
+
+
+def test_state_file_rows_are_freed_before_the_state_is_built(tmp_path, monkeypatch):
+    path = tmp_path / "mixed.json"
+    save_state_file(random_density((2, 2), np.random.default_rng(5)), str(path))
+    rows, seen = [], []
+    pair_row, from_matrix = cli._pair_row, DensityState.from_matrix.__func__
+
+    def keep(row):
+        out = pair_row(row)
+        rows.append(weakref.ref(out))
+        return out
+
+    def build(cls, matrix, dims, **kwargs):
+        seen.append([ref() is None for ref in rows])
+        return from_matrix(cls, matrix, dims, **kwargs)
+
+    monkeypatch.setattr(cli, "_pair_row", keep)
+    monkeypatch.setattr(DensityState, "from_matrix", classmethod(build))
+    load_state_file(str(path))
+    assert len(rows) >= 4 and seen == [[True] * len(rows)]
+
+
+def test_state_file_reader_peaks_at_about_twice_the_file_size(tmp_path):
+    path = tmp_path / "mixed8.json"
+    save_state_file(random_density((2,) * 8, np.random.default_rng(8)), str(path))
+    load_state_file(str(path))
+    tracemalloc.start()
     try:
-        load_state_file(str(good))
-        after_load = gc.isenabled()
-        with pytest.raises(StateFileError):
-            load_state_file(str(bad))
-        after_error = gc.isenabled()
+        load_state_file(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        (gc.enable if was else gc.disable)()
-    assert during == [False, False]
-    assert after_load is enabled and after_error is enabled
+        tracemalloc.stop()
+    # 2x: the file's bytes and its text, alive together while the text is decoded;
+    # the payload's float rows, a third of the file's size, come after the bytes are freed
+    assert peak < 2.5 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 _M = [[0.5, 0], [0, 0]]  # a valid [re, im] row of a 2x2 mixed payload
@@ -410,18 +503,24 @@ def fuzz_dir(tmp_path_factory):
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(doc=_state_docs(), junk=st.one_of(st.none(), st.floats(0.0, 1.0)))
-def test_fuzzed_state_files_exit_with_a_documented_code(fuzz_dir, doc, junk):
-    # junk, when drawn, places a byte that is never valid UTF-8 at that
-    # fraction of the text
+@given(doc=_state_docs(), order=st.permutations(range(3)),
+       layout=st.sampled_from([{}, {"indent": 2}, {"indent": "\t"}, {"indent": 0},
+                               {"separators": (",", ":")}]),
+       junk=st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_fuzzed_state_files_exit_with_a_documented_code(fuzz_dir, doc, order, layout, junk):
+    # the keys are written in a drawn order and layout, so payload-first and
+    # multi-line files are read too; junk, when drawn, places a byte that is
+    # never valid UTF-8 at that fraction of the text
     path = fuzz_dir / "state.json"
-    data = json.dumps(doc).encode()
+    keys = list(doc)
+    data = json.dumps({keys[i]: doc[keys[i]] for i in order}, **layout).encode()
     if junk is not None:
         cut = int(junk * len(data))
         data = data[:cut] + b"\xff" + data[cut:]
     path.write_bytes(data)
     result = run("profile", "--state", str(path))
     assert result.exit_code in (0, 2, 3, 4), (doc, errtext(result), result.exception)
+    assert "invalid JSON" not in errtext(result) or junk is not None
     if junk is not None:
         assert result.exit_code == 2
         assert f"state file {path} is not valid UTF-8" in errtext(result)
