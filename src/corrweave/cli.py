@@ -23,7 +23,7 @@ import sys
 from contextlib import contextmanager, suppress
 from csv import writer as csv_writer
 from itertools import accumulate, chain
-from json.decoder import JSONArray, WHITESPACE
+from json.decoder import JSONArray, JSONObject, WHITESPACE
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator
@@ -54,7 +54,7 @@ AGREE_TOL = 1e-8
 MATRIX_N_CAP = 8
 
 _EXIT_BY_ERROR = ((CapacityError, 3), (ArgumentError, 2), (CorrweaveError, 4))
-_MATRIX_START = re.compile(r"\[\s*\[\s*\[")  # a state file payload of rows of pairs
+_MATRIX_START = re.compile(r"\[\s*\[\s*\[")  # a JSON value that may be rows of pairs
 
 
 def _handle_errors(func):
@@ -294,9 +294,10 @@ def _emit(doc, rows, output):
 # -- input files: weight schemes and states ------------------------------
 
 
-def _read_json(path: str, what: str, error: type[CorrweaveError], scan=json.loads):
-    """The document in the UTF-8 JSON file at ``path``, as ``scan`` reads it; a
-    file that cannot be read or parsed raises ``error``, naming it a ``what`` file."""
+def _read_json(path: str, what: str, error: type[CorrweaveError]):
+    """The document in the UTF-8 JSON file at ``path``, as :func:`_scan_json`
+    reads it; a file that cannot be read or parsed raises ``error``, naming
+    it a ``what`` file."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -305,7 +306,7 @@ def _read_json(path: str, what: str, error: type[CorrweaveError], scan=json.load
     except (OSError, ValueError) as exc:  # ValueError: a path holding a NUL
         raise error(f"cannot read {what} file {path}: {exc}") from None
     with suppress(StopIteration, ValueError, RecursionError):
-        return scan(text)
+        return _scan_json(text)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -343,11 +344,11 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
 def load_state_file(path: str) -> DensityState:
     """Parse a UTF-8 JSON state file: {dims, kind, payload}.
 
-    A matrix payload is read one row at a time (:func:`_scan_state`), never
+    A matrix payload is read one row at a time (:func:`_scan_json`), never
     as a tree of N^2 lists, so reading peaks at about twice the file's size:
     its bytes and its text, alive together while the text is decoded.
     """
-    doc = _read_json(path, "state", StateFileError, _scan_state)
+    doc = _read_json(path, "state", StateFileError)
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be a JSON object")
     for key in ("dims", "kind", "payload"):
@@ -378,38 +379,25 @@ def load_state_file(path: str) -> DensityState:
         raise StateFileError(f"{path}: field 'payload': {exc}") from None
 
 
-def _scan_state(text: str):
-    """``json.loads(text)``, but each row of a top-level ``"payload"`` matrix
-    is :func:`_pair_row` of it as soon as json's own scanner reads it.  Text
-    that is not one JSON document raises StopIteration, ValueError or RecursionError."""
+def _scan_json(text: str):
+    """``json.loads(text)``, but each row of a top-level member that opens
+    like a matrix is :func:`_pair_row` of it as soon as json's own scanner
+    reads it.  Text that is not one JSON document raises StopIteration,
+    ValueError or RecursionError."""
     scan, ws = json.JSONDecoder().scan_once, WHITESPACE.match
 
     def row(s, j):
         value, j = scan(s, j)
         return _pair_row(value), j
 
+    def member(s, i):
+        return JSONArray((s, i + 1), row) if _MATRIX_START.match(s, i) else scan(s, i)
+
     i = ws(text).end()
-    if not text.startswith("{", i):
+    if text.startswith("{", i):  # json's own object parser, one member hook
+        doc, i = JSONObject((text, i + 1), True, member, None, None)
+    else:
         doc, i = scan(text, i)
-    else:  # the object's members, as json's own object parser reads them
-        doc, i = {}, ws(text, i + 1).end()
-        more = not text.startswith("}", i)
-        while more:  # after a comma, a member must follow
-            key, i = scan(text, i)
-            i = ws(text, i).end() + 1
-            if type(key) is not str or text[i - 1:i] != ":":
-                raise ValueError(f"no property name and ':' before {i}")
-            i = ws(text, i).end()
-            if key == "payload" and _MATRIX_START.match(text, i):
-                doc[key], i = JSONArray((text, i + 1), row)
-            else:  # a repeated key keeps its last value, as in json.loads
-                doc[key], i = scan(text, i)
-            i = ws(text, i).end()
-            more = text.startswith(",", i)
-            i = ws(text, i + more).end()
-        if not text.startswith("}", i):
-            raise ValueError(f"no ',' or '}}' at {i}")
-        i += 1
     if ws(text, i).end() != len(text):
         raise ValueError(f"extra data at {i}")
     return doc

@@ -508,13 +508,14 @@ def _shannon_bits(p: np.ndarray) -> float:
 def _segment_sums(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """``np.add.reduce(a[start:stop])`` for each segment.  A pairwise sum's
     bits depend on its slice, so each longer segment is reduced alone;
-    segments of one or two terms (at most one rounding) are summed at once."""
+    segments of one or two terms (at most one rounding) are summed at once,
+    plus the 0.0 that numpy's reduce starts from (it turns -0.0 into 0.0)."""
     first = a[starts]
     out = np.where(stops - starts > 1, first + a[np.minimum(starts + 1, a.size - 1)], first)
     long = np.flatnonzero(stops - starts > 2)
     out[long] = [np.add.reduce(a[i:j])
                  for i, j in zip(starts[long].tolist(), stops[long].tolist())]
-    return out
+    return out + 0.0
 
 
 def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:

@@ -338,6 +338,31 @@ def test_state_file_reader_raises_json_loads_own_error(tmp_path, name):
     assert result.stderr == f"error: {path}:{e.lineno}:{e.colno}: invalid JSON ({e.msg})\n"
 
 
+NESTED_TEXTS = {  # state files with "[" * depth + "]" * depth in a second payload row or in dims
+    "row": '{"dims": [2], "kind": "mixed", "payload": [[[0.5, 0], [0, 0]], %s]}',
+    "dims": '{"dims": %s, "kind": "mixed", "payload": []}',
+}
+
+
+@pytest.mark.parametrize("name", NESTED_TEXTS)
+def test_state_file_reader_refuses_at_json_loads_own_nesting_depth(name):
+    # the reader reads exactly as deep as json.loads in its place, so whether a file is
+    # nested too deeply does not depend on which of the two read it; both are called
+    # from this one frame
+    def refuses(read, depth):
+        try:
+            read(NESTED_TEXTS[name] % ("[" * depth + "]" * depth))
+        except RecursionError:
+            return True
+        return False
+
+    depth = 1
+    while not refuses(json.loads, depth):
+        depth += 1
+    assert not refuses(cli._scan_json, depth - 1)
+    assert refuses(cli._scan_json, depth)
+
+
 def test_state_file_rows_are_freed_before_the_state_is_built(tmp_path, monkeypatch):
     path = tmp_path / "mixed.json"
     save_state_file(random_density((2, 2), np.random.default_rng(5)), str(path))

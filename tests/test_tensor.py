@@ -17,7 +17,7 @@ from corrweave import (ArgumentError, CapacityError, DensityState, KrausChannel,
 from corrweave.random_states import (haar_state, haar_unitary, random_channel,
                                      random_classical, random_density)
 from corrweave.tensor import (EIG_CLIP, _classical_entropies, _classical_prefix_entropies,
-                             _dense_dim)
+                             _dense_dim, _segment_sums)
 
 RNG = np.random.default_rng(90210)
 
@@ -266,6 +266,22 @@ def test_zero_entropies_are_positive_zero():
                   vn_entropy(partial_trace(make_dicke(3, 3), [0, 1])),
                   vn_entropy(DensityState.from_matrix(np.diag([1.0, 0.0]), (2,)))):
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+def test_segment_sums_are_each_segments_own_add_reduce():
+    # signed zeros, subnormals and normals near both ends of the range keep
+    # numpy's bits, in segments of one or two terms as in longer ones
+    rng = np.random.default_rng(508)
+    specials = np.array([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0])
+    for _ in range(300):
+        lengths = rng.integers(1, rng.choice([2, 3, 4, 20, 301]), size=rng.integers(1, 30))
+        stops = np.cumsum(lengths)
+        starts, size = stops - lengths, int(stops[-1])
+        pool = rng.choice(specials, size=rng.integers(1, 7), replace=False)
+        normals = rng.standard_normal(size) * 10.0 ** rng.choice([-300, 300], size)
+        a = np.where(rng.random(size) < rng.choice([0.5, 1.0]), rng.choice(pool, size), normals)
+        want = np.array([np.add.reduce(a[i:j]) for i, j in zip(starts, stops)])
+        assert _segment_sums(a, starts, stops).tobytes() == want.tobytes(), (a, lengths)
 
 
 def test_vn_entropy_unitary_invariance():
