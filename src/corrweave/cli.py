@@ -54,7 +54,12 @@ AGREE_TOL = 1e-8
 MATRIX_N_CAP = 8
 
 _EXIT_BY_ERROR = ((CapacityError, 3), (ArgumentError, 2), (CorrweaveError, 4))
-_MATRIX_START = re.compile(r"\[\s*\[\s*\[")  # a JSON value that may be rows of pairs
+_SCAN = json.JSONDecoder().scan_once  # json's own C scanner, as json.loads uses it
+_PAIRS_START = re.compile(r"\[[ \t\n\r]*\[([ \t\n\r]*\[)?")  # a list of pairs, or of lists
+# the first "]" that no ", [" follows, and the "]" after it: where a row of pairs ends
+# (json.dumps' ", [" and ",[" are tried first, for speed)
+_ROW_END = re.compile(r"\](?!, \[|,\[|[ \t\n\r]*,[ \t\n\r]*\[)[ \t\n\r]*\]?")
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
 
 
 def _handle_errors(func):
@@ -342,12 +347,10 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
 
 
 def load_state_file(path: str) -> DensityState:
-    """Parse a UTF-8 JSON state file: {dims, kind, payload}.
-
-    A matrix payload is read one row at a time (:func:`_scan_json`), never
-    as a tree of N^2 lists, so reading peaks at about twice the file's size:
-    its bytes and its text, alive together while the text is decoded.
-    """
+    """Parse a UTF-8 JSON state file: {dims, kind, payload}.  A payload is
+    read a row at a time (:func:`_scan_json`), each row of pairs as one flat
+    list of json's numbers, never as a tree of lists: reading peaks at about
+    twice the file's size, its bytes and its text while the text is decoded."""
     doc = _read_json(path, "state", StateFileError)
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be a JSON object")
@@ -380,38 +383,50 @@ def load_state_file(path: str) -> DensityState:
 
 
 def _scan_json(text: str):
-    """``json.loads(text)``, but each row of a top-level member that opens
-    like a matrix is :func:`_pair_row` of it as soon as json's own scanner
-    reads it.  Text that is not one JSON document raises StopIteration,
-    ValueError or RecursionError."""
-    scan, ws = json.JSONDecoder().scan_once, WHITESPACE.match
+    """``json.loads(text)``, but a top-level ``payload`` opening ``[[`` (pure)
+    or ``[[[`` (mixed rows) is read a row at a time: a row opening ``[[`` as
+    :func:`_float_pairs` of its text up to ``_ROW_END``, which lies in the row
+    if it is JSON, or else as json scans it.  Text that is not one JSON
+    document raises StopIteration, ValueError or RecursionError."""
+    ws, keys = WHITESPACE.match, {}
 
-    def row(s, j):
-        value, j = scan(s, j)
-        return _pair_row(value), j
+    def value(s, j, pairs=True):
+        end = pairs and _PAIRS_START.match(s, j) and _ROW_END.search(s, j)
+        if end:
+            with suppress(ValueError, OverflowError):  # no row of pairs; an int past float range
+                return _float_pairs(s[j:end.end()]), end.end()
+        return _SCAN(s, j)
 
     def member(s, i):
-        return JSONArray((s, i + 1), row) if _MATRIX_START.match(s, i) else scan(s, i)
+        key, _ = keys.popitem()  # the member's key, which JSONObject files in keys
+        start = _PAIRS_START.match(s, i) if key == "payload" else None
+        if start and start[1]:
+            return JSONArray((s, i + 1), value)
+        return value(s, i, pairs=start is not None)  # one frame deep, as json.loads scans it
 
     i = ws(text).end()
     if text.startswith("{", i):  # json's own object parser, one member hook
-        doc, i = JSONObject((text, i + 1), True, member, None, None)
+        doc, i = JSONObject((text, i + 1), True, member, None, None, keys)
     else:
-        doc, i = scan(text, i)
+        doc, i = _SCAN(text, i)
     if ws(text, i).end() != len(text):
         raise ValueError(f"extra data at {i}")
     return doc
 
 
-def _pair_row(row):
-    """``row`` as a (len, 2) float array if it lists [re, im] pairs of JSON
-    integers or floats (not booleans, strings or nulls), else as is."""
-    with suppress(TypeError, OverflowError):  # an entry with no len(); an int past float range
-        if type(row) is list and set(map(len, row)) == {2}:
-            flat = list(chain.from_iterable(row))  # a string or object entry gives str items
-            if set(map(type, flat)) <= {int, float}:
-                return np.array(flat, dtype=float).reshape(-1, 2)  # numpy reads flat lists fastest
-    return row
+def _float_pairs(row: str):
+    """The (p, 2) float array of ``row``, a ``[`` and the text after it up
+    to ``_ROW_END``, if it lists p [re, im] pairs, else ValueError.  Less
+    its JSON whitespace and number bytes the row must read
+    ``[[,],...,[,]]``; json's scanner then reads it as one flat list, inner
+    brackets blanked, which fails exactly where json refuses the row: the
+    cut leaves no number between pairs to fill an empty slot."""
+    raw = row.encode()
+    skeleton = raw.translate(None, b"0123456789.eE+- \t\n\r")
+    if skeleton != b"[%s[,]]" % (b"[,]," * ((len(skeleton) - 5) // 4)):
+        raise ValueError("not a row of [re, im] pairs")
+    flat, _ = _SCAN("[%s]" % raw.translate(_BLANK_BRACKETS).decode(), 0)
+    return np.array(flat, dtype=float).reshape(-1, 2)
 
 
 def _complex_payload(payload, shape, path):
@@ -419,26 +434,25 @@ def _complex_payload(payload, shape, path):
     pairs as a complex array.
 
     A pure payload is one row and a mixed payload's entries are rows, each
-    a (dim, 2) array of :func:`_pair_row`; they are stacked, checked to be
+    a (dim, 2) array of :func:`_scan_json`; they are stacked, checked to be
     finite, and ``payload`` emptied to free them before the state is built.
     Only when that fails are the entries walked, as scanned, to name the
     first bad one.
     """
     dim = shape[0]
-    if isinstance(payload, list) and len(payload) == dim:
-        rows = list(map(_pair_row, [payload] if len(shape) == 1 else payload))
-        if all(type(r) is np.ndarray and r.shape == (dim, 2) for r in rows):
-            floats = np.stack(rows)
-            if np.isfinite(floats).all():
-                payload.clear()
-                return floats.view(complex).reshape(shape)
+    rows = [payload] if len(shape) == 1 else payload
+    if (type(rows) is list and len(rows) == dim ** (len(shape) - 1)  # 1 row, or dim
+            and all(type(r) is np.ndarray and r.shape == (dim, 2) for r in rows)):
+        floats = np.stack(rows)
+        if np.isfinite(floats).all():
+            rows.clear()
+            return floats.view(complex).reshape(shape)
     if len(shape) == 1:  # an array entry was scanned as a list of pairs: no pair either
         _check_pairs(payload, dim, path)
     elif not isinstance(payload, list) or len(payload) != dim:
         raise StateFileError(f"{path}: field 'payload' must be a {dim}x{dim} matrix")
     else:
         for i, row in enumerate(payload):
-            row = row.tolist() if type(row) is np.ndarray else row  # as scanned
             _check_pairs(row, dim, path, field=f"payload[{i}]")
     raise StateFileError(f"{path}: field 'payload' must hold [re, im] pairs "
                          "of finite numbers")
@@ -446,7 +460,8 @@ def _complex_payload(payload, shape, path):
 
 def _check_pairs(entries, length, path, field="payload"):
     """Raise on the first entry of ``entries`` that is not an [re, im] pair
-    of finite numbers."""
+    of finite numbers; a row array is checked as its list of pairs."""
+    entries = entries.tolist() if type(entries) is np.ndarray else entries
     if not isinstance(entries, list) or len(entries) != length:
         raise StateFileError(f"{path}: field {field!r} must list {length} [re, im] pairs")
     for i, pair in enumerate(entries):

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -277,6 +278,10 @@ READER_TEXTS = {  # state files that json.loads reads
                                    "payload": [[[1, 0], [0, 0]], [[0, 0], [0, -0]]]}),
     "non-finite-tokens-elsewhere": ('{"dims": [2, 2], "x": [NaN, -Infinity, Infinity], '
                                     '"kind": "mixed", "payload": %s}' % _ROWS),
+    # the first payload is no row of pairs; the last one read is
+    "payload-then-pure-payload": ('{"payload": [[1, 0], 5], "dims": [2], "kind": "pure", '
+                                  '"payload": [[1, 0], [0, 0]]}'),
+    "escaped-payload-key": '{"dims": [2], "kind": "pure", "pay\\u006coad": [[1, 0], [0, 0]]}',
 }
 
 
@@ -296,6 +301,48 @@ def test_state_file_reader_loads_the_payload_json_loads_reads(tmp_path, monkeypa
     assert got.tobytes() == want.tobytes()
 
 
+_NUMBER_TEXTS = ("0", "-0", "-0.0", "3", "-12", "1E-5", "5e-324", "1e308", "-1e308")
+_SPACES = ("", " ", "\t", "\n", "\r\n")
+
+
+def _layout_text(rng, n, kind):
+    """A state file of random numbers in a random layout: pure or mixed,
+    dims [2] * n, its members in a random order, and a random run of JSON
+    whitespace between any two tokens."""
+    def number():
+        form = rng.randrange(4)
+        x = rng.uniform(-1, 1)
+        return (rng.choice(_NUMBER_TEXTS), repr(x), "%.17e" % x, "%.17E" % x)[form]
+
+    def tokens(depth):  # depth 1: one [re, im] pair
+        yield "["
+        for k in range(2 if depth == 1 else 2 ** n):
+            if k:
+                yield ","
+            yield from (tokens(depth - 1) if depth > 1 else [number()])
+        yield "]"
+
+    members = [['"dims"', ":", *json.dumps([2] * n)],
+               ['"kind"', ":", json.dumps(kind)],
+               ['"payload"', ":", *tokens(2 if kind == "pure" else 3)]]
+    rng.shuffle(members)
+    out = ["{", *members[0], ",", *members[1], ",", *members[2], "}"]
+    return "".join(t + "".join(rng.choices(_SPACES, k=rng.randrange(3))) for t in out)
+
+
+def test_state_file_reader_reads_random_layouts_to_json_loads_bits(tmp_path, monkeypatch):
+    # the built state would refuse most payloads here, so it is the payload array itself
+    monkeypatch.setattr(DensityState, "from_amplitudes", classmethod(lambda cls, a, dims: a))
+    monkeypatch.setattr(DensityState, "from_matrix", classmethod(lambda cls, m, dims: m))
+    rng = random.Random(31)
+    path = tmp_path / "state.json"
+    for _ in range(120):
+        text = _layout_text(rng, rng.randint(1, 4), rng.choice(["pure", "mixed"]))
+        path.write_text(text, encoding="utf-8", newline="")
+        want = np.array(json.loads(text)["payload"], float).view(complex)
+        assert load_state_file(str(path)).tobytes() == want.tobytes(), text
+
+
 def _matrix_text(n, bad_row):
     """A mixed state file of the maximally mixed n-qubit state, its row
     ``bad_row`` replaced by a list that is no row of pairs."""
@@ -305,6 +352,10 @@ def _matrix_text(n, bad_row):
     return json.dumps({"dims": [2] * n, "kind": "mixed", "payload": rows})
 
 
+_ONE_PAIR_TEXTS = {  # state files whose last pair is %s
+    "mixed": '{"dims": [2], "kind": "mixed", "payload": [[[0.5, 0], [0, 0]], [[0, 0], %s]]}',
+    "pure": '{"dims": [2], "kind": "pure", "payload": [[1, 0], %s]}',
+}
 NOT_JSON_TEXTS = {  # state files json.loads refuses
     "trailing-garbage": READER_TEXTS["compact"] + " x",
     "trailing-brace": READER_TEXTS["indent-2"] + "\n}",
@@ -322,6 +373,19 @@ NOT_JSON_TEXTS = {  # state files json.loads refuses
     "single-quoted-string": READER_TEXTS["compact"].replace('"mixed"', "'mixed'"),
     "empty-file": "",
     "byte-order-mark": "\ufeff" + READER_TEXTS["compact"],
+    # pairs whose numbers json refuses, in a mixed row and in a pure payload
+    **{f"{kind}-pair-{name}": text % pair for kind, text in _ONE_PAIR_TEXTS.items()
+       for name, pair in (("plus", "[+1, 0]"), ("leading-zero", "[01, 0]"),
+                          ("bare-fraction", "[.5, 0]"), ("bare-point", "[1., 0]"),
+                          ("bare-exponent", "[1e, 0]"), ("no-comma", "[1 2]"),
+                          ("arabic-digit", "[\u0661, 0]"), ("empty-slot", "[, 0]"))},
+    # numbers outside their pairs, the brackets and commas where a row of pairs has them
+    "number-after-an-empty-slot": ('{"dims": [2], "kind": "mixed", '
+                                   '"payload": [[[0.5, ]0, [0, 0]], [[0, 0], [0.5, 0]]]}'),
+    "number-after-its-pair": ('{"dims": [2], "kind": "mixed", '
+                              '"payload": [[[0.5, 0] 0, [0, 0]], [[0, 0], [0.5, 0]]]}'),
+    "pure-number-after-an-empty-slot": ('{"dims": [2], "kind": "pure", '
+                                        '"payload": [[1, ]0, [0, 0]]}'),
 }
 
 
@@ -367,10 +431,10 @@ def test_state_file_rows_are_freed_before_the_state_is_built(tmp_path, monkeypat
     path = tmp_path / "mixed.json"
     save_state_file(random_density((2, 2), np.random.default_rng(5)), str(path))
     rows, seen = [], []
-    pair_row, from_matrix = cli._pair_row, DensityState.from_matrix.__func__
+    float_pairs, from_matrix = cli._float_pairs, DensityState.from_matrix.__func__
 
     def keep(row):
-        out = pair_row(row)
+        out = float_pairs(row)
         rows.append(weakref.ref(out))
         return out
 
@@ -378,10 +442,36 @@ def test_state_file_rows_are_freed_before_the_state_is_built(tmp_path, monkeypat
         seen.append([ref() is None for ref in rows])
         return from_matrix(cls, matrix, dims, **kwargs)
 
-    monkeypatch.setattr(cli, "_pair_row", keep)
+    monkeypatch.setattr(cli, "_float_pairs", keep)
     monkeypatch.setattr(DensityState, "from_matrix", classmethod(build))
     load_state_file(str(path))
     assert len(rows) >= 4 and seen == [[True] * len(rows)]
+
+
+def test_state_file_reader_checks_each_byte_at_most_once(tmp_path, monkeypatch):
+    # a row of pairs, 511 flat lists, then 512 flat lists behind one pair. A flat list's
+    # only "]" is its last, and a list behind one pair holds no "]]", so a reader that
+    # cut rows not opening "[[", or cut each row at the next "]]", would hand about
+    # rows x file bytes to the check
+    path = tmp_path / "flat-rows.json"
+    flat = ", ".join(["0"] * 2048)
+    rows = ", ".join(["[" + ", ".join(["[0, 0]"] * 1024) + "]"] + ["[%s]" % flat] * 511
+                     + ["[[0, 0], %s]" % flat[6:]] * 512)
+    path.write_text('{"dims": [2, 2, 2, 2, 2, 2, 2, 2, 2, 2], "kind": "mixed", '
+                    '"payload": [%s]}' % rows)
+    size, checked = path.stat().st_size, []
+    float_pairs = cli._float_pairs
+
+    def count(row):
+        checked.append(len(row))
+        assert sum(checked) <= size, f"{len(checked)} checks read {sum(checked)} bytes"
+        return float_pairs(row)
+
+    monkeypatch.setattr(cli, "_float_pairs", count)
+    result = run("profile", "--state", str(path))
+    assert result.exit_code == 2, (errtext(result), result.exception)
+    assert result.stderr == (f"error: {path}: field 'payload[1]' must list 1024 "
+                             "[re, im] pairs\n")
 
 
 def test_state_file_reader_peaks_at_about_twice_the_file_size(tmp_path):
@@ -446,6 +536,20 @@ BAD_PAYLOAD_TEXTS = {
                               "field 'payload[0]' must list 2 [re, im] pairs"),
     "mixed-row-as-string": (json.dumps({"dims": [2], "kind": "mixed", "payload": [_M, "ab"]}),
                             "field 'payload[1]' must list 2 [re, im] pairs"),
+    # pairs json reads that are no [re, im] pairs of finite numbers
+    **{f"{kind}-pair-{name}": (_ONE_PAIR_TEXTS[kind] % pair, f"field {field!r} entry 1 "
+                               "must be an [re, im] pair of finite numbers")
+       for kind, field in (("mixed", "payload[1]"), ("pure", "payload"))
+       for name, pair in (("nested", "[[1], 2]"), ("nan", "[NaN, 0]"),
+                          ("minus-infinity", "[-Infinity, 0]"))},
+    # only the payload is read as rows of pairs; any other member keeps json's value
+    "kind-as-rows": ('{"dims":[2],"kind":[[[1,2]]],"payload":[]}',
+                     "field 'kind' must be pure, mixed, or classical, got [[[1, 2]]]"),
+    "kind-as-two-rows": ('{"dims":[2],"kind":[[[1,2],[3,4]],[[5,6]]],"payload":[]}',
+                         "field 'kind' must be pure, mixed, or classical, "
+                         "got [[[1, 2], [3, 4]], [[5, 6]]]"),
+    "kind-as-pairs": ('{"dims":[2],"kind":[[1, 2]],"payload":[]}',
+                      "field 'kind' must be pure, mixed, or classical, got [[1, 2]]"),
 }
 
 
