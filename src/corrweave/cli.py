@@ -126,14 +126,6 @@ def _round12(x: float) -> float:
     return float(format(float(x), ".12g"))
 
 
-class _IntText(dict):
-    """The text of each int, formatted on first lookup."""
-
-    def __missing__(self, i):
-        text = self[i] = int.__repr__(i)
-        return text
-
-
 def _float_texts(xs) -> list[str]:
     """The text of each float in ``xs`` rounded by :func:`_round12`, as
     ``repr`` prints it; a NaN or an infinity raises a NumericError.
@@ -160,14 +152,13 @@ def _json_chunks(doc) -> Iterator[str]:
     except those of a list of SetPartitions (a profile's argmin, N^2
     indices): its chunks, one per partition, are made as they are read,
     and formatting ints cannot fail.  A list of ints or of floats is one
-    chunk, its ints from a table that formats each distinct int once per
-    report, its floats from one :func:`_float_texts` pass."""
+    chunk, its floats from one :func:`_float_texts` pass."""
     out: list = []
-    _write_json(doc, "", out.append, _IntText())
+    _write_json(doc, "", out.append)
     return chain.from_iterable([c] if isinstance(c, str) else c for c in out)
 
 
-def _write_json(obj, pad: str, write, ints: _IntText) -> None:
+def _write_json(obj, pad: str, write) -> None:
     """Pass the text of ``obj``, indented by ``pad``, to ``write``: a
     string, or for a list of SetPartitions an iterator of strings."""
     if isinstance(obj, str):
@@ -188,16 +179,16 @@ def _write_json(obj, pad: str, write, ints: _IntText) -> None:
         if not obj:
             write("[]")
         elif types == {SetPartition}:
-            write(_partition_chunks(obj, pad, ints))
+            write(_partition_chunks(obj, pad))
         elif types == {int} or types == {float}:
-            texts = map(ints.__getitem__, obj) if int in types else _float_texts(obj)
+            texts = map(int.__repr__, obj) if int in types else _float_texts(obj)
             sep = ",\n" + inner
             write(f"[\n{inner}{sep.join(texts)}\n{pad}]")
         else:
             sep = "[\n" + inner
             for item in obj:
                 write(sep)
-                _write_json(item, inner, write, ints)
+                _write_json(item, inner, write)
                 sep = ",\n" + inner
             write(f"\n{pad}]")
     elif isinstance(obj, dict):
@@ -208,19 +199,19 @@ def _write_json(obj, pad: str, write, ints: _IntText) -> None:
             sep = "{\n" + inner
             for key, item in obj.items():
                 write(f"{sep}{encode_basestring_ascii(key)}: ")
-                _write_json(item, inner, write, ints)
+                _write_json(item, inner, write)
                 sep = ",\n" + inner
             write(f"\n{pad}}}")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _partition_chunks(parts, pad: str, ints: _IntText) -> Iterator[str]:
+def _partition_chunks(parts, pad: str) -> Iterator[str]:
     """The text of ``parts``, a nonempty list of SetPartitions indented by
     ``pad``, one chunk per partition.  A partition's blocks are sorted and
     disjoint, so a block is a run of consecutive indices exactly when its
     ends are ``len - 1`` apart; its text is then one slice of the text of
-    the indices 0..N-1, made once.  Any other block is joined from ``ints``."""
+    the indices 0..N-1, made once.  Any other block is joined index by index."""
     item, block, index = pad + "  ", pad + "    ", "\n" + pad + "      "
     pieces = [f"{index}{i}," for i in range(max(p.n for p in parts))]
     start = [0, *accumulate(map(len, pieces))]
@@ -229,7 +220,7 @@ def _partition_chunks(parts, pad: str, ints: _IntText) -> Iterator[str]:
     def lines(b):  # the lines of block b's indices
         if b[-1] - b[0] == len(b) - 1:
             return text[start[b[0]]:start[b[-1] + 1] - 1]
-        return index + f",{index}".join(map(ints.__getitem__, b))
+        return index + f",{index}".join(map(int.__repr__, b))
 
     head, sep, close = f"\n{item}[\n{block}[", f"\n{block}],\n{block}[", f"\n{block}]\n{item}]"
     lead = "["

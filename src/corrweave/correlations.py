@@ -27,10 +27,8 @@ from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
 # enumerate_partitions is not called here; it stays importable for callers that patch it.
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition,  # noqa: F401
                          compact_partitions, compact_sum, enumerate_partitions)
-from .tensor import (REP_CLASSICAL, DensityState, _classical_entropies,
-                     _classical_prefix_entropies, _normalize_keep, _spectral_entropies,
-                     is_permutation_invariant, marginal_entropy, partial_trace,
-                     permute_subsystems, tensor_product)
+from .tensor import (DensityState, _normalize_keep, entropy_passes, is_permutation_invariant,
+                     marginal_entropy, partial_trace, permute_subsystems, tensor_product)
 
 #: dist/genuine values may dip this far below zero (or above the previous
 #: order) before a consistency error is raised instead of clamping.
@@ -61,11 +59,7 @@ def subset_entropies(state: DensityState) -> list[float]:
 
     Every entropy has the bits of ``marginal_entropy(state, subset)``.
     The first call fills the state's memo, the empty set included, from
-    one batched pass: over the table of a classical state
-    (:func:`corrweave.tensor._classical_entropies`), and over stacks of
-    equal-shape amplitude matrices or traced marginals, one LAPACK call
-    per stack, for a pure or dense state
-    (:func:`corrweave.tensor._spectral_entropies`).
+    the state's all-subsets pass (:func:`corrweave.tensor.entropy_passes`).
     """
     n = state.n_parties
     if n > DEFAULT_ENUM_CAP:
@@ -74,8 +68,7 @@ def subset_entropies(state: DensityState) -> list[float]:
     table = state._entropies
     masks = range(1 << n)
     if len(table) < len(masks):  # the memo holds the empty set once the pass ran
-        fill = _classical_entropies if state.rep == REP_CLASSICAL else _spectral_entropies
-        table.update(enumerate(fill(state).tolist()))
+        table.update(enumerate(entropy_passes(state)[0](state).tolist()))
     return [table[mask] for mask in masks]
 
 
@@ -91,12 +84,13 @@ def _entropy(state: DensityState, mask: int, keep: Iterable[int]) -> float:
 def _prefix_entropies(state: DensityState, sizes: Iterable[int]) -> np.ndarray:
     """``h[s]``, the entropy of parties ``0..s-1`` (of any ``s`` parties
     when the state is permutation invariant), for each ``s`` in ``sizes``;
-    ``h`` runs over ``0..N`` and is 0.0 at every other ``s``; a classical
-    state's memo takes every prefix from :func:`_classical_prefix_entropies`."""
+    ``h`` runs over ``0..N`` and is 0.0 at every other ``s``; the memo takes
+    every prefix from the state's prefix pass, if any (:func:`entropy_passes`)."""
     sizes = sorted(set(sizes) - {0})
-    if state.rep == REP_CLASSICAL and any((1 << s) - 1 not in state._entropies for s in sizes):
-        state._entropies.update(((1 << s) - 1, value) for s, value
-                                in enumerate(_classical_prefix_entropies(state).tolist()) if s)
+    fill = entropy_passes(state)[1]
+    if fill and any((1 << s) - 1 not in state._entropies for s in sizes):
+        state._entropies.update(((1 << s) - 1, value)
+                                for s, value in enumerate(fill(state).tolist()) if s)
     h = np.zeros(state.n_parties + 1)
     for s in sizes:
         h[s] = _entropy(state, (1 << s) - 1, range(s))

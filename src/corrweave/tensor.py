@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -529,9 +529,7 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
     never build its table.  Dense states diagonalize the matrix
     :func:`_dense_partial_trace` gives, the state's own on the full set,
     with no marginal state built.  Every subset's value, with the same
-    bits, comes from one batched pass:
-    :func:`_classical_entropies` for a classical state,
-    :func:`_spectral_entropies` for the others.
+    bits, comes from one batched pass (:func:`entropy_passes`).
     """
     n = state.n_parties
     keep = _normalize_keep(keep, n)
@@ -700,96 +698,113 @@ def _spectra_bits(values: np.ndarray, ends: np.ndarray) -> np.ndarray:
 _STACK_BYTES = 1 << 18
 
 
-def _spectral_entropies(state: DensityState) -> np.ndarray:
-    """The entropy of every subset of a pure or dense state's parties,
-    indexed by bitmask (entry 0, the empty set, is 0.0), each with the
-    bits of :func:`marginal_entropy`.
-
-    Matrices of one shape are stacked, ``_STACK_BYTES`` at most in all,
-    and each stack is one ``np.linalg.svd`` or ``eigvalsh`` call.  numpy
-    copies each matrix of a stack into the Fortran-ordered buffer a lone
-    matrix gets, so a spectrum does not depend on its stack, and
-    :func:`_spectra_bits` values it as :func:`_shannon_bits` would.
-
-    A pure state's subset is computed when its dimension ``dk`` is at most
-    its complement's, from the (``dk``, traced) amplitude matrix
-    :func:`marginal_entropy` takes.  The subsets of one ``dk`` form a
-    group, whatever their parties: each matrix of a chunk is the amplitude
-    tensor transposed to put the subset's parties first, copied into its
-    slot of the stack.  An unbalanced cut's complement takes its bits, as
-    the transpose of the same matrix; a balanced cut is computed on both
-    sides.  A dense state's marginal is traced from its parent, the subset
-    plus its lowest missing party, by one ``np.trace``: tracing from the
-    whole state removes parties highest index first
-    (:func:`_dense_partial_trace`), so that is its last step.  The parents
-    are walked depth first, one chain alive at a time, and the full-set
-    entropy :meth:`DensityState.from_matrix` stored is reused.
-    """
+def _pure_entropies(state: DensityState) -> np.ndarray:
+    """The entropy of every subset of a pure state's parties, indexed by
+    bitmask, each with the bits of :func:`marginal_entropy`.  A subset of
+    dimension ``dk`` at most its complement's is computed from the (``dk``,
+    traced) amplitude matrix that takes: the amplitude tensor transposed to
+    put the subset's parties first, copied into a stack of one ``dk``,
+    whatever the parties.  An unbalanced cut's complement takes its bits,
+    as the transpose of the same matrix; a balanced cut is computed on both
+    sides."""
     n = state.n_parties
     full = (1 << n) - 1
-    h = np.zeros(full + 1)
     found = []  # (subsets, their spectra as rows)
-    if state.rep == REP_PURE:
-        dims, dim = np.array(state.dims), state.dim
-        masks = np.arange(1, full)
-        kept = (masks[:, None] >> np.arange(n) & 1).astype(bool)
-        dk = np.where(kept, dims, 1).prod(axis=1)
-        small = dk * dk <= dim
-        # each subset's parties, kept ones first, as _pure_amp_matrix orders them
-        order = np.argsort(~kept, axis=1, kind="stable")
-        t = state._amps.reshape(state.dims)
-        step = max(1, _STACK_BYTES // (16 * dim))
-        for d in sorted(set(dk[small].tolist())):
-            group = np.flatnonzero(small & (dk == d))
-            for i in range(0, len(group), step):
-                rows = group[i:i + step]
-                stack = np.empty((len(rows), d, dim // d), complex)
-                perms = order[rows]  # as lists, which transpose reads faster than arrays
-                for matrix, axes, shape in zip(stack, perms.tolist(), dims[perms].tolist()):
-                    matrix.reshape(shape)[...] = t.transpose(axes)
-                s = np.linalg.svd(stack, compute_uv=False)
-                found.append((masks[rows], s * s))
-    else:
-        stored = state._entropies.get(full)
-        h[full] = vn_entropy(state) if stored is None else stored
-        pending: dict[int, list] = {}  # marginal dimension -> [(subset, marginal)]
+    dims, dim = np.array(state.dims), state.dim
+    masks = np.arange(1, full)
+    kept = (masks[:, None] >> np.arange(n) & 1).astype(bool)
+    dk = np.where(kept, dims, 1).prod(axis=1)
+    small = dk * dk <= dim
+    # each subset's parties, kept ones first, as _pure_amp_matrix orders them
+    order = np.argsort(~kept, axis=1, kind="stable")
+    t = state._amps.reshape(state.dims)
+    step = max(1, _STACK_BYTES // (16 * dim))
+    for d in sorted(set(dk[small].tolist())):
+        group = np.flatnonzero(small & (dk == d))
+        for i in range(0, len(group), step):
+            rows = group[i:i + step]
+            stack = np.empty((len(rows), d, dim // d), complex)
+            perms = order[rows]  # as lists, which transpose reads faster than arrays
+            for matrix, axes, shape in zip(stack, perms.tolist(), dims[perms].tolist()):
+                matrix.reshape(shape)[...] = t.transpose(axes)
+            s = np.linalg.svd(stack, compute_uv=False)
+            found.append((masks[rows], s * s))
+    h = _stacked_bits(n, found)
+    h[masks[~small]] = h[full ^ masks[~small]]
+    return h
+
+
+def _dense_entropies(state: DensityState) -> np.ndarray:
+    """The entropy of every subset of a dense state's parties, indexed by
+    bitmask, each with the bits of :func:`marginal_entropy`.  A marginal is
+    traced from its parent, the subset plus its lowest missing party, by
+    one ``np.trace``: tracing from the whole state removes parties highest
+    index first (:func:`_dense_partial_trace`), so that is its last step.
+    The parents are walked depth first, one chain alive at a time, and the
+    full-set entropy :meth:`DensityState.from_matrix` stored is reused."""
+    n = state.n_parties
+    full = (1 << n) - 1
+    found = []  # (subsets, their spectra as rows)
+    pending: dict[int, list] = {}  # marginal dimension -> [(subset, marginal)]
+    held = 0
+
+    def flush():
+        nonlocal held
+        for items in pending.values():
+            subsets, marginals = zip(*items)
+            found.append((subsets, np.linalg.eigvalsh(_hermitize(np.stack(marginals)))))
+        pending.clear()
         held = 0
 
-        def flush():
-            nonlocal held
-            for items in pending.values():
-                subsets, marginals = zip(*items)
-                found.append((subsets, np.linalg.eigvalsh(_hermitize(np.stack(marginals)))))
-            pending.clear()
-            held = 0
+    def walk(parent, dims, mask):
+        # the children of mask lack one party b below its lowest missing party
+        nonlocal held
+        k = len(dims)
+        low = (~mask & (mask + 1)).bit_length() - 1
+        t = parent.reshape(dims * 2)
+        for b in range(low if k > 1 else 0):
+            sub = dims[:b] + dims[b + 1:]
+            d = math.prod(sub)
+            marginal = np.trace(t, axis1=b, axis2=k + b).reshape(d, d)
+            if held + marginal.nbytes > _STACK_BYTES:
+                flush()
+            pending.setdefault(d, []).append((mask ^ 1 << b, marginal))
+            held += marginal.nbytes
+            if b and k > 2:  # the child has children
+                walk(marginal, sub, mask ^ 1 << b)
 
-        def walk(parent, dims, mask):
-            # the children of mask lack one party b below its lowest missing party
-            nonlocal held
-            k = len(dims)
-            low = (~mask & (mask + 1)).bit_length() - 1
-            t = parent.reshape(dims * 2)
-            for b in range(low if k > 1 else 0):
-                sub = dims[:b] + dims[b + 1:]
-                d = math.prod(sub)
-                marginal = np.trace(t, axis1=b, axis2=k + b).reshape(d, d)
-                if held + marginal.nbytes > _STACK_BYTES:
-                    flush()
-                pending.setdefault(d, []).append((mask ^ 1 << b, marginal))
-                held += marginal.nbytes
-                if b and k > 2:  # the child has children
-                    walk(marginal, sub, mask ^ 1 << b)
+    walk(state._matrix, state.dims, full)
+    flush()
+    h = _stacked_bits(n, found)
+    stored = state._entropies.get(full)
+    h[full] = vn_entropy(state) if stored is None else stored
+    return h
 
-        walk(state._matrix, state.dims, full)
-        flush()
+
+def _stacked_bits(n: int, found: list) -> np.ndarray:
+    """The entropy of each subset of ``n`` parties, indexed by bitmask: of
+    those in ``found``, a list of (subsets, their spectra as the rows of one
+    stack), as :func:`_shannon_bits` values its spectrum; 0.0 elsewhere.  A
+    stack is one LAPACK call over matrices of one shape, ``_STACK_BYTES``
+    at most in all; numpy copies each into the Fortran-ordered buffer a
+    lone matrix gets, so a spectrum does not depend on its stack."""
+    h = np.zeros(1 << n)
     if found:
         subsets, spectra = zip(*found)
         ends = np.cumsum(np.repeat([p.shape[1] for p in spectra], [len(p) for p in spectra]))
         h[np.concatenate(subsets)] = _spectra_bits(np.concatenate([p.ravel() for p in spectra]),
                                                    ends)
-    if state.rep == REP_PURE:  # an unbalanced cut's complement has its bits
-        h[masks[~small]] = h[full ^ masks[~small]]
     return h
+
+
+def entropy_passes(state: DensityState) -> tuple[Callable, Optional[Callable]]:
+    """The batched passes that give every subset entropy of ``state`` and
+    its prefix entropies, each looked up when this is called.  The prefix
+    pass is None for pure and dense states (N <= 12), whose prefixes are
+    one :func:`marginal_entropy` call each."""
+    if state.rep == REP_CLASSICAL:
+        return _classical_entropies, _classical_prefix_entropies
+    return (_pure_entropies if state.rep == REP_PURE else _dense_entropies), None
 
 
 def relative_entropy(rho: DensityState, sigma: DensityState) -> float:

@@ -74,6 +74,28 @@ def _shannon(p: np.ndarray) -> float:
     return h if h > 0 else 0.0
 
 
+def cut_ranks(adjacency) -> np.ndarray:
+    """The GF(2) rank of the adjacency block ``Gamma[A, not A]`` for every
+    subset ``A`` of a graph's vertices, indexed by bitmask: the entropy in
+    bits of ``A`` in the graph state (Hein, Eisert & Briegel, PRA 69,
+    062311, 2004).  ``adjacency[i]`` is the bitmask of vertex ``i``'s
+    neighbours.  Each subset's rows, ``adjacency[i] & ~A`` for ``i`` in
+    ``A``, are held as bitmasks and eliminated one column at a time, for
+    all subsets at once: a row holding the column is the pivot, is XORed
+    into every row holding it (itself included), and counts one."""
+    n = len(adjacency)
+    masks = np.arange(1 << n)
+    rows = np.where(masks[:, None] >> np.arange(n) & 1,
+                    np.asarray(adjacency) & ~masks[:, None], 0)
+    rank = np.zeros(1 << n, int)
+    for bit in range(n):
+        has = rows >> bit & 1
+        pivot = rows[masks, has.argmax(axis=1)]
+        rows ^= has * pivot[:, None]
+        rank += has.any(axis=1)
+    return rank
+
+
 def dicke_spectrum_per_k(n: int, m: int, k: int) -> np.ndarray:
     """The k-site Dicke spectrum ``C(k, i) C(n-k, m-i) / C(n, m)`` by the
     per-k recurrence: term ratios unrolled both ways from 1.0 at the mode

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from oracles import subset_entropy
 
-from corrweave import correlations
+from corrweave import correlations, tensor
 from corrweave import (ArgumentError, CapacityError, ConsistencyError,
                        CorrelationProfile, DensityState, NumericError,
                        WeightScheme,
@@ -546,7 +546,7 @@ def test_invariant_route_computes_each_prefix_entropy_once(monkeypatch, make):
     n = state.n_parties
     stored = set(state._entropies)  # the full set of a validated dense state
     calls, passes = [], []
-    real, real_pass = correlations.marginal_entropy, correlations._classical_prefix_entropies
+    real, real_pass = correlations.marginal_entropy, tensor._classical_prefix_entropies
 
     def counting(state, keep):
         calls.append(tuple(keep))
@@ -557,7 +557,7 @@ def test_invariant_route_computes_each_prefix_entropy_once(monkeypatch, make):
         return real_pass(state)
 
     monkeypatch.setattr(correlations, "marginal_entropy", counting)
-    monkeypatch.setattr(correlations, "_classical_prefix_entropies", counting_pass)
+    monkeypatch.setattr(tensor, "_classical_prefix_entropies", counting_pass)
     assert profile(state).mode == "symmetric-fast"
     neural_complexity(state)
     if state.is_classical:  # every prefix from one pass over the table
@@ -566,6 +566,21 @@ def test_invariant_route_computes_each_prefix_entropy_once(monkeypatch, make):
         assert passes == []
         assert sorted(calls) == [tuple(range(s)) for s in range(1, n + 1)
                                  if (1 << s) - 1 not in stored]
+
+
+def test_subset_entropies_look_the_pure_pass_up_when_called(monkeypatch):
+    state = haar_state((2, 3, 2), np.random.default_rng(30))
+    passes = []
+    real = tensor._pure_entropies
+
+    def counting_pass(state):
+        passes.append(state)
+        return real(state)
+
+    monkeypatch.setattr(tensor, "_pure_entropies", counting_pass)
+    assert _hex(subset_entropies(state)) == _hex(_reference(state))
+    subset_entropies(state)  # from the memo
+    assert passes == [state]
 
 
 def test_profile_beyond_its_cap_is_refused_before_any_work():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import cut_ranks
 
 from corrweave import tensor
 from corrweave import (ArgumentError, CapacityError, DensityState, KrausChannel,
@@ -248,6 +249,18 @@ def test_marginal_entropy_routes_agree():
     dense = DensityState.from_matrix(c.to_matrix(), c.dims)
     for keep in ((0,), (0, 1), (1, 2)):
         assert abs(marginal_entropy(c, keep) - marginal_entropy(dense, keep)) < 1e-10
+    # every subset, through the three all-subsets passes: a classical table and
+    # a pure state each against the same state as a dense matrix
+    rng = np.random.default_rng(239)
+    for n in range(2, 6):
+        for _ in range(3):
+            dims = tuple(rng.choice([2, 3], size=n).tolist())
+            table, amps = random_classical(dims, rng), haar_state(dims, rng).amplitudes()
+            for state, matrix in ((table, table.to_matrix()),
+                                  (DensityState.from_amplitudes(amps, dims),
+                                   np.outer(amps, amps.conj()))):
+                want = subset_entropies(DensityState.from_matrix(matrix, dims))
+                assert np.abs(np.subtract(subset_entropies(state), want)).max() <= 1e-12, dims
 
 
 # -- entropies --------------------------------------------------------------
@@ -620,6 +633,44 @@ def test_classical_prefix_edge_cases(monkeypatch, state, block):
     if block is not None:  # at most 5 labels per block: one or two prefixes at a time
         monkeypatch.setattr(tensor, "_LABEL_BLOCK", block)
     _assert_prefixes_have_the_bits_of_marginal_entropy(state)
+
+
+# -- the pure and dense passes ----------------------------------------------
+
+@pytest.mark.parametrize("dims", [(3, 2, 3, 2, 2), (2,) * 7], ids=["32322", "2^7"])
+@pytest.mark.parametrize("make", [haar_state, lambda dims, rng: random_density(dims, rng, rank=3)],
+                         ids=["pure", "dense-rank3"])
+def test_spectral_passes_do_not_depend_on_their_stacks(monkeypatch, make, dims):
+    state = make(dims, np.random.default_rng(619))
+    fill = tensor.entropy_passes(state)[0]
+    default = fill(state).tobytes()
+    # one matrix per stack; the dense pass flushes before every marginal
+    monkeypatch.setattr(tensor, "_STACK_BYTES", 1)
+    assert fill(state).tobytes() == default
+
+
+def _random_graph_state(n, rng):
+    """The amplitudes (-1)^(sum_{i<j} G_ij x_i x_j) / 2^(n/2) of a random
+    graph G on n qubits, party 0 the most significant digit, and G's rows
+    as neighbour bitmasks."""
+    upper = np.triu(rng.random((n, n)) < 0.5, 1).astype(int)
+    x = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    amps = (-1.0) ** ((x @ upper) * x).sum(axis=1) / 2 ** (n / 2)
+    return amps, ((upper + upper.T) << np.arange(n)).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_graph_state_entropies_are_the_cut_ranks(n):
+    # a graph state's entropy of A is the GF(2) rank of the block G[A, not A]
+    rng = np.random.default_rng(2004 + n)
+    for _ in range(2 if n > 10 else 4):
+        amps, adjacency = _random_graph_state(n, rng)
+        want = cut_ranks(adjacency)
+        states = [DensityState.from_amplitudes(amps, (2,) * n)]
+        if n <= 7:
+            states.append(DensityState.from_matrix(np.outer(amps, amps), (2,) * n))
+        for state in states:
+            assert np.abs(subset_entropies(state) - want).max() <= 1e-12, (state, adjacency)
 
 
 def test_classical_subset_entropies_stay_small_at_the_cap():
