@@ -22,7 +22,7 @@ import re
 import sys
 from contextlib import contextmanager, suppress
 from csv import writer as csv_writer
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
 from json.decoder import JSONArray, JSONObject, WHITESPACE
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -208,25 +208,22 @@ def _write_json(obj, pad: str, write) -> None:
 
 def _partition_chunks(parts, pad: str) -> Iterator[str]:
     """The text of ``parts``, a nonempty list of SetPartitions indented by
-    ``pad``, one chunk per partition.  A partition's blocks are sorted and
-    disjoint, so a block is a run of consecutive indices exactly when its
-    ends are ``len - 1`` apart; its text is then one slice of the text of
-    the indices 0..N-1, made once.  Any other block is joined index by index."""
+    ``pad``, one chunk per partition.  When a partition's labels never fall,
+    each block is a run of indices, its text one slice of the text of the
+    indices 0..N-1, made once; any other partition is joined index by index."""
     item, block, index = pad + "  ", pad + "    ", "\n" + pad + "      "
     pieces = [f"{index}{i}," for i in range(max(p.n for p in parts))]
     start = [0, *accumulate(map(len, pieces))]
     text = "".join(pieces)
-
-    def lines(b):  # the lines of block b's indices
-        if b[-1] - b[0] == len(b) - 1:
-            return text[start[b[0]]:start[b[-1] + 1] - 1]
-        return index + f",{index}".join(map(int.__repr__, b))
-
     head, sep, close = f"\n{item}[\n{block}[", f"\n{block}],\n{block}[", f"\n{block}]\n{item}]"
-    lead = "["
-    for part in parts:
-        yield "".join((lead, head, sep.join(map(lines, part.blocks)), close))
-        lead = ","
+    for lead, part in zip(chain("[", repeat(",")), parts):
+        cuts = (part.labels[1:] != part.labels[:-1]).nonzero()[0].tolist()
+        if len(cuts) == part.labels[-1]:  # labels change once a block iff they never fall
+            ends = [start[i + 1] for i in (-1, *cuts, part.n - 1)]
+            blocks = [text[a:b - 1] for a, b in zip(ends, ends[1:])]
+        else:
+            blocks = [index + f",{index}".join(map(int.__repr__, b)) for b in part.blocks]
+        yield "".join((lead, head, sep.join(blocks), close))
     yield f"\n{pad}]"
 
 

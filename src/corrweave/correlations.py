@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate, repeat
 from operator import mul, sub
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -26,7 +26,7 @@ import numpy as np
 from .errors import ArgumentError, CapacityError, ConsistencyError, NumericError
 # enumerate_partitions is not called here; it stays importable for callers that patch it.
 from .partitions import (DEFAULT_ENUM_CAP, SetPartition,  # noqa: F401
-                         compact_partitions, compact_sum, enumerate_partitions)
+                         compact_partition, compact_sum, enumerate_partitions, integer)
 from .tensor import (DensityState, _normalize_keep, entropy_passes, is_permutation_invariant,
                      marginal_entropy, partial_trace, permute_subsystems, tensor_product)
 
@@ -42,7 +42,7 @@ PROFILE_SUM_TOL = 1e-8
 TIE_TOL = 1e-15
 
 #: Largest N that :func:`profile` takes: it holds one partition per
-#: order, N^2 party indices in all.  :func:`dist_to_pk` and
+#: order, N^2 block labels in all.  :func:`dist_to_pk` and
 #: :func:`neural_complexity` are not capped.
 MAX_PROFILE_N = 4096
 
@@ -265,7 +265,7 @@ def dist_to_pk(state: DensityState, k: int, mode: str = MODE_AUTO) -> PartitionM
     blocks of k and one of r, gives ``q h(k) + h(r) - h(N)``, h(s) the
     entropy of the first s parties.
     """
-    n = state.n_parties
+    n, k = state.n_parties, integer(k, "order k")
     if not 1 <= k <= n:
         raise ArgumentError(f"order k={k} out of range 1..{n}")
     return _minima(state, [k], mode)[1][0]
@@ -299,7 +299,7 @@ def _compact_minima(state: DensityState,
     orders = np.asarray(ks)
     h = _prefix_entropies(state, {n, *orders.tolist(), *(n % orders).tolist()})
     values = (compact_sum(n, orders, h) - h[n]).tolist()
-    return list(zip(values, compact_partitions(n, ks)))
+    return [(value, compact_partition(n, k)) for value, k in zip(values, ks)]
 
 
 #: (block, rest) pairs the layered dynamic program gathers at a time, for
@@ -422,10 +422,8 @@ def _minimum_of_order(h: list[float], f: list[float], n: int, k: int) -> Partiti
     for key, value in sorted(c for c in candidates if c[1] <= cut):
         if value < best - TIE_TOL:
             best, best_key = value, key
-    blocks: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        blocks[best_key // place[i] % n].append(i)
-    return PartitionMinimum(best, SetPartition(b for b in blocks if b))
+    labels = np.array([best_key // p % n for p in place], np.min_scalar_type(n))
+    return PartitionMinimum(best, SetPartition._of(labels))
 
 
 def profile(state: DensityState, mode: str = MODE_AUTO) -> CorrelationProfile:
@@ -471,13 +469,8 @@ def closest_product(state: DensityState, partition: SetPartition) -> DensityStat
     if partition.n != state.n_parties:
         raise ArgumentError(
             f"partition covers {partition.n} parties, state has {state.n_parties}")
-    out = None
-    for block in partition.blocks:
-        marg = partial_trace(state, block)
-        out = marg if out is None else tensor_product(out, marg)
-    flat = [i for block in partition.blocks for i in block]
-    perm = [flat.index(j) for j in range(state.n_parties)]
-    return permute_subsystems(out, perm)
+    out = reduce(tensor_product, (partial_trace(state, b) for b in partition.blocks))
+    return permute_subsystems(out, np.argsort(np.argsort(partition.labels, kind="stable")))
 
 
 def multi_information(state: DensityState,

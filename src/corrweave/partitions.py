@@ -11,7 +11,9 @@ reference, and its canonical order defines which minimizer is returned.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
+
+import numpy as np
 
 from .errors import ArgumentError, CapacityError
 
@@ -21,34 +23,63 @@ from .errors import ArgumentError, CapacityError
 DEFAULT_ENUM_CAP = 14
 
 
+def integer(value, what: str) -> int:
+    """``value`` as an int; an ArgumentError unless a Python or NumPy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ArgumentError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SetPartition:
-    """Partition of ``{0, .., n-1}`` into disjoint covering blocks.
+    """Partition of ``{0, .., n-1}`` into disjoint covering blocks, held as
+    ``labels``, a read-only array of the narrowest unsigned dtype holding n:
+    party i is in block ``labels[i]``, blocks numbered by smallest party.
+    ``blocks`` (sorted, as tuples of ints), ``==``, ``hash`` and ``repr``
+    read it.  ``SetPartition(blocks)`` checks for a disjoint integer cover."""
 
-    Blocks are normalized to canonical form at construction (sorted within
-    blocks, blocks ordered by smallest element) and checked to be a
-    disjoint cover.
-    """
-
-    blocks: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
 
     def __init__(self, blocks):
-        norm = tuple(sorted(tuple(sorted(int(i) for i in b)) for b in blocks))
-        if not norm or any(not b for b in norm):
+        norm = sorted(sorted(integer(i, "a party index") for i in b) for b in blocks)
+        if not norm or not norm[0]:  # an empty block sorts first
             raise ArgumentError("blocks must be nonempty")
         flat = [i for b in norm for i in b]
         n = len(flat)
         if sorted(flat) != list(range(n)):
             raise ArgumentError(f"blocks {norm} are not a disjoint cover of 0..{n - 1}")
-        object.__setattr__(self, "blocks", norm)
+        labels = np.empty(n, np.min_scalar_type(n))
+        labels[flat] = [j for j, b in enumerate(norm) for _ in b]
+        object.__setattr__(self, "labels", labels)
+        labels.flags.writeable = False
+
+    @classmethod
+    def _of(cls, labels: np.ndarray) -> SetPartition:
+        """The partition of ``labels``, canonical and of the narrowest dtype."""
+        part = cls.__new__(cls)
+        object.__setattr__(part, "labels", labels)
+        labels.flags.writeable = False
+        return part
+
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        order = np.argsort(self.labels, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.labels)).tolist()
+        return tuple(tuple(order[a:b]) for a, b in zip([0, *ends], ends))
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return len(self.labels)
+
+    def __eq__(self, other) -> bool:
+        return (np.array_equal(self.labels, other.labels)
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.blocks,))
 
     def __repr__(self) -> str:
-        inner = "|".join(",".join(map(str, b)) for b in self.blocks)
-        return f"SetPartition({inner})"
+        return f"SetPartition({'|'.join(','.join(map(str, b)) for b in self.blocks)})"
 
 
 def enumerate_partitions(n: int, kmax: int) -> Iterator[SetPartition]:
@@ -62,48 +93,27 @@ def enumerate_partitions(n: int, kmax: int) -> Iterator[SetPartition]:
     if n > DEFAULT_ENUM_CAP:
         raise CapacityError(
             f"partition enumeration for n={n} exceeds the cap {DEFAULT_ENUM_CAP}")
-    return _walk(n, kmax)
+    labels = [0] * n  # a restricted-growth string: party i's block
 
-
-def _walk(n: int, kmax: int) -> Iterator[SetPartition]:
-    blocks: list[list[int]] = []
-
-    def rec(i: int) -> Iterator[SetPartition]:
+    def rec(i: int, m: int) -> Iterator[SetPartition]:  # m blocks so far
         if i == n:
-            yield SetPartition(blocks)
+            yield SetPartition._of(np.array(labels, np.min_scalar_type(n)))
             return
-        for b in blocks:
-            if len(b) < kmax:
-                b.append(i)
-                yield from rec(i + 1)
-                b.pop()
-        blocks.append([i])
-        yield from rec(i + 1)
-        blocks.pop()
+        for j in range(m + 1):
+            if labels[:i].count(j) < kmax:
+                labels[i] = j
+                yield from rec(i + 1, max(m, j + 1))
 
-    yield from rec(0)
+    return rec(0, 0)
 
 
 def compact_partition(n: int, k: int) -> SetPartition:
     """Contiguous blocks of size ``k``; one trailing remainder block of
     size ``n mod k`` when ``k`` does not divide ``n``."""
-    return compact_partitions(n, (k,))[0]
-
-
-def compact_partitions(n: int, ks: Iterable[int]) -> list[SetPartition]:
-    """:func:`compact_partition` for each order in ``ks``.  Every block is
-    a slice of one tuple of the indices, so the partitions share its ints
-    (an int above 256 is an object of its own)."""
-    parties = tuple(range(n))
-    out = []
-    for k in ks:
-        if not 1 <= k <= n:
-            raise ArgumentError(f"k must satisfy 1 <= k <= n, got {k} for n={n}")
-        part = object.__new__(SetPartition)  # the blocks are already canonical
-        object.__setattr__(part, "blocks",
-                           tuple(parties[s:s + k] for s in range(0, n, k)))
-        out.append(part)
-    return out
+    n, k = integer(n, "n"), integer(k, "k")
+    if not 1 <= k <= n:
+        raise ArgumentError(f"k must satisfy 1 <= k <= n, got {k} for n={n}")
+    return SetPartition._of(np.arange(n, dtype=np.min_scalar_type(n)) // k)
 
 
 def compact_sum(n: int, k, h):

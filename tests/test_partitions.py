@@ -1,4 +1,7 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corrweave import (DEFAULT_ENUM_CAP, ArgumentError, CapacityError,
                        SetPartition, compact_partition, enumerate_partitions)
@@ -23,6 +26,11 @@ def test_set_partition_validation():
         SetPartition([(0,), ()])
     with pytest.raises(ArgumentError):
         SetPartition([])
+    # an index must be a Python or NumPy integer: 1.7 was once read as 1
+    for bad in (1.7, 1.0, "1", True, None):
+        with pytest.raises(ArgumentError, match="party index must be an integer"):
+            SetPartition([[0], [bad]])
+    assert SetPartition([np.array([1, 0]), [np.uint8(2)]]).blocks == ((0, 1), (2,))
 
 
 def test_enumerate_small_cases():
@@ -70,6 +78,12 @@ def test_compact_partition():
     assert compact_partition(3, 1).blocks == ((0,), (1,), (2,))
     with pytest.raises(ArgumentError):
         compact_partition(3, 4)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ArgumentError, match="k must be an integer"):
+            compact_partition(5, bad)
+    with pytest.raises(ArgumentError, match="n must be an integer"):
+        compact_partition(5.0, 2)
+    assert compact_partition(np.int64(5), np.int32(2)) == compact_partition(5, 2)
 
 
 def test_compact_partition_is_canonical():
@@ -77,6 +91,39 @@ def test_compact_partition_is_canonical():
         for k in range(1, n + 1):
             part = compact_partition(n, k)
             assert part == SetPartition(part.blocks)
+
+
+@st.composite
+def _partitions(draw):
+    """``(partition, normal form)``: random blocks of N <= 40 parties given
+    as NumPy ints, in any order, or a compact partition of N <= 300."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 300))
+        k = draw(st.integers(1, n))
+        return compact_partition(n, k), tuple(tuple(range(s, min(s + k, n)))
+                                              for s in range(0, n, k))
+    n = draw(st.integers(1, 40))
+    labels = np.array(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n)))
+    blocks = [np.flatnonzero(labels == v)[::draw(st.sampled_from([1, -1]))]
+              for v in draw(st.permutations(sorted(set(labels.tolist()))))]
+    return SetPartition(blocks), tuple(sorted(tuple(sorted(b.tolist())) for b in blocks))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_partitions())
+def test_labels_are_canonical_and_give_the_tuple_form(case):
+    part, norm = case
+    assert part.blocks == norm and part.n == len(part.labels) == sum(map(len, norm))
+    assert all(type(i) is int for b in part.blocks for i in b)
+    assert part == SetPartition(norm) and hash(part) == hash(SetPartition(norm))
+    assert hash(part) == hash((norm,))  # the hash of the frozen dataclass of the tuples
+    assert repr(part) == f"SetPartition({'|'.join(','.join(map(str, b)) for b in norm)})"
+    assert (part == SetPartition([range(part.n)])) == (len(norm) == 1)
+    labels = part.labels
+    assert labels.dtype == np.min_scalar_type(part.n) and not labels.flags.writeable
+    assert labels[0] == 0
+    assert all(labels[i] <= labels[:i].max() + 1 for i in range(1, part.n))
+    assert [labels[list(b)].tolist() for b in norm] == [[j] * len(b) for j, b in enumerate(norm)]
 
 
 def test_count_partitions_bell_numbers():
