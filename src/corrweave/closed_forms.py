@@ -19,7 +19,7 @@ import numpy as np
 from .correlations import (MODE_CLOSED_FORM, CorrelationProfile, WeightScheme,
                            weaving)
 from .errors import ArgumentError, CapacityError
-from .partitions import compact_sum
+from .partitions import compact_sum, integer
 from .states import (make_a_family, make_bell_product, make_classical,
                      make_classical_pair_product, make_dicke, make_ghz)
 from .tensor import _segment_sums
@@ -321,6 +321,7 @@ def _dist_array(fam: ClosedFormFamily) -> np.ndarray:
 def cf_dist(fam: ClosedFormFamily, k: int) -> float:
     """Closed-form dist(k) in bits for the family instance: one entry of
     the whole profile's array pass, so each call costs O(N)."""
+    k = integer(k, "order k")
     if not 1 <= k <= fam.n:
         raise ArgumentError(f"order k={k} out of range 1..{fam.n}")
     return float(_dist_array(fam)[k - 1])

@@ -153,11 +153,13 @@ class CorrelationProfile:
                    None if argmin is None else tuple(argmin), mode)
 
     def dist_at(self, k: int) -> float:
+        k = integer(k, "order k")
         if not 1 <= k <= self.n:
             raise ArgumentError(f"order k={k} out of range 1..{self.n}")
         return self.dist[k - 1]
 
     def genuine_at(self, k: int) -> float:
+        k = integer(k, "order k")
         if not 2 <= k <= self.n:
             raise ArgumentError(f"order k={k} out of range 2..{self.n}")
         return self.genuine[k - 2]

@@ -61,6 +61,9 @@ class SetPartition:
         labels.flags.writeable = False
         return part
 
+    def __reduce__(self):  # copies and pickles rebuild a read-only array
+        return SetPartition._of, (self.labels,)
+
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         order = np.argsort(self.labels, kind="stable").tolist()

@@ -23,6 +23,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .errors import ArgumentError, CapacityError, NumericError
+from .partitions import integer
 
 #: Largest total Hilbert dimension admitted for dense/pure payloads.
 #: Eigendecompositions beyond this are impractical; classical tables are
@@ -283,13 +284,13 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def _normalize_keep(keep: Iterable[int], n: int) -> tuple[int, ...]:
-    """``keep`` as a sorted tuple of distinct indices below ``n``.  A
-    ``range`` with a positive step is already sorted and distinct, so
-    only its bounds are checked."""
+    """``keep`` as a sorted tuple of distinct integer indices below ``n``.
+    A ``range`` with a positive step holds sorted, distinct ints, so only
+    its bounds are checked."""
     if isinstance(keep, range) and keep.step > 0:
         keep = tuple(keep)
     else:
-        keep = tuple(sorted(map(int, keep)))
+        keep = tuple(sorted(integer(i, "a party index") for i in keep))
         if len(set(keep)) != len(keep):
             raise ArgumentError(f"keep-set {keep} contains duplicates")
     if not keep:
@@ -703,13 +704,11 @@ def _pure_entropies(state: DensityState) -> np.ndarray:
     bitmask, each with the bits of :func:`marginal_entropy`.  A subset of
     dimension ``dk`` at most its complement's is computed from the (``dk``,
     traced) amplitude matrix that takes: the amplitude tensor transposed to
-    put the subset's parties first, copied into a stack of one ``dk``,
-    whatever the parties.  An unbalanced cut's complement takes its bits,
-    as the transpose of the same matrix; a balanced cut is computed on both
-    sides."""
+    put the subset's parties first.  An unbalanced cut's complement takes
+    its bits, as the transpose of the same matrix; a balanced cut is
+    computed on both sides."""
     n = state.n_parties
     full = (1 << n) - 1
-    found = []  # (subsets, their spectra as rows)
     dims, dim = np.array(state.dims), state.dim
     masks = np.arange(1, full)
     kept = (masks[:, None] >> np.arange(n) & 1).astype(bool)
@@ -718,18 +717,11 @@ def _pure_entropies(state: DensityState) -> np.ndarray:
     # each subset's parties, kept ones first, as _pure_amp_matrix orders them
     order = np.argsort(~kept, axis=1, kind="stable")
     t = state._amps.reshape(state.dims)
-    step = max(1, _STACK_BYTES // (16 * dim))
-    for d in sorted(set(dk[small].tolist())):
-        group = np.flatnonzero(small & (dk == d))
-        for i in range(0, len(group), step):
-            rows = group[i:i + step]
-            stack = np.empty((len(rows), d, dim // d), complex)
-            perms = order[rows]  # as lists, which transpose reads faster than arrays
-            for matrix, axes, shape in zip(stack, perms.tolist(), dims[perms].tolist()):
-                matrix.reshape(shape)[...] = t.transpose(axes)
-            s = np.linalg.svd(stack, compute_uv=False)
-            found.append((masks[rows], s * s))
-    h = _stacked_bits(n, found)
+    rows = np.flatnonzero(small)[np.argsort(dk[small], kind="stable")]  # few shapes at a time
+    # as lists, which transpose reads faster than arrays
+    matrices = ((mask, t.transpose(axes).reshape(d, dim // d)) for mask, axes, d
+                in zip(masks[rows].tolist(), order[rows].tolist(), dk[rows].tolist()))
+    h = _stacked_bits(n, matrices, lambda m: np.square(np.linalg.svd(m, compute_uv=False)))
     h[masks[~small]] = h[full ^ masks[~small]]
     return h
 
@@ -742,23 +734,10 @@ def _dense_entropies(state: DensityState) -> np.ndarray:
     index first (:func:`_dense_partial_trace`), so that is its last step.
     The parents are walked depth first, one chain alive at a time, and the
     full-set entropy :meth:`DensityState.from_matrix` stored is reused."""
-    n = state.n_parties
-    full = (1 << n) - 1
-    found = []  # (subsets, their spectra as rows)
-    pending: dict[int, list] = {}  # marginal dimension -> [(subset, marginal)]
-    held = 0
-
-    def flush():
-        nonlocal held
-        for items in pending.values():
-            subsets, marginals = zip(*items)
-            found.append((subsets, np.linalg.eigvalsh(_hermitize(np.stack(marginals)))))
-        pending.clear()
-        held = 0
+    full = (1 << state.n_parties) - 1
 
     def walk(parent, dims, mask):
         # the children of mask lack one party b below its lowest missing party
-        nonlocal held
         k = len(dims)
         low = (~mask & (mask + 1)).bit_length() - 1
         t = parent.reshape(dims * 2)
@@ -766,34 +745,44 @@ def _dense_entropies(state: DensityState) -> np.ndarray:
             sub = dims[:b] + dims[b + 1:]
             d = math.prod(sub)
             marginal = np.trace(t, axis1=b, axis2=k + b).reshape(d, d)
-            if held + marginal.nbytes > _STACK_BYTES:
-                flush()
-            pending.setdefault(d, []).append((mask ^ 1 << b, marginal))
-            held += marginal.nbytes
+            yield mask ^ 1 << b, marginal
             if b and k > 2:  # the child has children
-                walk(marginal, sub, mask ^ 1 << b)
+                yield from walk(marginal, sub, mask ^ 1 << b)
 
-    walk(state._matrix, state.dims, full)
-    flush()
-    h = _stacked_bits(n, found)
+    h = _stacked_bits(state.n_parties, walk(state._matrix, state.dims, full),
+                      lambda m: np.linalg.eigvalsh(_hermitize(m)))
     stored = state._entropies.get(full)
     h[full] = vn_entropy(state) if stored is None else stored
     return h
 
 
-def _stacked_bits(n: int, found: list) -> np.ndarray:
+def _stacked_bits(n: int, matrices: Iterable, spectrum: Callable) -> np.ndarray:
     """The entropy of each subset of ``n`` parties, indexed by bitmask: of
-    those in ``found``, a list of (subsets, their spectra as the rows of one
-    stack), as :func:`_shannon_bits` values its spectrum; 0.0 elsewhere.  A
-    stack is one LAPACK call over matrices of one shape, ``_STACK_BYTES``
-    at most in all; numpy copies each into the Fortran-ordered buffer a
-    lone matrix gets, so a spectrum does not depend on its stack."""
+    each (subset, matrix) pair in ``matrices``, as :func:`_shannon_bits`
+    values the matrix's ``spectrum``; 0.0 elsewhere.  The matrices wait in
+    one stack per shape until the next would take the stacks past
+    ``_STACK_BYTES``; then each stack is one LAPACK call, which copies each
+    matrix into the Fortran-ordered buffer a lone one gets: the same bits."""
+
+    def stacks():
+        pending, held = {}, 0  # matrix shape -> [(subset, matrix)]
+        for subset, matrix in matrices:
+            if held + matrix.nbytes > _STACK_BYTES:
+                yield from pending.values()
+                pending, held = {}, 0
+            pending.setdefault(matrix.shape, []).append((subset, matrix))
+            held += matrix.nbytes
+        yield from pending.values()
+
+    subsets, spectra = [], []
+    for pairs in stacks():
+        ids, stack = zip(*pairs)
+        subsets += ids
+        spectra.append(spectrum(np.array(stack)))
     h = np.zeros(1 << n)
-    if found:
-        subsets, spectra = zip(*found)
+    if subsets:
         ends = np.cumsum(np.repeat([p.shape[1] for p in spectra], [len(p) for p in spectra]))
-        h[np.concatenate(subsets)] = _spectra_bits(np.concatenate([p.ravel() for p in spectra]),
-                                                   ends)
+        h[subsets] = _spectra_bits(np.concatenate([p.ravel() for p in spectra]), ends)
     return h
 
 

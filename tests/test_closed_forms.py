@@ -188,6 +188,15 @@ def test_cf_dist_ghz_and_classical():
         cf_dist(ghz4, 5)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None], ids=repr)
+def test_cf_dist_refuses_an_order_that_is_not_an_integer(k):
+    # 2.5 and 2.0 once raised IndexError, and True was dist(1)
+    ghz4 = ClosedFormFamily("ghz", 4)
+    with pytest.raises(ArgumentError, match="order k must be an integer"):
+        cf_dist(ghz4, k)
+    assert cf_dist(ghz4, np.int64(2)) == cf_dist(ghz4, 2) == 2.0
+
+
 def test_cf_dist_products():
     bell = ClosedFormFamily("bell-product", 6)
     assert cf_dist(bell, 1) == 6.0

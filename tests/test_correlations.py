@@ -239,6 +239,25 @@ def test_dist_arguments():
 
 
 @pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None], ids=repr)
+def test_profile_accessors_refuse_an_order_that_is_not_an_integer(k):
+    # dist_at(True) was once dist(1); dist_at(2.5) and genuine_at(2.5) raised TypeError
+    p = profile(make_ghz(4))
+    for at in (p.dist_at, p.genuine_at):
+        with pytest.raises(ArgumentError, match="order k must be an integer"):
+            at(k)
+        assert at(np.int64(2)) == at(2)
+
+
+@pytest.mark.parametrize("cluster", [[0.5, 1.2], [0, 1.0], [True, 2]], ids=repr)
+def test_multi_information_refuses_indices_that_are_not_integers(cluster):
+    # [0.5, 1.2] was once the cluster {0, 1}
+    state = make_ghz(3)
+    with pytest.raises(ArgumentError, match="a party index must be an integer"):
+        multi_information(state, cluster)
+    assert multi_information(state, np.array([0, 1])) == multi_information(state, [0, 1])
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0, True, "2", None], ids=repr)
 @pytest.mark.parametrize("state", [make_classical(5), make_ghz(4)], ids=["classical", "pure"])
 def test_dist_refuses_an_order_that_is_not_an_integer(state, k):
     # 2.5 once ran as k = 2 on a pure state; True was a party index

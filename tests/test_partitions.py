@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,6 +34,21 @@ def test_set_partition_validation():
         with pytest.raises(ArgumentError, match="party index must be an integer"):
             SetPartition([[0], [bad]])
     assert SetPartition([np.array([1, 0]), [np.uint8(2)]]).blocks == ((0, 1), (2,))
+
+
+@pytest.mark.parametrize("copy_of", [copy.copy, copy.deepcopy,
+                                     lambda p: pickle.loads(pickle.dumps(p))],
+                         ids=["copy", "deepcopy", "pickle"])
+@pytest.mark.parametrize("part", [SetPartition([(0, 2), (1,)]), compact_partition(300, 7)],
+                         ids=["uint8", "uint16"])
+def test_set_partition_copies_are_read_only(copy_of, part):
+    # deep copies and unpickled partitions once came back with writeable labels
+    other = copy_of(part)
+    assert not other.labels.flags.writeable
+    assert other.labels.dtype == part.labels.dtype
+    assert other == part and hash(other) == hash(part) and repr(other) == repr(part)
+    with pytest.raises(ValueError):
+        other.labels[0] = 1
 
 
 def test_enumerate_small_cases():

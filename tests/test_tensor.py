@@ -489,6 +489,19 @@ def test_range_keep_sets_give_the_bits_and_errors_of_lists():
             assert str(exc.value) == message, form
 
 
+@pytest.mark.parametrize("keep", [[0.5], [1.7], [0, 2.0], ["1"], [True], [None]], ids=repr)
+@pytest.mark.parametrize("call", [marginal_entropy,
+                                  lambda s, keep: partial_trace(s, keep).to_matrix().tobytes()],
+                         ids=["marginal_entropy", "partial_trace"])
+def test_keep_sets_refuse_indices_that_are_not_integers(call, keep):
+    # 0.5 was once read as party 0, 1.7 as party 1
+    state = make_bell_product(4)
+    with pytest.raises(ArgumentError, match="a party index must be an integer"):
+        call(state, keep)
+    want = call(state, [0, 2])
+    assert call(state, np.array([2, 0])) == call(state, [np.uint8(0), 2]) == want
+
+
 # -- the classical subset-entropy table ------------------------------------
 
 @st.composite
@@ -644,9 +657,12 @@ def test_spectral_passes_do_not_depend_on_their_stacks(monkeypatch, make, dims):
     state = make(dims, np.random.default_rng(619))
     fill = tensor.entropy_passes(state)[0]
     default = fill(state).tobytes()
-    # one matrix per stack; the dense pass flushes before every marginal
-    monkeypatch.setattr(tensor, "_STACK_BYTES", 1)
-    assert fill(state).tobytes() == default
+    # 1: one matrix per stack.  2048 and 8192: stacks of several shapes wait
+    # at once (at 8192 for the pure pass, whose matrices are all one size),
+    # are flushed partway through the pass, and the last when it ends
+    for budget in (1, 2048, 8192):
+        monkeypatch.setattr(tensor, "_STACK_BYTES", budget)
+        assert fill(state).tobytes() == default, budget
 
 
 def _random_graph_state(n, rng):
