@@ -159,10 +159,10 @@ class ClosedFormFamily:
 
     def __post_init__(self):
         row = _closed_form(self.family)
-        if self.n < 1:
+        if integer(self.n, "party count n") < 1:
             raise ArgumentError(f"need n >= 1, got {self.n}")
         check_closed_form_n(self.n)
-        if self.d < 2:
+        if integer(self.d, "local dimension d") < 2:
             raise ArgumentError(f"need d >= 2, got {self.d}")
         if row.param != "d" and self.d != 2:
             raise ArgumentError(
@@ -204,7 +204,8 @@ _DICKE_CHUNK = 1 << 14
 def dicke_marginal_entropy(n: int, m: int, k: int) -> float:
     """Entropy in bits of the k-site Dicke marginal (0 when k = n): one
     row of :func:`dicke_block_entropies`."""
-    return float(dicke_block_entropies(n, m, [k])[0])
+    n, m = integer(n, "party count n"), integer(m, "excitation count m")
+    return float(dicke_block_entropies(n, m, [integer(k, "block size k")])[0])
 
 
 def dicke_block_entropies(n: int, m: int, ks) -> np.ndarray:
@@ -377,7 +378,7 @@ def cf_scaling_sweep(family: str, n_values: Sequence[int], *, d: int = 2,
     norm_name, norm = row.normalization
     points = []
     for n in n_values:
-        n = int(n)
+        n = integer(n, "party count n")
         fam = ClosedFormFamily(family, n, d=d, a=a)
         scheme = WeightScheme.named(weights, n)  # a bad name fails fast
         w = weaving(cf_profile(fam), scheme)

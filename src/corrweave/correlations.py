@@ -215,7 +215,7 @@ class WeightScheme:
     def delta(cls, n: int, k: int) -> "WeightScheme":
         """Weight only genuine correlations of order ``k``."""
         _check_scheme_n(n)
-        if not 2 <= k <= n:
+        if not 2 <= integer(k, "delta order k") <= n:
             raise ArgumentError(f"delta order k={k} out of range 2..{n}")
         return cls.from_omega([0.0] * (k - 2) + [1.0] + [0.0] * (n - k),
                               name=f"delta:{k}")
@@ -237,7 +237,7 @@ class WeightScheme:
 
 
 def _check_scheme_n(n: int) -> None:
-    if n < 1:
+    if integer(n, "party count n") < 1:
         raise ArgumentError(f"weight schemes need n >= 1, got {n}")
 
 

@@ -9,6 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ArgumentError, CapacityError
+from .partitions import integer
 from .tensor import DensityState, _dense_dim, _power_within, tensor_product
 
 #: Largest classical table a family builder makes, counted in digits
@@ -35,7 +36,7 @@ def make_ghz(n: int, d: int = 2) -> DensityState:
     Only levels 0 and 1 are superposed for every local dimension ``d``; the
     state lives in a two-level subspace of each qudit.
     """
-    if n < 1 or d < 2:
+    if integer(n, "party count n") < 1 or integer(d, "local dimension d") < 2:
         raise ArgumentError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     dim = _dense_dim({d: n})
     amps = np.zeros(dim, dtype=complex)
@@ -51,7 +52,7 @@ def make_classical(n: int, d: int = 2) -> DensityState:
     so ``n`` far beyond the dense capacity is fine, up to
     ``MAX_CLASSICAL_DIGITS`` digits in the table.
     """
-    if n < 1 or d < 2:
+    if integer(n, "party count n") < 1 or integer(d, "local dimension d") < 2:
         raise ArgumentError(f"need n >= 1 and d >= 2, got n={n}, d={d}")
     _check_table(d, n)
     table = {(i,) * n: 1.0 / d for i in range(d)}
@@ -60,7 +61,7 @@ def make_classical(n: int, d: int = 2) -> DensityState:
 
 def make_dicke(n: int, m: int) -> DensityState:
     """N-qubit Dicke state: equal superposition of all strings with ``m`` ones."""
-    if n < 1 or not 0 <= m <= n:
+    if integer(n, "party count n") < 1 or not 0 <= integer(m, "excitation count m") <= n:
         raise ArgumentError(f"need 0 <= m <= n with n >= 1, got n={n}, m={m}")
     amps = np.zeros(_dense_dim({2: n}), dtype=complex)
     index = np.arange(amps.size)
@@ -74,7 +75,7 @@ def make_bell_product(n: int, d: int = 2) -> DensityState:
 
     Each pair is ``sum_i |ii> / sqrt(d)``; ``n`` must be even.
     """
-    if n < 2 or n % 2 or d < 2:
+    if integer(n, "party count n") < 2 or n % 2 or integer(d, "local dimension d") < 2:
         raise ArgumentError(f"need even n >= 2 and d >= 2, got n={n}, d={d}")
     _dense_dim({d: n})
     pair = np.zeros(d * d, dtype=complex)
@@ -88,7 +89,7 @@ def make_bell_product(n: int, d: int = 2) -> DensityState:
 
 def make_classical_pair_product(n: int) -> DensityState:
     """Product of ``n/2`` perfectly correlated classical bit pairs."""
-    if n < 2 or n % 2:
+    if integer(n, "party count n") < 2 or n % 2:
         raise ArgumentError(f"need even n >= 2, got n={n}")
     pairs = n // 2
     _check_table(2, n, pairs)  # one table entry per pair-bit string
@@ -109,7 +110,7 @@ def make_a_family(k: int, a: float) -> DensityState:
     state (``a = 1/sqrt(2)``); its correlations of every order scale with
     the binary entropy of ``a^2``.
     """
-    if k < 1:
+    if integer(k, "party count k") < 1:
         raise ArgumentError(f"need k >= 1, got {k}")
     if not 0.0 <= a <= 1.0:
         raise ArgumentError(f"need 0 <= a <= 1, got {a}")

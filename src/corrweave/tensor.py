@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ REP_CLASSICAL = "classical"
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(integer(d, "a local dimension") for d in dims)
     if not dims or any(d < 2 for d in dims):
         raise ArgumentError(f"dims must be a nonempty list of integers >= 2, got {dims}")
     return dims
@@ -177,7 +177,7 @@ class DensityState:
                            validate: bool = True) -> "DensityState":
         """Wrap a sparse probability table ``{digit tuple: probability}``.
 
-        Digits are checked against ``dims`` per position; probabilities must
+        Digits must be integers within ``dims`` per position; probabilities must
         be nonnegative and sum to 1 within 1e-12.  No capacity limit applies.
         """
         dims = _check_dims(dims)
@@ -185,7 +185,7 @@ class DensityState:
         clean: dict = {}
         total = 0.0
         for key, p in table.items():
-            key = tuple(int(x) for x in key)
+            key = tuple(integer(x, "a digit") if validate else int(x) for x in key)
             p = float(p)
             if validate:
                 if len(key) != n or any(not 0 <= x < d for x, d in zip(key, dims)):
@@ -234,9 +234,8 @@ class DensityState:
     def _digit_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The classical table as a digit array, one row per entry, and a
         probability array, both in table order; built on first use.  A
-        digit outside ``0..d-1`` raises an ArgumentError.  Local dimensions
-        beyond 2**64 are relabelled column by column, which keeps which rows
-        share digits."""
+        digit outside ``0..d-1`` raises an ArgumentError; a local dimension
+        beyond 2**64 keeps its digits as Python ints."""
         if self._rows is None:
             keys = list(self._table)
             try:
@@ -249,9 +248,6 @@ class DensityState:
                 row, col = np.argwhere(bad)[0]
                 raise ArgumentError(f"digit {keys[row][col]} of {keys[row]} "
                                     f"out of range for dims {self.dims}")
-            if digits.dtype == object:
-                digits = np.stack([np.unique(c, return_inverse=True)[1].reshape(-1)
-                                   for c in digits.T], axis=1)
             probs = np.fromiter(self._table.values(), dtype=float, count=len(keys))
             object.__setattr__(self, "_rows", (digits, probs))
         return self._rows
@@ -329,8 +325,8 @@ def partial_trace(state: DensityState, keep: Iterable[int]) -> DensityState:
 
     Classical states stay classical: the marginal table lists its digit
     strings in order of first appearance in the state's table, each with
-    its rows' probabilities summed in table order (see
-    :func:`_classical_marginal`).  Pure states stay pure only when every
+    its rows' probabilities summed in table order from 0.0 (grouped by
+    :func:`_prefix_labels`).  Pure states stay pure only when every
     subsystem is kept, otherwise the marginal is dense.  Dense marginals
     trace out the discarded subsystems highest index first, so tracing
     ``keep`` from the marginal on ``keep`` plus its lowest missing
@@ -342,10 +338,14 @@ def partial_trace(state: DensityState, keep: Iterable[int]) -> DensityState:
         return state
     out_dims = tuple(state.dims[i] for i in keep)
     if state.rep == REP_CLASSICAL:
-        first, probs = _classical_marginal(state, keep)
-        keys = list(state._table)
-        table = {tuple(keys[r][i] for i in keep): p
-                 for r, p in zip(first.tolist(), probs.tolist())}
+        digits, probs = state._digit_rows()
+        sub, table = digits[:, list(keep)], {}
+        if len(probs):  # not an unvalidated empty table
+            [((labels,), _)] = _prefix_labels(sub, [len(keep)])
+            sums = np.bincount(labels, weights=probs)
+            # labels first appear in increasing order: where their running maximum reaches each
+            first = np.searchsorted(np.maximum.accumulate(labels), np.arange(len(sums)))
+            table = dict(zip(map(tuple, sub[first].tolist()), sums.tolist()))
         return DensityState.from_probabilities(table, out_dims, validate=False)
     if state.rep == REP_PURE:
         a = _pure_amp_matrix(state, keep)
@@ -353,26 +353,6 @@ def partial_trace(state: DensityState, keep: Iterable[int]) -> DensityState:
     else:
         m = _dense_partial_trace(state._matrix, state.dims, keep)
     return DensityState.from_matrix(m, out_dims, validate=False)
-
-
-def _classical_marginal(state: DensityState,
-                        keep: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The first table row of each digit string of the marginal on
-    ``keep`` and its summed probability, in order of first appearance.
-
-    Rows are grouped by the bytes of their kept digits, so no index is
-    formed and nothing overflows at any N.  ``np.bincount`` adds each
-    group's probabilities in table order, starting from 0.0: the sums, and
-    their order, are those of a walk over the table that accumulates a
-    dict of digit strings.
-    """
-    digits, probs = state._digit_rows()
-    sub = np.ascontiguousarray(digits[:, list(keep)])
-    rows = sub.view(np.dtype((np.void, sub.itemsize * sub.shape[1]))).reshape(-1)
-    _, first, group = np.unique(rows, return_index=True, return_inverse=True)
-    sums = np.bincount(group.reshape(-1), weights=probs)
-    order = np.argsort(first)
-    return first[order], sums[order]
 
 
 def _pure_amp_matrix(state: DensityState, keep: Sequence[int]) -> np.ndarray:
@@ -399,7 +379,7 @@ def _dense_partial_trace(matrix: np.ndarray, dims: Sequence[int],
 def permute_subsystems(state: DensityState, perm: Sequence[int]) -> DensityState:
     """Reorder subsystems: output subsystem ``j`` is input subsystem ``perm[j]``."""
     n = state.n_parties
-    perm = tuple(int(p) for p in perm)
+    perm = tuple(integer(p, "a party index") for p in perm)
     if sorted(perm) != list(range(n)):
         raise ArgumentError(f"{perm} is not a permutation of 0..{n - 1}")
     out_dims = tuple(state.dims[p] for p in perm)
@@ -434,7 +414,7 @@ class KrausChannel:
 
     def __init__(self, kraus, targets):
         ops = tuple(np.asarray(k, dtype=complex) for k in kraus)
-        targets = tuple(int(t) for t in targets)
+        targets = tuple(integer(t, "a target index") for t in targets)
         if not ops:
             raise ArgumentError("channel needs at least one Kraus operator")
         d = ops[0].shape[0] if ops[0].ndim == 2 else 0
@@ -525,9 +505,9 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
 
     Pure states use the singular values of the reshaped amplitude tensor,
     so the cost scales with the smaller of the kept/discarded dimensions.
-    The full set of a pure state is 0.0 exactly.  Classical states sum the
-    marginal's probabilities with numpy (:func:`_classical_marginal`) and
-    never build its table.  Dense states diagonalize the matrix
+    The full set of a pure state is 0.0 exactly.  Classical states sum
+    the probabilities of the row groups :func:`_prefix_labels` finds and
+    never build the marginal's table.  Dense states diagonalize the matrix
     :func:`_dense_partial_trace` gives, the state's own on the full set,
     with no marginal state built.  Every subset's value, with the same
     bits, comes from one batched pass (:func:`entropy_passes`).
@@ -543,7 +523,11 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
         s = np.linalg.svd(a, compute_uv=False)
         return _shannon_bits(s * s)
     if state.rep == REP_CLASSICAL:
-        return _shannon_bits(_classical_marginal(state, keep)[1])
+        digits, probs = state._digit_rows()
+        if not len(probs):  # an unvalidated empty table
+            return 0.0
+        [((labels,), _)] = _prefix_labels(digits[:, list(keep)], [len(keep)])
+        return _shannon_bits(np.bincount(labels, weights=probs))
     m = _dense_partial_trace(state._matrix, state.dims, keep)
     return _shannon_bits(np.linalg.eigvalsh(_hermitize(m)))
 
@@ -561,30 +545,36 @@ _LABEL_BLOCK = 1 << 14
 
 def _classical_prefix_entropies(state: DensityState) -> np.ndarray:
     """``h[s]``, the entropy of the parties ``0..s-1`` of a classical state
-    for ``s = 0..N``, each with the bits of :func:`marginal_entropy`.
-
-    The rows are sorted once by digit string.  The prefix of ``s`` parties
-    starts a group at each sorted row that first differs from the row
-    before at a party below ``s``, so one ``cumsum`` numbers its groups.
-    In table order, the numbers are labelled and valued as a block of
-    :func:`_classical_entropies`, ``_LABEL_BLOCK`` labels at a time.
-    """
+    for ``s = 0..N``, each with the bits of :func:`marginal_entropy`: one
+    :func:`_prefix_labels` pass over every party, its labels valued as a
+    block of :func:`_classical_entropies` is."""
     digits, probs = state._digit_rows()
+    h = np.zeros(digits.shape[1] + 1)
+    if len(probs):  # not an unvalidated empty table
+        h[1:] = np.concatenate([_block_entropies(*labels, probs)
+                                for labels in _prefix_labels(digits, range(1, len(h)))])
+    return h
+
+
+def _prefix_labels(digits: np.ndarray,
+                   sizes: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """:func:`_first_appearance` of the rows of ``digits`` by their first
+    ``s`` digits, one row of labels for each ``s`` in ``sizes``, yielded
+    ``_LABEL_BLOCK`` labels (at least one size) at a time.  The rows are
+    sorted once by digit string; the prefix of ``s`` digits starts a group
+    at each sorted row that first differs from the row before at a digit
+    below ``s``, so one ``cumsum`` numbers its groups in sorted order."""
     rows, n = digits.shape
-    h = np.zeros(n + 1)
-    if not rows:  # an unvalidated empty table
-        return h
     order = np.lexsort(digits.T[::-1])
     differ = np.diff(digits[order], axis=0) != 0
-    # the first party where each sorted row differs from the one before; N for the first
+    # the first digit where each sorted row differs from the one before; n for the first
     split = np.concatenate(([n], np.where(differ.any(axis=1), differ.argmax(axis=1), n)))
     rank = np.argsort(order)
     step = max(1, _LABEL_BLOCK // rows)
-    for first in range(1, n + 1, step):
-        sizes = np.arange(first, min(first + step, n + 1))
-        ids = np.cumsum(split < sizes[:, None], axis=1, dtype=np.min_scalar_type(rows))
-        h[sizes] = _block_entropies(*_first_appearance(ids[:, rank]), probs)
-    return h
+    for first in range(0, len(sizes), step):
+        block = np.asarray(sizes[first:first + step])
+        ids = np.cumsum(split < block[:, None], axis=1, dtype=np.min_scalar_type(rows))
+        yield _first_appearance(ids[:, rank])
 
 
 def _classical_entropies(state: DensityState) -> np.ndarray:

@@ -57,15 +57,22 @@ def subset_entropy(state, mask: int) -> float:
         s = np.linalg.svd(a if a.shape[0] <= a.shape[1] else a.T, compute_uv=False)
         return _shannon(s * s)
     if state.is_classical:
-        table: dict = {}
-        for key, p in state.probabilities().items():
-            sub = tuple(key[i] for i in keep)
-            table[sub] = table.get(sub, 0.0) + p
-        return _shannon(np.array(list(table.values())))
+        return _shannon(np.array(list(marginal_table(state, keep).values())))
     m = state.to_matrix()
     if len(keep) < n:
         m = _dense_partial_trace(m, state.dims, keep)
     return _shannon(np.linalg.eigvalsh((m + m.conj().T) / 2.0))
+
+
+def marginal_table(state, keep) -> dict:
+    """The marginal on the parties ``keep`` of a classical state, by a walk
+    over its table: each kept digit string in order of first appearance,
+    with its rows' probabilities added in table order from 0.0."""
+    table: dict = {}
+    for key, p in state.probabilities().items():
+        sub = tuple(key[i] for i in keep)
+        table[sub] = table.get(sub, 0.0) + p
+    return table
 
 
 def _shannon(p: np.ndarray) -> float:

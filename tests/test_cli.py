@@ -255,6 +255,14 @@ def test_profile_state_file_round_trip_all_kinds(tmp_path):
             assert payload(loaded).tobytes() == payload(state).tobytes(), name
 
 
+def test_classical_state_files_take_local_dimensions_up_to_ten(tmp_path):
+    path = tmp_path / "classical.json"
+    save_state_file(make_classical(2, 10), str(path))
+    assert load_state_file(str(path)).probabilities() == make_classical(2, 10).probabilities()
+    with pytest.raises(ArgumentError, match="digit-string keys support local dimensions up to 10"):
+        save_state_file(make_classical(2, 11), str(path))
+
+
 def _pairs(values):
     return [[z.real, z.imag] for z in values]
 
@@ -550,6 +558,13 @@ BAD_PAYLOAD_TEXTS = {
                          "got [[[1, 2], [3, 4]], [[5, 6]]]"),
     "kind-as-pairs": ('{"dims":[2],"kind":[[1, 2]],"payload":[]}',
                       "field 'kind' must be pure, mixed, or classical, got [[1, 2]]"),
+    # documents whose shape is wrong before any payload entry is read
+    "top-level-array": ('[{"dims": [2], "kind": "pure", "payload": [[1, 0], [0, 0]]}]',
+                        "top level must be a JSON object"),
+    "no-payload": (json.dumps({"dims": [2], "kind": "pure"}), "missing field 'payload'"),
+    "classical-payload-list": (json.dumps({"dims": [2], "kind": "classical",
+                                           "payload": [0.5, 0.5]}),
+                               "field 'payload' must map digit strings to probabilities"),
 }
 
 
@@ -1157,7 +1172,8 @@ def test_check_failure_exits_five(monkeypatch):
     assert any(not p["passed"] for p in doc["properties"])
 
 
-def test_check_with_a_nan_margin_exits_four(monkeypatch):
+@pytest.mark.parametrize("output", ["json", "csv"])
+def test_check_with_a_nan_margin_exits_four(monkeypatch, output):
     import corrweave.cli as cli_mod
     from corrweave.properties import run_property_suite as real_suite
 
@@ -1165,9 +1181,11 @@ def test_check_with_a_nan_margin_exits_four(monkeypatch):
         return real_suite(seed, trials, perturb_dist=lambda v: math.nan)
 
     monkeypatch.setattr(cli_mod, "run_property_suite", nan_suite)
-    result = run("check", "--seed", "5", "--trials", "3")
+    result = run("check", "--seed", "5", "--trials", "3", "--output", output)
     assert result.exit_code == 4, (errtext(result), result.exception)
-    assert result.stderr == "error: cannot write JSON: nan is not a finite number\n"
+    assert result.stderr == (f"error: cannot write {output.upper()}: "
+                             "nan is not a finite number\n")
+    assert result.stdout == ""
 
 
 def test_check_rejects_zero_trials():

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -40,6 +41,28 @@ def test_family_validation():
         ClosedFormFamily("ghz", MAX_CLOSED_FORM_N + 1)
     with pytest.raises(CapacityError):
         cf_scaling_sweep("ghz", [8, 2 ** 40])
+
+
+#: Closed forms reading one size or order: (call, a value it accepts, a
+#: fraction it once took or truncated)
+_INTEGER_READS = {
+    "family-n": (lambda v: cf_profile(ClosedFormFamily("ghz", v)).dist, 4, 4.0),
+    "family-d": (lambda v: cf_profile(ClosedFormFamily("classical", 4, d=v)).dist, 3, 3.0),
+    "sweep-n": (lambda v: cf_scaling_sweep("ghz", [v]), 8, 8.5),
+    "dicke-n": (lambda v: dicke_marginal_entropy(v, 1, 2), 4, 4.0),
+    "dicke-m": (lambda v: dicke_marginal_entropy(4, v, 2), 1, 1.5),
+    "dicke-k": (lambda v: dicke_marginal_entropy(4, 1, v), 2, 2.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "str", "None"])
+@pytest.mark.parametrize("use", _INTEGER_READS)
+def test_closed_forms_refuse_values_that_are_not_integers(use, kind):
+    call, good, fraction = _INTEGER_READS[use]
+    value = {"float": fraction, "bool": True, "str": str(good), "None": None}[kind]
+    with pytest.raises(ArgumentError, match=re.escape(f"must be an integer, got {value!r}")):
+        call(value)
+    assert call(np.int64(good)) == call(good)
 
 
 def test_binary_entropy():

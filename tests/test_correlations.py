@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -471,6 +472,25 @@ def test_weight_scheme_validation():
     assert WeightScheme.order_weighted(1).omega == ()
     with pytest.raises(ArgumentError):
         WeightScheme.delta(4, 5)
+
+
+#: Weight schemes reading one size or order: (call, a value it accepts, a fraction)
+_INTEGER_READS = {
+    "order-weighted-n": (WeightScheme.order_weighted, 3, 3.0),
+    "uniform-n": (WeightScheme.uniform, 3, 3.0),
+    "delta-n": (lambda v: WeightScheme.delta(v, 2), 4, 4.0),
+    "delta-k": (lambda v: WeightScheme.delta(4, v), 2, 2.5),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "str", "None"])
+@pytest.mark.parametrize("use", _INTEGER_READS)
+def test_weight_schemes_refuse_values_that_are_not_integers(use, kind):
+    call, good, fraction = _INTEGER_READS[use]
+    value = {"float": fraction, "bool": True, "str": str(good), "None": None}[kind]
+    with pytest.raises(ArgumentError, match=re.escape(f"must be an integer, got {value!r}")):
+        call(value)
+    assert call(np.int64(good)) == call(good)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

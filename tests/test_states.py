@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,32 @@ def test_dicke_amplitudes_match_the_combinations_construction(n):
             want[sum(1 << (n - 1 - i) for i in ones)] = coef
         got = make_dicke(n, m).amplitudes()
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, m)
+
+
+#: Builders reading one size: (call, a size it accepts, a fraction)
+_INTEGER_READS = {
+    "ghz-n": (lambda v: make_ghz(v).amplitudes().tobytes(), 3, 3.0),
+    "ghz-d": (lambda v: make_ghz(3, v).amplitudes().tobytes(), 3, 3.0),
+    "classical-n": (lambda v: make_classical(v).probabilities(), 3, 3.0),
+    "classical-d": (lambda v: make_classical(3, v).probabilities(), 2, 2.0),
+    "dicke-n": (lambda v: make_dicke(v, 1).amplitudes().tobytes(), 4, 4.0),
+    "dicke-m": (lambda v: make_dicke(4, v).amplitudes().tobytes(), 1, 1.5),
+    "bell-product-n": (lambda v: make_bell_product(v).amplitudes().tobytes(), 4, 4.0),
+    "bell-product-d": (lambda v: make_bell_product(2, v).amplitudes().tobytes(), 3, 3.0),
+    "classical-pair-product-n": (lambda v: make_classical_pair_product(v).probabilities(),
+                                 4, 4.0),
+    "a-family-k": (lambda v: make_a_family(v, 0.6).amplitudes().tobytes(), 3, 3.0),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "str", "None"])
+@pytest.mark.parametrize("use", _INTEGER_READS)
+def test_builders_refuse_values_that_are_not_integers(use, kind):
+    call, good, fraction = _INTEGER_READS[use]
+    value = {"float": fraction, "bool": True, "str": str(good), "None": None}[kind]
+    with pytest.raises(ArgumentError, match=re.escape(f"must be an integer, got {value!r}")):
+        call(value)
+    assert call(np.int64(good)) == call(good)
 
 
 def test_symmetric_families_bit_exact_under_permutation():

@@ -1,12 +1,13 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import cut_ranks
+from oracles import cut_ranks, marginal_table, subset_entropy
 
 from corrweave import tensor
 from corrweave import (ArgumentError, CapacityError, DensityState, KrausChannel,
@@ -366,6 +367,8 @@ def test_kraus_validation():
         KrausChannel([], (0,))
     with pytest.raises(ArgumentError):
         KrausChannel([np.eye(2)], (0, 0))
+    with pytest.raises(ArgumentError, match="Kraus operators must share one square shape"):
+        KrausChannel([np.eye(2) / 2, np.eye(4) / 2], (0,))
     ch = KrausChannel([np.eye(4)], (0, 1))
     with pytest.raises(ArgumentError):
         apply_channel(make_ghz(3, 3), ch)  # 4 != 9
@@ -502,6 +505,29 @@ def test_keep_sets_refuse_indices_that_are_not_integers(call, keep):
     assert call(state, np.array([2, 0])) == call(state, [np.uint8(0), 2]) == want
 
 
+#: Reads of one integer in each constructor: (call, an integer it accepts,
+#: a fraction it once truncated silently)
+_INTEGER_READS = {
+    "local-dimension": (lambda v: DensityState.from_amplitudes([1, 0, 0, 0], (v, 2)).dims,
+                        2, 2.9),
+    "digit": (lambda v: DensityState.from_probabilities({(v, 1): 1.0}, (2, 2)).probabilities(),
+              1, 0.7),
+    "permutation": (lambda v: permute_subsystems(make_ghz(2), [v, 0]).amplitudes().tobytes(),
+                    1, 1.9),
+    "kraus-target": (lambda v: KrausChannel([np.eye(2)], [v]).targets, 0, 0.5),
+}
+
+
+@pytest.mark.parametrize("kind", ["float", "bool", "str", "None"])
+@pytest.mark.parametrize("use", _INTEGER_READS)
+def test_constructors_refuse_values_that_are_not_integers(use, kind):
+    call, good, fraction = _INTEGER_READS[use]
+    value = {"float": fraction, "bool": True, "str": str(good), "None": None}[kind]
+    with pytest.raises(ArgumentError, match=re.escape(f"must be an integer, got {value!r}")):
+        call(value)
+    assert call(np.int64(good)) == call(good)
+
+
 # -- the classical subset-entropy table ------------------------------------
 
 @st.composite
@@ -538,7 +564,18 @@ def test_classical_table_matches_each_marginal_entropy_bit_for_bit(state):
     assert table[0] == 0.0
     for mask in range(1, 1 << n):
         keep = [i for i in range(n) if mask >> i & 1]
-        assert table[mask].hex() == marginal_entropy(state, keep).hex(), (mask, state)
+        want = subset_entropy(state, mask).hex()
+        assert table[mask].hex() == marginal_entropy(state, keep).hex() == want, (mask, state)
+
+
+def _assert_marginal_tables_are_the_oracle_walk(state, masks):
+    # the same digit strings in the same order, with the same probability bits
+    for mask in masks:
+        keep = [i for i in range(state.n_parties) if mask >> i & 1]
+        got = partial_trace(state, keep).probabilities()
+        want = marginal_table(state, keep)
+        assert [(k, p.hex()) for k, p in got.items()] == [
+            (k, p.hex()) for k, p in want.items()], (mask, state)
 
 
 @pytest.mark.parametrize("table, dims", [
@@ -551,9 +588,13 @@ def test_classical_table_matches_each_marginal_entropy_bit_for_bit(state):
 def test_classical_table_edge_cases(table, dims):
     state = DensityState.from_probabilities(table, dims, validate=False)
     n = len(dims)
-    assert [v.hex() for v in _classical_entropies(state).tolist()] == [0.0.hex()] + [
-        marginal_entropy(state, [i for i in range(n) if m >> i & 1]).hex()
-        for m in range(1, 1 << n)]
+    want = [0.0.hex()] + [subset_entropy(state, m).hex() for m in range(1, 1 << n)]
+    assert [v.hex() for v in _classical_entropies(state).tolist()] == want
+    assert [marginal_entropy(state, [i for i in range(n) if m >> i & 1]).hex()
+            for m in range(1, 1 << n)] == want[1:]
+    assert [v.hex() for v in _classical_prefix_entropies(state).tolist()] == [
+        want[(1 << s) - 1] for s in range(n + 1)]
+    _assert_marginal_tables_are_the_oracle_walk(state, range(1, 1 << n))
     # an empty table is invariant: every permutation of it is at distance 0.0
     assert is_permutation_invariant(state) is (len(set(dims)) == 1)
 
@@ -614,18 +655,26 @@ def _exchangeable_tables(draw):
     return state
 
 
-def _assert_prefixes_have_the_bits_of_marginal_entropy(state):
+def _assert_prefixes_have_the_oracle_bits(state):
     n = state.n_parties
     h = _classical_prefix_entropies(state).tolist()
     assert len(h) == n + 1 and h[0].hex() == 0.0.hex()
     for s in range(1, n + 1):
-        assert h[s].hex() == marginal_entropy(state, range(s)).hex(), (s, state)
+        want = subset_entropy(state, (1 << s) - 1).hex()
+        assert h[s].hex() == marginal_entropy(state, range(s)).hex() == want, (s, state)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(state=st.one_of(_exchangeable_tables(), _sparse_tables()))
 def test_classical_prefixes_match_each_marginal_entropy_bit_for_bit(state):
-    _assert_prefixes_have_the_bits_of_marginal_entropy(state)
+    _assert_prefixes_have_the_oracle_bits(state)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(state=st.one_of(_exchangeable_tables(), _sparse_tables()))
+def test_classical_marginal_tables_are_the_oracle_walk(state):
+    n = state.n_parties
+    _assert_marginal_tables_are_the_oracle_walk(state, range(1, 1 << n, 1 if n <= 6 else 5))
 
 
 @pytest.mark.parametrize("block", [None, 5])
@@ -645,7 +694,7 @@ def test_classical_prefixes_match_each_marginal_entropy_bit_for_bit(state):
 def test_classical_prefix_edge_cases(monkeypatch, state, block):
     if block is not None:  # at most 5 labels per block: one or two prefixes at a time
         monkeypatch.setattr(tensor, "_LABEL_BLOCK", block)
-    _assert_prefixes_have_the_bits_of_marginal_entropy(state)
+    _assert_prefixes_have_the_oracle_bits(state)
 
 
 # -- the pure and dense passes ----------------------------------------------
