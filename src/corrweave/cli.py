@@ -46,7 +46,7 @@ from .properties import run_property_suite
 # make_* are not called here; they stay importable for callers that patch them.
 from .states import (StateFamily, make_bell_product, make_classical,  # noqa: F401
                      make_classical_pair_product, make_dicke, make_ghz)
-from .tensor import DensityState, _dense_dim
+from .tensor import REP_CLASSICAL, REP_DENSE, REP_PURE, DensityState, _dense_dim
 
 #: Disagreement between closed-form and matrix values that flags a table row.
 AGREE_TOL = 1e-8
@@ -244,14 +244,6 @@ def _cell(value, seps=(";", "|", ",")):
     return str(value)
 
 
-def _strict_json(doc) -> str:
-    """``doc`` as JSON; a NaN or an infinity raises a NumericError."""
-    try:
-        return json.dumps(doc, allow_nan=False)
-    except ValueError as exc:
-        raise NumericError(f"cannot write JSON: {exc}") from None
-
-
 def _is_number(value) -> bool:
     """Whether a parsed JSON value is a finite number (booleans are not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -349,21 +341,14 @@ def load_state_file(path: str) -> DensityState:
     if (not isinstance(dims, list) or not dims
             or not all(isinstance(d, int) and d >= 2 for d in dims)):
         raise StateFileError(f"{path}: field 'dims' must be a list of integers >= 2")
-    kind = doc["kind"]
-    if kind not in ("pure", "mixed", "classical"):
-        raise StateFileError(
-            f"{path}: field 'kind' must be pure, mixed, or classical, got {kind!r}")
-    # checked before the payload, which holds dim or dim^2 entries
-    dim = None if kind == "classical" else _dense_dim(dims)
+    # compared, never hashed: the kind may be any JSON value
+    read = next((row[2] for row in _STATE_FILE_KINDS if row[0] == doc["kind"]), None)
+    if read is None:
+        *kinds, last = (row[0] for row in _STATE_FILE_KINDS)
+        raise StateFileError(f"{path}: field 'kind' must be {', '.join(kinds)}, "
+                             f"or {last}, got {doc['kind']!r}")
     try:
-        if kind == "pure":
-            return DensityState.from_amplitudes(
-                _complex_payload(doc["payload"], (dim,), path), dims)
-        if kind == "mixed":
-            return DensityState.from_matrix(
-                _complex_payload(doc["payload"], (dim, dim), path), dims)
-        return DensityState.from_probabilities(
-            _parse_prob_table(doc["payload"], dims, path), dims)
+        return read(doc["payload"], dims, path)
     except StateFileError:
         raise
     except ArgumentError as exc:
@@ -458,13 +443,11 @@ def _check_pairs(entries, length, path, field="payload"):
                                  "[re, im] pair of finite numbers")
 
 
-def _parse_prob_table(payload, dims, path):
+def _read_classical(payload, dims, path):
     if not isinstance(payload, dict):
-        raise StateFileError(
-            f"{path}: field 'payload' must map digit strings to probabilities")
+        raise StateFileError(f"{path}: field 'payload' must map digit strings to probabilities")
     if any(d > 10 for d in dims):
-        raise StateFileError(
-            f"{path}: digit-string keys support local dimensions up to 10")
+        raise StateFileError(f"{path}: digit-string keys support local dimensions up to 10")
     table = {}
     for key, p in payload.items():
         if (len(key) != len(dims) or not (key.isascii() and key.isdigit())
@@ -476,27 +459,39 @@ def _parse_prob_table(payload, dims, path):
             raise StateFileError(
                 f"{path}: field 'payload' value for {key!r} must be a finite number")
         table[tuple(int(c) for c in key)] = float(p)
-    return table
+    return DensityState.from_probabilities(table, dims)
+
+
+def _write_classical(state):
+    if any(d > 10 for d in state.dims):
+        raise ArgumentError("digit-string keys support local dimensions up to 10")
+    return {"".join(map(str, k)): p for k, p in sorted(state.probabilities().items())}
+
+
+#: One row per state-file kind: (kind, representation, payload reader
+#: (payload, dims, path) -> state, payload writer state -> payload).  A pure
+#: or mixed reader checks dims against the dense cap before the payload,
+#: which holds dim or dim^2 entries.
+_STATE_FILE_KINDS = (
+    ("pure", REP_PURE, lambda payload, dims, path: DensityState.from_amplitudes(
+        _complex_payload(payload, (_dense_dim(dims),), path), dims),
+     lambda state: [[z.real, z.imag] for z in state.amplitudes()]),
+    ("mixed", REP_DENSE, lambda payload, dims, path: DensityState.from_matrix(
+        _complex_payload(payload, (_dense_dim(dims),) * 2, path), dims),
+     lambda state: [[[z.real, z.imag] for z in row] for row in state.to_matrix()]),
+    ("classical", REP_CLASSICAL, _read_classical, _write_classical),
+)
 
 
 def save_state_file(state: DensityState, path: str) -> None:
     """Write a state file that :func:`load_state_file` parses back."""
-    dims = list(state.dims)
-    if state.rep == "pure":
-        amps = state.amplitudes()
-        doc = {"dims": dims, "kind": "pure",
-               "payload": [[z.real, z.imag] for z in amps]}
-    elif state.rep == "classical":
-        if any(d > 10 for d in dims):
-            raise ArgumentError("digit-string keys support local dimensions up to 10")
-        doc = {"dims": dims, "kind": "classical",
-               "payload": {"".join(map(str, k)): p
-                           for k, p in sorted(state.probabilities().items())}}
-    else:
-        m = state.to_matrix()
-        doc = {"dims": dims, "kind": "mixed",
-               "payload": [[[z.real, z.imag] for z in row] for row in m]}
-    Path(path).write_text(_strict_json(doc), encoding="utf-8")
+    kind, _, _, write = next(row for row in _STATE_FILE_KINDS if row[1] == state.rep)
+    doc = {"dims": list(state.dims), "kind": kind, "payload": write(state)}
+    try:  # a NaN or an infinity raises a NumericError
+        text = json.dumps(doc, allow_nan=False)
+    except ValueError as exc:
+        raise NumericError(f"cannot write JSON: {exc}") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # -- commands ------------------------------------------------------------

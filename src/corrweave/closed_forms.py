@@ -223,7 +223,10 @@ def dicke_block_entropies(n: int, m: int, ks) -> np.ndarray:
     recurrence in ``tests/oracles.py``: each term ratio is one rounding of
     exact integers, and ``np.cumprod`` along a row is sequential.
     """
-    ks = np.asarray(ks, dtype=np.int64)
+    n, m, ks = integer(n, "party count n"), integer(m, "excitation count m"), np.asarray(ks)
+    if ks.size and ks.dtype.kind not in "iu":  # an empty ks is float64
+        raise ArgumentError(f"block sizes k must be integers, got {ks.tolist()}")
+    ks = ks.astype(np.int64)
     if not 0 <= m <= n or ks.size and not 1 <= ks.min() <= ks.max() <= n:
         k = ks.tolist()
         raise ArgumentError(f"need 0 <= m <= n and 1 <= k <= n, got n={n}, m={m}, "

@@ -8,6 +8,12 @@ representations, tracked by a tag:
 * ``classical`` -- sparse probability table over digit tuples, for diagonal
   states whose Hilbert dimension can far exceed the dense capacity limit.
 
+Each representation is one row (:data:`_REP_ROWS`), read as ``state._rep_row``:
+its all-subsets entropy pass, its prefix pass or None, its entropy of one
+sorted keep-set and its distance under a permutation.  Any object with
+``n_parties``, ``dims``, an ``_entropies`` memo dict and a row (or a preset
+``permutation_invariant`` in place of the distance) is a source of entropies.
+
 All entropies are in bits (base-2 logarithms).  Subsystems are indexed
 ``0 .. N-1``; composite indices follow the Kronecker convention (subsystem
 0 is the most significant digit).
@@ -16,7 +22,7 @@ All entropies are in bits (base-2 logarithms).  Subsystems are indexed
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -220,6 +226,10 @@ class DensityState:
     @property
     def is_classical(self) -> bool:
         return self.rep == REP_CLASSICAL
+
+    @property
+    def _rep_row(self) -> "_RepRow":
+        return _REP_ROWS[self.rep]()
 
     def amplitudes(self) -> np.ndarray:
         if self.rep != REP_PURE:
@@ -512,22 +522,26 @@ def marginal_entropy(state: DensityState, keep: Iterable[int]) -> float:
     with no marginal state built.  Every subset's value, with the same
     bits, comes from one batched pass (:func:`entropy_passes`).
     """
-    n = state.n_parties
-    keep = _normalize_keep(keep, n)
-    if state.rep == REP_PURE:
-        if len(keep) == n:
-            return 0.0
-        a = _pure_amp_matrix(state, keep)
-        if a.shape[0] > a.shape[1]:
-            a = a.T
-        s = np.linalg.svd(a, compute_uv=False)
-        return _shannon_bits(s * s)
-    if state.rep == REP_CLASSICAL:
-        digits, probs = state._digit_rows()
-        if not len(probs):  # an unvalidated empty table
-            return 0.0
-        [((labels,), _)] = _prefix_labels(digits[:, list(keep)], [len(keep)])
-        return _shannon_bits(np.bincount(labels, weights=probs))
+    return state._rep_row.entropy(state, _normalize_keep(keep, state.n_parties))
+
+
+def _pure_marginal(state: DensityState, keep: tuple[int, ...]) -> float:
+    if len(keep) == state.n_parties:
+        return 0.0
+    a = _pure_amp_matrix(state, keep)
+    s = np.linalg.svd(a.T if a.shape[0] > a.shape[1] else a, compute_uv=False)
+    return _shannon_bits(s * s)
+
+
+def _classical_marginal(state: DensityState, keep: tuple[int, ...]) -> float:
+    digits, probs = state._digit_rows()
+    if not len(probs):  # an unvalidated empty table
+        return 0.0
+    [((labels,), _)] = _prefix_labels(digits[:, list(keep)], [len(keep)])
+    return _shannon_bits(np.bincount(labels, weights=probs))
+
+
+def _dense_marginal(state: DensityState, keep: tuple[int, ...]) -> float:
     m = _dense_partial_trace(state._matrix, state.dims, keep)
     return _shannon_bits(np.linalg.eigvalsh(_hermitize(m)))
 
@@ -776,14 +790,23 @@ def _stacked_bits(n: int, matrices: Iterable, spectrum: Callable) -> np.ndarray:
     return h
 
 
+#: Each representation's row, built from the module's functions when it is
+#: read; pure and dense prefixes (N <= 12) are one LAPACK call each.
+_RepRow = namedtuple("_RepRow", "subsets prefixes entropy distance")
+_REP_ROWS = {
+    REP_PURE: lambda: _RepRow(  # rho is invariant <=> the overlap has magnitude 1
+        _pure_entropies, None, _pure_marginal,
+        lambda s, perm: abs(1.0 - abs(np.vdot(permute_subsystems(s, perm)._amps, s._amps)))),
+    REP_DENSE: lambda: _RepRow(_dense_entropies, None, _dense_marginal, _dense_distance),
+    REP_CLASSICAL: lambda: _RepRow(
+        _classical_entropies, _classical_prefix_entropies, _classical_marginal,
+        lambda s, perm: max_entry_distance(permute_subsystems(s, perm), s)),
+}
+
+
 def entropy_passes(state: DensityState) -> tuple[Callable, Optional[Callable]]:
-    """The batched passes that give every subset entropy of ``state`` and
-    its prefix entropies, each looked up when this is called.  The prefix
-    pass is None for pure and dense states (N <= 12), whose prefixes are
-    one :func:`marginal_entropy` call each."""
-    if state.rep == REP_CLASSICAL:
-        return _classical_entropies, _classical_prefix_entropies
-    return (_pure_entropies if state.rep == REP_PURE else _dense_entropies), None
+    """The all-subsets and prefix (or None) entropy passes of ``state``'s row."""
+    return state._rep_row[:2]
 
 
 def relative_entropy(rho: DensityState, sigma: DensityState) -> float:
@@ -844,28 +867,14 @@ def is_permutation_invariant(state: DensityState) -> bool:
     if state.permutation_invariant is not None:
         return state.permutation_invariant
     n = state.n_parties
-    verdict = True
-    if n > 1:
-        if len(set(state.dims)) > 1:
-            verdict = False
-        else:
-            swap = (1, 0) + tuple(range(2, n))
-            cycle = tuple(range(1, n)) + (0,)
-            for perm in (swap, cycle):
-                if _permutation_distance(state, perm) > PERM_INVARIANCE_TOL:
-                    verdict = False
-                    break
+    swap_and_cycle = ((1, 0, *range(2, n)), (*range(1, n), 0)) if n > 1 else ()
+    verdict = len(set(state.dims)) == 1 and all(
+        not state._rep_row.distance(state, perm) > PERM_INVARIANCE_TOL
+        for perm in swap_and_cycle)
     object.__setattr__(state, "permutation_invariant", verdict)
     return verdict
 
 
-def _permutation_distance(state: DensityState, perm: tuple[int, ...]) -> float:
-    if state.rep == REP_DENSE:  # the permuted matrix as a view of the state's
-        t = state._matrix.reshape(state.dims * 2)
-        return float(np.abs(t.transpose(perm + tuple(len(perm) + p for p in perm)) - t).max())
-    permuted = permute_subsystems(state, perm)
-    if state.rep == REP_PURE:
-        # rho invariance for pure states <=> unit overlap magnitude
-        ov = abs(np.vdot(permuted._amps, state._amps))
-        return abs(1.0 - ov)
-    return max_entry_distance(permuted, state)
+def _dense_distance(state: DensityState, perm: tuple[int, ...]) -> float:
+    t = state._matrix.reshape(state.dims * 2)  # the permuted matrix as a view of the state's
+    return float(np.abs(t.transpose(perm + tuple(len(perm) + p for p in perm)) - t).max())

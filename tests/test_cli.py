@@ -255,6 +255,17 @@ def test_profile_state_file_round_trip_all_kinds(tmp_path):
             assert payload(loaded).tobytes() == payload(state).tobytes(), name
 
 
+@pytest.mark.parametrize("make, dims", [(haar_state, (2, 3, 2)), (random_density, (2, 3, 2)),
+                                        (random_classical, (2, 3, 2)),
+                                        (random_classical, (10, 10))],
+                         ids=["pure", "mixed", "classical", "classical-d10"])
+def test_state_files_save_back_to_their_own_bytes(tmp_path, make, dims):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_state_file(make(dims, np.random.default_rng(36)), str(first))
+    save_state_file(load_state_file(str(first)), str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
 def test_classical_state_files_take_local_dimensions_up_to_ten(tmp_path):
     path = tmp_path / "classical.json"
     save_state_file(make_classical(2, 10), str(path))
@@ -558,6 +569,11 @@ BAD_PAYLOAD_TEXTS = {
                          "got [[[1, 2], [3, 4]], [[5, 6]]]"),
     "kind-as-pairs": ('{"dims":[2],"kind":[[1, 2]],"payload":[]}',
                       "field 'kind' must be pure, mixed, or classical, got [[1, 2]]"),
+    # a kind is compared with each kind's name, never hashed
+    "kind-as-object": ('{"dims":[2],"kind":{"a": 1},"payload":[]}',
+                       "field 'kind' must be pure, mixed, or classical, got {'a': 1}"),
+    "kind-null": ('{"dims":[2],"kind":null,"payload":[]}',
+                  "field 'kind' must be pure, mixed, or classical, got None"),
     # documents whose shape is wrong before any payload entry is read
     "top-level-array": ('[{"dims": [2], "kind": "pure", "payload": [[1, 0], [0, 0]]}]',
                         "top level must be a JSON object"),

@@ -114,6 +114,16 @@ def test_dicke_rows_match_the_per_k_oracle_bit_for_bit():
             dicke_entropy_per_k(n, m, k).hex() for k in ks], (n, m)
 
 
+@pytest.mark.parametrize("args", [(4, 1, [2.5]), (4.0, 1, [2]), (4, True, [2])], ids=repr)
+def test_dicke_block_entropies_refuse_sizes_that_are_not_integers(args):
+    # these once gave the k = 2 entropy, an IndexError, and m read as 1
+    with pytest.raises(ArgumentError, match="must be (an )?integers?, got"):
+        dicke_block_entropies(*args)
+    assert dicke_block_entropies(4, 1, []).tolist() == []
+    assert (dicke_block_entropies(np.int64(4), np.int64(1), np.array([2], np.uint8)).tolist()
+            == dicke_block_entropies(4, 1, [2]).tolist() == [1.0])
+
+
 def test_dicke_marginal_entropy_matches_matrix():
     for n, m, k in ((6, 2, 3), (5, 1, 2), (4, 2, 1)):
         marg = partial_trace(make_dicke(n, m), tuple(range(k)))

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import subset_entropy
+from oracles import cut_ranks, subset_entropy
 
 from corrweave import correlations, tensor
 from corrweave import (ArgumentError, CapacityError, ConsistencyError,
@@ -682,3 +682,56 @@ def test_invariant_profile_partitions_hold_one_label_array_each():
         tuple((i,) for i in range(1000)),
         tuple((i, i + 1) for i in range(0, 1000, 2)),
         tuple(tuple(range(i, min(i + 3, 1000))) for i in range(0, 1000, 3))]
+
+
+# -- a source of entropies that is not a DensityState --------------------------
+
+class _CutRankSource:
+    """A graph state known only by its cut ranks, the entropy of each set of
+    its vertices (Hein, Eisert & Briegel, PRA 69, 062311, 2004), reached
+    through a representation row of its own.  Permuting a graph state's
+    parties gives the state of the permuted graph, which is another state
+    unless the graph is unchanged."""
+
+    def __init__(self, adjacency):
+        n = len(adjacency)
+        self.n_parties, self.dims = n, (2,) * n
+        self.permutation_invariant, self._entropies = None, {}
+        self.table = cut_ranks(adjacency).astype(float)
+        graph = np.array(adjacency)[:, None] >> np.arange(n) & 1
+        self._rep_row = tensor._RepRow(
+            lambda source: source.table.copy(), None,
+            lambda source, keep: float(source.table[sum(1 << i for i in keep)]),
+            lambda source, perm: float((graph[np.ix_(perm, perm)] != graph).any()))
+
+
+def _graph_amplitudes(adjacency):
+    """(-1)^(sum over edges of x_i x_j) / 2^(N/2), party 0 the most significant digit."""
+    n = len(adjacency)
+    x = np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    upper = np.triu(np.array(adjacency)[:, None] >> np.arange(n) & 1, 1)
+    return (-1.0) ** ((x @ upper) * x).sum(axis=1) / 2 ** (n / 2)
+
+
+def _ring(n):
+    return [1 << (i - 1) % n | 1 << (i + 1) % n for i in range(n)]
+
+
+# the complete graph is invariant, so auto takes the prefixes through the row's entropy
+@pytest.mark.parametrize("adjacency", [_ring(6), _ring(8), [0b111111 ^ 1 << i for i in range(6)]],
+                         ids=["ring-6", "ring-8", "complete-6"])
+def test_a_source_with_its_own_row_profiles_as_its_state(adjacency):
+    n = len(adjacency)
+    state = DensityState.from_amplitudes(_graph_amplitudes(adjacency), (2,) * n)
+    for mode in ("brute", "auto"):
+        source = _CutRankSource(adjacency)
+        want, got = profile(state, mode), profile(source, mode)
+        assert got.mode == want.mode
+        for a, b in ((got.dist, want.dist), (got.genuine, want.genuine)):
+            assert np.abs(np.subtract(a, b)).max() <= 1e-9, (mode, a, b)
+        assert abs(neural_complexity(source) - neural_complexity(state)) <= 1e-9
+        assert dist_to_pk(source, 2, mode).value == got.dist[1]
+        cluster = (0, 1, 3)
+        assert abs(multi_information(source, cluster) - multi_information(state, cluster)) <= 1e-9
+    assert source.permutation_invariant == (adjacency != _ring(n))
+    assert np.abs(np.subtract(subset_entropies(source), subset_entropies(state))).max() <= 1e-9
