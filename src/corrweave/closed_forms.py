@@ -29,8 +29,8 @@ from .tensor import _segment_sums
 #: values, and ``dicke-half`` takes O(N^2) time: its h(s) for s <= N/2
 #: come from one batched pass per instance (:func:`dicke_block_entropies`)
 #: and the rest are their bit-equal mirror h(N - s) (:func:`_dicke_h`), so
-#: a ``scaling`` point takes about 0.9 s at N = 16384 on a 2-vCPU Xeon VM,
-#: and about 6 s at the cap (12 s when the pass computed every s).
+#: a ``scaling`` point takes about 0.6 s at N = 16384 and 3.2 s at the cap
+#: (the whole process, 2-vCPU Xeon VM).
 MAX_CLOSED_FORM_N = 1 << 16
 
 #: Sweep normalizations: (name, divisor for system size n).
@@ -217,11 +217,15 @@ def dicke_block_entropies(n: int, m: int, ks) -> np.ndarray:
     ``_DICKE_CHUNK`` computed terms.  A row holds 1.0 at the mode, its
     largest term, and :func:`_beyond_mode` fills tiles of columns outward
     until every row has underflowed to 0, so nothing overflows and the zero
-    tails are never computed.  Each row is divided by the ``np.add.reduce``
-    of exactly its own terms; its entropy is one ``np.add.reduce`` of its
-    positive ``p log2 p`` in order.  The bits are those of the per-k
-    recurrence in ``tests/oracles.py``: each term ratio is one rounding of
-    exact integers, and ``np.cumprod`` along a row is sequential.
+    tails are never computed.  Below the mode are the terms above the mode
+    of the mirror image i -> k - i, which has n - m excitations; a row with
+    2m = n is its own, so they are copied: those above it, after the mode's
+    1.0 for odd k (the central ratio is exactly 1).  Each row is divided by
+    the ``np.add.reduce`` of exactly its own terms; its entropy is one
+    ``np.add.reduce`` of its positive ``p log2 p`` in order.  The bits are
+    those of the per-k recurrence in ``tests/oracles.py``: each term ratio
+    is one rounding of exact integers, and ``np.cumprod`` along a row is
+    sequential.
     """
     n, m, ks = integer(n, "party count n"), integer(m, "excitation count m"), np.asarray(ks)
     if ks.size and ks.dtype.kind not in "iu":  # an empty ks is float64
@@ -250,15 +254,19 @@ def dicke_block_entropies(n: int, m: int, ks) -> np.ndarray:
         stop = min(first + count, len(ks))
         rows = slice(first, stop)
         wd, wu = int(below[rows].max()), int(above[rows].max())
+        if 2 * m == n:  # the terms above the mode give those below it
+            wu = max(wu, wd)
         width = wd + 1 + wu
         k, i0 = ks[rows, None].astype(float), mode[rows, None].astype(float)
         tile = int(tiles[rows].max())
         p = np.zeros((stop - first, width))
         p[:, wd] = 1.0
-        # above the mode, then below it as the terms above the mode of
-        # the mirror image i -> k - i, which has n - m excitations
         cu = _beyond_mode(p[:, wd + 1:], n, m, k, i0, tile)
-        cd = _beyond_mode(p[:, :wd][:, ::-1], n, n - m, k, k - i0, tile)
+        if 2 * m == n:  # copied, from the mode's 1.0 for odd k
+            cd, odd = min(wd, cu + 1), ks[rows, None] % 2 == 1
+            p[:, wd - cd:wd] = np.where(odd, p[:, wd:wd + cd], p[:, wd + 1:wd + 1 + cd])[:, ::-1]
+        else:  # below the mode, as the terms above the mode of the mirror image
+            cd = _beyond_mode(p[:, :wd][:, ::-1], n, n - m, k, k - i0, tile)
         at = np.arange(stop - first) * width + wd  # each mode in p.ravel()
         sums = _segment_sums(p.ravel(), at - below[rows], at + 1 + above[rows])
         p = p[:, wd - cd:wd + 1 + cu]  # every positive term

@@ -175,7 +175,8 @@ class WeightScheme:
     identity exact by canonicalizing ``omega`` as the running sum of
     ``big_omega`` (entries provided in the other form may therefore be
     re-rounded by one ulp).  Only the form given by the caller is required
-    to be nonnegative.
+    to be nonnegative.  The ``k-1`` and ``uniform`` schemes are written out
+    whole: their running sums are exact integers.
     """
 
     n: int
@@ -202,14 +203,14 @@ class WeightScheme:
     @classmethod
     def order_weighted(cls, n: int) -> "WeightScheme":
         """The default scheme ``omega_k = k - 1`` (``big_omega_i = 1``)."""
-        _check_scheme_n(n)
-        return cls.from_big_omega((1.0,) * (n - 1), name="k-1")
+        n = _check_scheme_n(n)
+        return cls(n, tuple(map(float, range(1, n))), (1.0,) * (n - 1), "k-1")
 
     @classmethod
     def uniform(cls, n: int) -> "WeightScheme":
         """``omega_k = 1`` for every order (``big_omega = (1, 0, .., 0)``)."""
-        _check_scheme_n(n)
-        return cls.from_omega((1.0,) * (n - 1), name="uniform")
+        n = _check_scheme_n(n)
+        return cls(n, (1.0,) * (n - 1), ((1.0,) + (0.0,) * (n - 2))[:n - 1], "uniform")
 
     @classmethod
     def delta(cls, n: int, k: int) -> "WeightScheme":
@@ -236,9 +237,10 @@ class WeightScheme:
         raise ArgumentError(f"unknown weights {spec!r}; use k-1, uniform, or delta:K")
 
 
-def _check_scheme_n(n: int) -> None:
+def _check_scheme_n(n: int) -> int:
     if integer(n, "party count n") < 1:
         raise ArgumentError(f"weight schemes need n >= 1, got {n}")
+    return int(n)
 
 
 def _finite_nonnegative(values: tuple[float, ...]) -> bool:

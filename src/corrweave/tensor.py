@@ -572,23 +572,28 @@ def _classical_prefix_entropies(state: DensityState) -> np.ndarray:
 
 def _prefix_labels(digits: np.ndarray,
                    sizes: Sequence[int]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """:func:`_first_appearance` of the rows of ``digits`` by their first
-    ``s`` digits, one row of labels for each ``s`` in ``sizes``, yielded
-    ``_LABEL_BLOCK`` labels (at least one size) at a time.  The rows are
-    sorted once by digit string; the prefix of ``s`` digits starts a group
-    at each sorted row that first differs from the row before at a digit
-    below ``s``, so one ``cumsum`` numbers its groups in sorted order."""
+    """The rows of ``digits`` labelled by their first ``s`` digits as
+    :func:`_first_appearance` labels them, one row for each ``s`` in
+    ``sizes``, ``_LABEL_BLOCK`` labels (at least one size) a yield.  The rows
+    are sorted once by digit string; a prefix of ``s`` digits starts a group
+    at each sorted row that first differs from the one before below digit
+    ``s``.  A ``cumsum`` over the groups' first (least) table rows numbers them."""
     rows, n = digits.shape
     order = np.lexsort(digits.T[::-1])
     differ = np.diff(digits[order], axis=0) != 0
-    # the first digit where each sorted row differs from the one before; n for the first
-    split = np.concatenate(([n], np.where(differ.any(axis=1), differ.argmax(axis=1), n)))
+    # the first digit where each sorted row differs from the one before; -1 for the first
+    split = np.concatenate(([-1], np.where(differ.any(axis=1), differ.argmax(axis=1), n)))
     rank = np.argsort(order)
     step = max(1, _LABEL_BLOCK // rows)
     for first in range(0, len(sizes), step):
-        block = np.asarray(sizes[first:first + step])
-        ids = np.cumsum(split < block[:, None], axis=1, dtype=np.min_scalar_type(rows))
-        yield _first_appearance(ids[:, rank])
+        new = split < np.asarray(sizes[first:first + step])[:, None]
+        starts = np.flatnonzero(new)
+        at = (starts // rows, np.minimum.reduceat(np.tile(order, len(new)), starts))
+        is_first = np.zeros(new.shape, bool)
+        is_first[at] = True
+        label = (np.cumsum(is_first, axis=1)[at] - 1).astype(np.min_scalar_type(rows))
+        label = np.repeat(label, np.diff(starts, append=new.size)).reshape(new.shape)
+        yield np.take(label, rank, axis=1), np.count_nonzero(new, axis=1)
 
 
 def _classical_entropies(state: DensityState) -> np.ndarray:

@@ -166,6 +166,12 @@ def test_batched_dicke_entropies_match_the_per_k_oracle_bit_for_bit():
     grid = [(n, m) for n in range(1, 65) for m in range(n + 1)]
     grid += [(n, m) for n in (100, 255, 256, 257, 1024, 1500, 2048)
              for m in sorted({0, 1, 2, n // 3, n // 2, n - 1, n})]
+    # whole half-filled tables of n <= 64: odd and even rows in one chunk,
+    # with the row k = n, whose terms below the mode are none
+    for n in range(2, 65, 2):
+        table = dicke_block_entropies(n, n // 2, range(1, n + 1))
+        assert [h.hex() for h in table.tolist()] == [
+            dicke_entropy_per_k(n, n // 2, k).hex() for k in range(1, n + 1)], n
     for n, m in grid:
         step = max(8, n // 32)
         ks = [*range(1 + m % step, n, step), n]

@@ -445,6 +445,19 @@ def test_weight_scheme_named_forms():
     assert d.omega == (0.0, 1.0, 0.0, 0.0)
     assert d.big_omega == (0.0, 1.0, -1.0, 0.0)
 
+    # each named scheme has every bit of the generic constructor of its form
+    def bits(w):
+        return w.n, w.name, [x.hex() for x in w.omega], [x.hex() for x in w.big_omega]
+
+    for n in [*range(1, 301), 1024, 4096, 65536]:
+        generic = {"k-1": WeightScheme.from_big_omega((1.0,) * (n - 1), name="k-1"),
+                   "uniform": WeightScheme.from_omega((1.0,) * (n - 1), name="uniform")}
+        for k in sorted({2, 3, n // 2, n - 1, n} & set(range(2, n + 1))):
+            generic[f"delta:{k}"] = WeightScheme.from_omega(
+                [0.0] * (k - 2) + [1.0] + [0.0] * (n - k), name=f"delta:{k}")
+        for spec, want in generic.items():
+            assert bits(WeightScheme.named(spec, n)) == bits(want), (spec, n)
+
 
 def test_weight_scheme_interconversion_exact():
     for _ in range(20):
