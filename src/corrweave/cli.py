@@ -329,7 +329,7 @@ def _scheme_from_file(spec: str, n: int) -> WeightScheme:
 def load_state_file(path: str) -> DensityState:
     """Parse a UTF-8 JSON state file: {dims, kind, payload}.  A payload is
     read a row at a time (:func:`_scan_json`), each row of pairs as one flat
-    list of json's numbers, never as a tree of lists: reading peaks at about
+    list of orjson's numbers, never as a tree of lists: reading peaks at about
     twice the file's size, its bytes and its text while the text is decoded."""
     doc = _read_json(path, "state", StateFileError)
     if not isinstance(doc, dict):
@@ -359,8 +359,10 @@ def _scan_json(text: str):
     """``json.loads(text)``, but a top-level ``payload`` opening ``[[`` (pure)
     or ``[[[`` (mixed rows) is read a row at a time: a row opening ``[[`` as
     :func:`_float_pairs` of its text up to ``_ROW_END``, which lies in the row
-    if it is JSON, or else as json scans it.  Text that is not one JSON
-    document raises StopIteration, ValueError or RecursionError."""
+    if it is JSON, its numbers read by orjson; a row orjson refuses is read
+    as json scans it, for :func:`_complex_payload` to name the bad entry.
+    Text that is not one JSON document raises StopIteration, ValueError or
+    RecursionError."""
     ws, keys = WHITESPACE.match, {}
 
     def value(s, j, pairs=True):
@@ -391,14 +393,16 @@ def _float_pairs(row: str):
     """The (p, 2) float array of ``row``, a ``[`` and the text after it up
     to ``_ROW_END``, if it lists p [re, im] pairs, else ValueError.  Less
     its JSON whitespace and number bytes the row must read
-    ``[[,],...,[,]]``; json's scanner then reads it as one flat list, inner
-    brackets blanked, which fails exactly where json refuses the row: the
-    cut leaves no number between pairs to fill an empty slot."""
+    ``[[,],...,[,]]``; orjson then reads it as one flat list, inner brackets
+    blanked, to json's own float bits.  It fails where json refuses the row
+    (the cut leaves no number between pairs to fill an empty slot) and on a
+    number past float range, which json's scanner then reads instead."""
+    import orjson  # on first use: a command that reads no payload row never loads it
     raw = row.encode()
     skeleton = raw.translate(None, b"0123456789.eE+- \t\n\r")
     if skeleton != b"[%s[,]]" % (b"[,]," * ((len(skeleton) - 5) // 4)):
         raise ValueError("not a row of [re, im] pairs")
-    flat, _ = _SCAN("[%s]" % raw.translate(_BLANK_BRACKETS).decode(), 0)
+    flat = orjson.loads(b"[%s]" % raw.translate(_BLANK_BRACKETS))
     return np.array(flat, dtype=float).reshape(-1, 2)
 
 

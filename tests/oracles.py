@@ -1,11 +1,12 @@
 """Reference computations that tests check the library against."""
 
+import json
 import math
 
 import numpy as np
 
 from corrweave import NumericError, SetPartition
-from corrweave.cli import _round12
+from corrweave.cli import _BLANK_BRACKETS, _round12
 from corrweave.closed_forms import FAMILIES
 from corrweave.correlations import TIE_TOL, PartitionMinimum
 from corrweave.tensor import EIG_CLIP, _dense_partial_trace
@@ -24,6 +25,22 @@ def oracle_round_floats(obj):
     if isinstance(obj, (list, tuple)):
         return [oracle_round_floats(v) for v in obj]
     return obj
+
+
+_SCAN = json.JSONDecoder().scan_once
+
+
+def float_pairs_reference(row: str):
+    """``cli._float_pairs`` with json's own scanner reading the numbers, as
+    json.loads reads them: the (p, 2) float array of a row of p [re, im]
+    pairs, else ValueError, or OverflowError for an integer past float
+    range.  A number past float range in a fraction or exponent reads inf."""
+    raw = row.encode()
+    skeleton = raw.translate(None, b"0123456789.eE+- \t\n\r")
+    if skeleton != b"[%s[,]]" % (b"[,]," * ((len(skeleton) - 5) // 4)):
+        raise ValueError("not a row of [re, im] pairs")
+    flat, _ = _SCAN("[%s]" % raw.translate(_BLANK_BRACKETS).decode(), 0)
+    return np.array(flat, dtype=float).reshape(-1, 2)
 
 
 def count_partitions(n: int, kmax: int) -> int:

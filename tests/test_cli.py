@@ -33,7 +33,7 @@ from corrweave.closed_forms import (CF_FAMILIES, FAMILIES, MAX_CLOSED_FORM_N,
 from corrweave.cli import (_cell, _emit, _float_texts, _handle_errors, _json_chunks,
                            _round12, _scheme, load_state_file, main, save_state_file)
 from corrweave.random_states import haar_state, random_classical, random_density
-from oracles import oracle_round_floats
+from oracles import float_pairs_reference, oracle_round_floats
 
 
 runner = CliRunner()
@@ -360,6 +360,81 @@ def test_state_file_reader_reads_random_layouts_to_json_loads_bits(tmp_path, mon
         path.write_text(text, encoding="utf-8", newline="")
         want = np.array(json.loads(text)["payload"], float).view(complex)
         assert load_state_file(str(path)).tobytes() == want.tobytes(), text
+
+
+_DOUBLE_SPELLINGS = (repr, "%.17e".__mod__, "%.25g".__mod__, "%.24E".__mod__)
+
+
+@st.composite
+def _decimal_texts(draw):
+    """A JSON number of 1 to 40 significant digits, any of them left of the
+    point, and maybe an exponent of -400 to 400."""
+    digits = draw(st.sampled_from("123456789")) + draw(st.text("0123456789", max_size=39))
+    point = draw(st.integers(0, len(digits)))
+    text = draw(st.sampled_from(["", "-"])) + (digits[:point] or "0")
+    if digits[point:]:
+        text += "." + digits[point:]
+    exponent = draw(st.none() | st.integers(-400, 400))
+    if exponent is not None:
+        plus = draw(st.sampled_from(["", "+"])) if exponent >= 0 else ""
+        text += draw(st.sampled_from("eE")) + plus + str(exponent)
+    return text
+
+
+_NUMBER_SPELLINGS = st.one_of(
+    st.builds(lambda spell, x: spell(x), st.sampled_from(_DOUBLE_SPELLINGS),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    _decimal_texts())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(pairs=st.lists(st.tuples(_NUMBER_SPELLINGS, _NUMBER_SPELLINGS), min_size=1, max_size=8))
+def test_float_pairs_read_the_reference_bits(pairs):
+    # a row the reader refuses is read again by json's scanner, so it may refuse a
+    # number json reads past float range, which the payload check refuses in turn
+    row = "[%s]" % ", ".join("[%s, %s]" % pair for pair in pairs)
+    try:
+        want = float_pairs_reference(row)
+    except (ValueError, OverflowError):
+        want = None
+    try:
+        got = cli._float_pairs(row)
+    except ValueError:
+        assert want is None or not np.isfinite(want).all(), row
+    else:
+        assert want is not None and got.shape == want.shape, row
+        assert got.tobytes() == want.tobytes(), row
+
+
+_PAIR_TEXTS = {  # one [re, im] pair, its real part spelled as named
+    **{name: "[%s, 0]" % number for name, number in (
+        ("upper-exponent", "0.5E0"), ("minus-zero", "-0"), ("minus-zero-point", "-0.0"),
+        ("underflow", "1e-400"), ("overflow", "1e400"), ("integer-400-digits", "9" * 400),
+        ("integer-30-digits-tiny", "123456789012345678901234567890e-60"),
+        ("decimal-30-digits-above", "0.500000000000000000000000000001"),
+        ("decimal-30-digits-below", "0.499999999999999999999999999999"),
+        # just past the halfway point between 0.5 and the next double
+        ("past-halfway", "0.500000000000000055511151231257827021181583404541015625"
+                         + "0" * 30 + "1"),
+        ("leading-zero", "00.5"), ("bare-point", "0."), ("plus", "+0.5"),
+        ("bare-exponent-sign", "5e+"), ("two-numbers-in-one-slot", "0.5 0"))},
+    "three-entry-pair": "[0.5, 0, 0]",
+}
+_LAST_PAIR_TEXTS = {  # state files whose last pair is %s and every other number 0.5 or 0
+    "pure": '{"dims": [2, 2], "kind": "pure", "payload": [[0.5, 0], [0.5, 0], [0.5, 0], %s]}',
+    "mixed": '{"dims": [2], "kind": "mixed", "payload": [[[0.5, 0], [0, 0]], [[0, 0], %s]]}',
+}
+
+
+@pytest.mark.parametrize("kind", _LAST_PAIR_TEXTS)
+@pytest.mark.parametrize("pair", _PAIR_TEXTS)
+def test_state_file_numbers_read_as_the_reference_reads_them(tmp_path, monkeypatch, kind, pair):
+    path = tmp_path / "state.json"
+    path.write_text(_LAST_PAIR_TEXTS[kind] % _PAIR_TEXTS[pair])
+    got = run("profile", "--state", str(path))
+    monkeypatch.setattr(cli, "_float_pairs", float_pairs_reference)
+    want = run("profile", "--state", str(path))
+    assert (got.exit_code, got.stdout, got.stderr) == (want.exit_code, want.stdout, want.stderr)
 
 
 def _matrix_text(n, bad_row):
@@ -1476,6 +1551,23 @@ def test_cli_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_only_a_payload_row_loads_orjson(tmp_path):
+    # orjson is imported where a payload row is read, so a process that imports the CLI,
+    # or runs a command that reads no state file, starts without it
+    path = tmp_path / "mixed.json"
+    save_state_file(random_density((2, 2), np.random.default_rng(6)), str(path))
+    env = dict(os.environ, PYTHONPATH=str(Path(corrweave.__file__).parents[1]))
+
+    def imports(*args):
+        done = subprocess.run([sys.executable, "-X", "importtime", *args], env=env,
+                              capture_output=True, text=True, check=True)
+        return {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+
+    assert "orjson" not in imports("-c", "import corrweave.cli")
+    assert "orjson" not in imports("-m", "corrweave.cli", "profile", "--state", "ghz:4")
+    assert "orjson" in imports("-m", "corrweave.cli", "profile", "--state", str(path))
 
 
 def test_parallel_option_is_gone():
